@@ -9,13 +9,11 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/scenario"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -34,9 +32,6 @@ type Config struct {
 	// bounds one probe; 0 means 1s.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// SweepConcurrency bounds concurrently dispatched sweep points; 0
-	// means 8 per worker.
-	SweepConcurrency int
 	// Client performs upstream requests; nil uses a default with no
 	// overall timeout (sweep responses stream for as long as the
 	// simulations take; per-probe timeouts are separate).
@@ -67,9 +62,6 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
 	}
-	if c.SweepConcurrency <= 0 {
-		c.SweepConcurrency = 8 * len(c.Workers)
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
@@ -79,26 +71,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// flight is one in-flight upstream computation; duplicate keys wait on
-// done and replay the owner's outcome — the router half of cluster-wide
-// single-flight (the worker's shard scheduler is the other half, for
-// duplicates that slip past the router, e.g. from clients hitting
-// workers directly).
-type flight struct {
-	done chan struct{}
-	res  *upstream
-	err  error
-}
-
 // upstream is one worker response, buffered for replay to coalesced
 // waiters.
 type upstream struct {
-	node    string
-	status  int
-	cache   string // the worker's X-Ltsimd-Cache disposition
-	key     string // the worker's X-Ltsimd-Key (its cache key, policy folded in)
-	body    []byte
-	retried int
+	node   string
+	status int
+	cache  string // the worker's X-Ltsimd-Cache disposition
+	key    string // the worker's X-Ltsimd-Key (its cache key, policy folded in)
+	body   []byte
 }
 
 // Router is the stateless cluster front. Create with New, serve
@@ -111,8 +91,11 @@ type Router struct {
 	logger *slog.Logger
 	start  time.Time
 
-	flightMu sync.Mutex
-	flights  map[string]*flight
+	// flights coalesces duplicate in-flight keys before dispatch — the
+	// router half of cluster-wide single-flight (the worker's shard
+	// scheduler is the other half, for duplicates that slip past the
+	// router, e.g. from clients hitting workers directly).
+	flights service.Flight[*upstream]
 
 	probeStop   context.CancelFunc
 	probeDone   chan struct{}
@@ -164,7 +147,6 @@ func New(cfg Config) (*Router, error) {
 		client:    cfg.Client,
 		logger:    cfg.Logger,
 		start:     time.Now(),
-		flights:   make(map[string]*flight),
 		probeDone: make(chan struct{}),
 	}
 	r.metrics = &routerMetrics{
@@ -266,13 +248,6 @@ func (r *Router) probeOnce(ctx context.Context, n *Node) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// writeError emits a JSON error body, mirroring the worker's shape.
-func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
 // routingKey fingerprints a request for ring placement and coalescing.
 // The router applies no request policy (workers fold their own
 // -target-rel/-max-trials/-bias defaults in before caching), so this key
@@ -287,17 +262,18 @@ func routingKey(req service.EstimateRequest) (string, error) {
 	return sim.Fingerprint(cfg, opt)
 }
 
-// dispatch sends body to the worker owning key, retrying on the ring
-// successor when a worker dies mid-request (transport error ⇒ immediate
+// forward posts body to the worker owning key and hands the response
+// to use, retrying on the ring successor when a worker dies mid-request
+// (transport error, or use failing to read the body ⇒ immediate
 // ejection; the prober re-admits it when it recovers). HTTP error
 // statuses are the worker *answering* — backpressure 503s and 4xxs pass
 // through untouched for the client's own retry policy.
-func (r *Router) dispatch(ctx context.Context, key string, body []byte) (*upstream, error) {
+func (r *Router) forward(ctx context.Context, key string, body []byte, use func(*Node, *http.Response) error) error {
 	var exclude []string
 	for {
 		node, err := r.ring.Pick(key, exclude...)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		node.acquire()
 		r.routedTotal.Add(1)
@@ -305,82 +281,63 @@ func (r *Router) dispatch(ctx context.Context, key string, body []byte) (*upstre
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.URL+"/estimate", bytes.NewReader(body))
 		if err != nil {
 			node.release()
-			return nil, err
+			return err
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := r.client.Do(req)
-		if err != nil {
-			node.release()
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			// The worker died under us: eject it and retry the request on
-			// the ring successor.
-			if node.setHealthy(false) {
-				r.ejections.Add(1)
-				r.metrics.ejections.Inc()
-				r.logger.Warn("worker ejected on request failure", "node", node.Name, "err", err.Error())
-			}
-			exclude = append(exclude, node.Name)
-			r.retries.Add(1)
-			r.metrics.retries.Inc()
-			continue
+		if err == nil {
+			err = use(node, resp)
+			resp.Body.Close()
 		}
-		payload, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
 		node.release()
-		if err != nil {
-			// Died mid-body: same ejection + successor retry. The
-			// successor recomputes (or disk-replays) deterministically, so
-			// the retried answer is the same bytes the dead worker would
-			// have sent.
-			if node.setHealthy(false) {
-				r.ejections.Add(1)
-				r.metrics.ejections.Inc()
-				r.logger.Warn("worker ejected mid-response", "node", node.Name, "err", err.Error())
-			}
-			exclude = append(exclude, node.Name)
-			r.retries.Add(1)
-			r.metrics.retries.Inc()
-			continue
+		if err == nil {
+			return nil
 		}
-		return &upstream{
-			node:    node.Name,
-			status:  resp.StatusCode,
-			cache:   resp.Header.Get("X-Ltsimd-Cache"),
-			key:     resp.Header.Get("X-Ltsimd-Key"),
-			body:    payload,
-			retried: len(exclude),
-		}, nil
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		// The worker died under us: eject it and retry on the ring
+		// successor, which recomputes (or disk-replays) deterministically,
+		// so the retried answer is the same bytes the dead worker would
+		// have sent.
+		if node.setHealthy(false) {
+			r.ejections.Add(1)
+			r.metrics.ejections.Inc()
+			r.logger.Warn("worker ejected on request failure", "node", node.Name, "err", err.Error())
+		}
+		exclude = append(exclude, node.Name)
+		r.retries.Add(1)
+		r.metrics.retries.Inc()
 	}
 }
 
 // estimateOnce runs one non-progress estimate through the cluster-wide
-// single-flight table: the first holder of a key dispatches, duplicates
-// wait and replay its buffered outcome.
+// single-flight table: the first holder of a key dispatches and buffers
+// the worker's response, duplicates wait and replay it.
 func (r *Router) estimateOnce(ctx context.Context, key string, body []byte) (*upstream, bool, error) {
-	r.flightMu.Lock()
-	if f, dup := r.flights[key]; dup {
-		r.flightMu.Unlock()
+	res, joined, err := r.flights.Do(ctx, key, func() (*upstream, error) {
+		var res *upstream
+		err := r.forward(ctx, key, body, func(node *Node, resp *http.Response) error {
+			payload, err := io.ReadAll(resp.Body)
+			if err != nil {
+				return err
+			}
+			res = &upstream{
+				node:   node.Name,
+				status: resp.StatusCode,
+				cache:  resp.Header.Get("X-Ltsimd-Cache"),
+				key:    resp.Header.Get("X-Ltsimd-Key"),
+				body:   payload,
+			}
+			return nil
+		})
+		return res, err
+	})
+	if joined {
 		r.coalesced.Add(1)
 		r.metrics.coalesced.Inc()
-		select {
-		case <-f.done:
-			return f.res, true, f.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
 	}
-	f := &flight{done: make(chan struct{})}
-	r.flights[key] = f
-	r.flightMu.Unlock()
-
-	f.res, f.err = r.dispatch(ctx, key, body)
-	r.flightMu.Lock()
-	delete(r.flights, key)
-	r.flightMu.Unlock()
-	close(f.done)
-	return f.res, false, f.err
+	return res, joined, err
 }
 
 // handleEstimate proxies one estimate to the worker owning its
@@ -392,19 +349,19 @@ func (r *Router) estimateOnce(ctx context.Context, key string, body []byte) (*up
 func (r *Router) handleEstimate(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(req.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	var er service.EstimateRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&er); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	key, err := routingKey(er)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if er.Progress {
@@ -413,7 +370,7 @@ func (r *Router) handleEstimate(w http.ResponseWriter, req *http.Request) {
 	}
 	res, joined, err := r.estimateOnce(req.Context(), key, body)
 	if err != nil {
-		writeError(w, upstreamStatus(err), err)
+		service.WriteError(w, upstreamStatus(err), err)
 		return
 	}
 	h := w.Header()
@@ -446,41 +403,11 @@ func upstreamStatus(err error) int {
 }
 
 // proxyStream forwards a progress-streamed estimate and relays the
-// NDJSON frames as they arrive. Worker death before the first byte
+// NDJSON frames as they arrive. Worker death before the response starts
 // retries on the successor; after frames have flowed the stream just
 // ends (the client re-requests and hits the successor's cache).
 func (r *Router) proxyStream(w http.ResponseWriter, ctx context.Context, key string, body []byte) {
-	var exclude []string
-	for {
-		node, err := r.ring.Pick(key, exclude...)
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		node.acquire()
-		r.metrics.requests.With(node.Name).Inc()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.URL+"/estimate", bytes.NewReader(body))
-		if err != nil {
-			node.release()
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := r.client.Do(req)
-		if err != nil {
-			node.release()
-			if ctx.Err() != nil {
-				return
-			}
-			if node.setHealthy(false) {
-				r.ejections.Add(1)
-				r.metrics.ejections.Inc()
-			}
-			exclude = append(exclude, node.Name)
-			r.retries.Add(1)
-			r.metrics.retries.Inc()
-			continue
-		}
+	err := r.forward(ctx, key, body, func(node *Node, resp *http.Response) error {
 		h := w.Header()
 		for _, name := range []string{"Content-Type", "X-Ltsimd-Key", "X-Ltsimd-Cache"} {
 			if v := resp.Header.Get(name); v != "" {
@@ -489,175 +416,40 @@ func (r *Router) proxyStream(w http.ResponseWriter, ctx context.Context, key str
 		}
 		h.Set("X-Ltsimr-Node", node.Name)
 		w.WriteHeader(resp.StatusCode)
-		flusher, _ := w.(http.Flusher)
-		buf := make([]byte, 32*1024)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				w.Write(buf[:n])
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
-		resp.Body.Close()
-		node.release()
-		return
+		io.Copy(service.FlushWriter{ResponseWriter: w}, resp.Body)
+		return nil
+	})
+	if err != nil && ctx.Err() == nil {
+		service.WriteError(w, upstreamStatus(err), err)
 	}
 }
 
 // handleSweep fans a batch across the cluster: scenario documents are
-// expanded exactly once here at the router, every request is
-// fingerprinted, identical fingerprints dedupe batch-wide, and each
-// unique key dispatches to the worker that owns it (joining any
-// already-in-flight duplicate cluster-wide). Lines stream back in
-// completion order with per-point node attribution; the summary
-// aggregates worker cache outcomes (memory and disk tiers).
+// expanded once here, and each unique routing key dispatches to the
+// worker that owns it (joining any in-flight duplicate cluster-wide),
+// 8 points per worker at a time. Lines carry node attribution.
 func (r *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
-	var sreq service.SweepRequest
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sreq); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if sreq.Scenario != nil {
-		if len(sreq.Requests) > 0 {
-			writeError(w, http.StatusBadRequest, errors.New("sweep takes requests or a scenario, not both"))
-			return
-		}
-		points, err := scenario.Expand(*sreq.Scenario)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		sreq.Requests = make([]service.EstimateRequest, len(points))
-		for i, pt := range points {
-			sreq.Requests[i] = pt.Request
-		}
-	}
-	if len(sreq.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("sweep needs at least one request"))
-		return
-	}
-	if len(sreq.Requests) > scenario.MaxPoints {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("sweep of %d requests exceeds the %d limit", len(sreq.Requests), scenario.MaxPoints))
-		return
-	}
-	start := time.Now()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(line service.SweepLine) {
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	summary := service.SweepLine{Summary: true, Requested: len(sreq.Requests)}
-
-	// Fingerprint across cores (the same CPU-bound resolve the worker
-	// sweep path parallelizes), then group serially.
-	type resolution struct {
-		key  string
-		body []byte
-		err  error
-	}
-	resolutions := make([]resolution, len(sreq.Requests))
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for worker := 0; worker < min(runtime.GOMAXPROCS(0), len(sreq.Requests)); worker++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sreq.Requests) {
-					return
-				}
-				res := &resolutions[i]
-				res.key, res.err = routingKey(sreq.Requests[i])
-				if res.err == nil {
-					res.body, res.err = json.Marshal(sreq.Requests[i])
-				}
+	service.Sweep[[]byte]{
+		Pool: 8 * len(r.ring.Nodes()),
+		Resolve: func(er service.EstimateRequest) (string, []byte, error) {
+			key, err := routingKey(er)
+			if err != nil {
+				return "", nil, err
 			}
-		}()
-	}
-	wg.Wait()
-
-	type group struct {
-		key     string
-		body    []byte
-		indices []int
-	}
-	groups := make(map[string]*group)
-	var order []*group
-	for i, res := range resolutions {
-		if res.err != nil {
-			summary.Errors++
-			emit(service.SweepLine{Index: i, Error: res.err.Error()})
-			continue
-		}
-		g, ok := groups[res.key]
-		if !ok {
-			g = &group{key: res.key, body: res.body}
-			groups[res.key] = g
-			order = append(order, g)
-		} else {
-			summary.Deduped++
-		}
-		g.indices = append(g.indices, i)
-	}
-
-	type outcome struct {
-		g   *group
-		res *upstream
-		err error
-	}
-	results := make(chan outcome)
-	var nextGroup atomic.Int64
-	for worker := 0; worker < min(len(order), r.cfg.SweepConcurrency); worker++ {
-		go func() {
-			for {
-				gi := int(nextGroup.Add(1)) - 1
-				if gi >= len(order) {
-					return
-				}
-				g := order[gi]
-				res, _, err := r.estimateOnce(req.Context(), g.key, g.body)
-				results <- outcome{g: g, res: res, err: err}
-			}
-		}()
-	}
-
-	for range order {
-		out := <-results
-		for _, i := range out.g.indices {
-			err := out.err
-			if err == nil && out.res.status != http.StatusOK {
-				err = fmt.Errorf("worker %s returned %d: %s", out.res.node, out.res.status, strings.TrimSpace(string(out.res.body)))
+			body, err := json.Marshal(er)
+			return key, body, err
+		},
+		Run: func(ctx context.Context, key string, body []byte) (service.SweepLine, string, error) {
+			res, _, err := r.estimateOnce(ctx, key, body)
+			if err == nil && res.status != http.StatusOK {
+				err = fmt.Errorf("worker %s returned %d: %s", res.node, res.status, strings.TrimSpace(string(res.body)))
 			}
 			if err != nil {
-				summary.Errors++
-				emit(service.SweepLine{Index: i, Key: out.g.key, Error: err.Error()})
-				continue
+				return service.SweepLine{}, "", err
 			}
-			summary.OK++
-			switch out.res.cache {
-			case "hit":
-				summary.CacheHits++
-			case "disk":
-				summary.CacheHits++
-				summary.DiskHits++
-			}
-			emit(service.SweepLine{Index: i, Key: out.res.key, Result: out.res.body, Node: out.res.node})
-		}
-	}
-	summary.ElapsedMS = time.Since(start).Milliseconds()
-	enc.Encode(summary)
+			return service.SweepLine{Key: res.key, Result: res.body, Node: res.node}, res.cache, nil
+		},
+	}.ServeHTTP(w, req)
 }
 
 // NodeHealth is one worker's row in the aggregated /healthz.

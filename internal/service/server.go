@@ -8,10 +8,8 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,11 +38,10 @@ type Service struct {
 	// this capacity is additive to the scheduler's: at most Shards extra
 	// simulations on top of the Shards queued ones, never unbounded.
 	progressSem chan struct{}
-	// progressMu/progressInflight single-flight progress runs by
-	// canonical key: concurrent duplicates wait for the owner and replay
-	// its cached result instead of recomputing.
-	progressMu       sync.Mutex
-	progressInflight map[string]chan struct{}
+	// progress single-flights progress runs by canonical key: concurrent
+	// duplicates wait for the owner and replay its cached result instead
+	// of recomputing.
+	progress Flight[struct{}]
 
 	// logger receives one structured record per request (the span
 	// timeline) plus service lifecycle events; defaults to discarding.
@@ -65,15 +62,14 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:              cfg,
-		cache:            newResultCache(cfg.CacheSize),
-		diskStore:        cfg.Store,
-		sched:            newScheduler(cfg.Shards, cfg.QueueDepth, cfg.JobTimeout),
-		mux:              http.NewServeMux(),
-		start:            time.Now(),
-		progressSem:      make(chan struct{}, cfg.Shards),
-		progressInflight: make(map[string]chan struct{}),
-		logger:           cfg.Logger,
+		cfg:         cfg,
+		cache:       newResultCache(cfg.CacheSize),
+		diskStore:   cfg.Store,
+		sched:       newScheduler(cfg.Shards, cfg.QueueDepth, cfg.JobTimeout),
+		mux:         http.NewServeMux(),
+		start:       time.Now(),
+		progressSem: make(chan struct{}, cfg.Shards),
+		logger:      cfg.Logger,
 	}
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
@@ -93,9 +89,7 @@ func New(cfg Config) *Service {
 	sim.EnableMetrics(reg)
 	reg.GaugeFunc("ltsimd_progress_inflight",
 		"Progress-streamed estimate runs currently in flight (single-flight owners).", func() float64 {
-			s.progressMu.Lock()
-			defer s.progressMu.Unlock()
-			return float64(len(s.progressInflight))
+			return float64(s.progress.Len())
 		})
 	reg.GaugeFunc("ltsimd_uptime_seconds", "Seconds since the service started.", func() float64 {
 		return time.Since(s.start).Seconds()
@@ -166,8 +160,9 @@ func (s *Service) cachePut(key string, val []byte) {
 	}
 }
 
-// writeError emits a JSON error body with the given status.
-func writeError(w http.ResponseWriter, status int, err error) {
+// WriteError emits a JSON error body with the given status; the ltsimr
+// router answers in the same shape.
+func WriteError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
@@ -276,7 +271,7 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.Progress {
@@ -286,7 +281,7 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	tr := telemetry.TraceFrom(r.Context())
 	key, compute, err := s.resolve(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	tr.Mark("resolved")
@@ -296,7 +291,7 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		tr.Mark("queued")
 		body, joined, err = s.sched.submit(r.Context(), key, compute)
 		if err != nil {
-			writeError(w, submitStatus(err), err)
+			WriteError(w, submitStatus(err), err)
 			return
 		}
 	}
@@ -379,16 +374,6 @@ type EstimateFrame struct {
 	Error    string          `json:"error,omitempty"`
 }
 
-// writeFinalFrame serves a cached result as a one-frame NDJSON stream;
-// tier is the cache tier that answered ("hit" or "disk").
-func (s *Service) writeFinalFrame(w http.ResponseWriter, key, tier string, body []byte) {
-	h := w.Header()
-	h.Set("Content-Type", "application/x-ndjson")
-	h.Set("X-Ltsimd-Key", key)
-	h.Set("X-Ltsimd-Cache", tier)
-	json.NewEncoder(w).Encode(EstimateFrame{Final: true, Key: key, Cache: tier, Result: body})
-}
-
 // streamEstimate serves one estimate as an NDJSON stream: progress
 // frames at batch boundaries (throttled), then a final frame with the
 // canonical result body. A cache hit skips straight to the final frame.
@@ -404,61 +389,51 @@ func (s *Service) streamEstimate(w http.ResponseWriter, r *http.Request, req Est
 	tr := telemetry.TraceFrom(r.Context())
 	key, _, cfg, opt, err := s.resolved(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	tr.Mark("resolved")
 	// Serve cache hits before taking a slot: replaying bytes is cheap.
-	if body, tier, hit := s.cacheGet(key); hit {
-		s.writeFinalFrame(w, key, tier, body)
-		return
-	}
 	// Single-flight: a duplicate of an in-flight progress run waits for
 	// the owner and replays its cached bytes instead of recomputing.
-	s.progressMu.Lock()
-	if done, dup := s.progressInflight[key]; dup {
-		s.progressMu.Unlock()
-		select {
-		case <-done:
-		case <-r.Context().Done():
+	body, tier, hit := s.cacheGet(key)
+	if !hit {
+		_, joined, err := s.progress.Do(r.Context(), key, func() (struct{}, error) {
+			s.runProgress(w, r, key, cfg, opt)
+			return struct{}{}, nil
+		})
+		if !joined || err != nil {
 			return
 		}
-		if body, tier, hit := s.cacheGet(key); hit {
-			s.writeFinalFrame(w, key, tier, body)
+		if body, tier, hit = s.cacheGet(key); !hit {
+			// The owner failed; report rather than silently recomputing.
+			WriteError(w, http.StatusInternalServerError, errors.New("service: coalesced progress run failed; retry"))
 			return
 		}
-		// The owner failed; report rather than silently recomputing.
-		writeError(w, http.StatusInternalServerError, errors.New("service: coalesced progress run failed; retry"))
-		return
 	}
-	done := make(chan struct{})
-	s.progressInflight[key] = done
-	s.progressMu.Unlock()
-	defer func() {
-		s.progressMu.Lock()
-		delete(s.progressInflight, key)
-		s.progressMu.Unlock()
-		close(done)
-	}()
+	h := w.Header()
+	h.Set("Content-Type", "application/x-ndjson")
+	h.Set("X-Ltsimd-Key", key)
+	h.Set("X-Ltsimd-Cache", tier)
+	json.NewEncoder(w).Encode(EstimateFrame{Final: true, Key: key, Cache: tier, Result: body})
+}
 
+// runProgress is the single-flight owner's half of streamEstimate: it
+// takes a progress slot, runs the simulation on the request goroutine
+// and streams its frames.
+func (s *Service) runProgress(w http.ResponseWriter, r *http.Request, key string, cfg sim.Config, opt sim.Options) {
+	tr := telemetry.TraceFrom(r.Context())
 	select {
 	case s.progressSem <- struct{}{}:
 		defer func() { <-s.progressSem }()
 	default:
-		writeError(w, http.StatusServiceUnavailable, errors.New("service: progress-streaming capacity exhausted"))
+		WriteError(w, http.StatusServiceUnavailable, errors.New("service: progress-streaming capacity exhausted"))
 		return
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/x-ndjson")
 	h.Set("X-Ltsimd-Key", key)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	emit := func(f EstimateFrame) {
-		enc.Encode(f)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	emit := json.NewEncoder(FlushWriter{w}).Encode
 	h.Set("X-Ltsimd-Cache", "miss")
 
 	runner, err := sim.NewRunner(cfg)
@@ -501,205 +476,26 @@ func (s *Service) streamEstimate(w http.ResponseWriter, r *http.Request, req Est
 	emit(EstimateFrame{Final: true, Key: key, Cache: "miss", Result: body})
 }
 
-// SweepRequest fans a batch of estimate requests across the worker
-// pool: either an explicit request list, or a scenario document the
-// server expands through exactly the path a client would (so both
-// spellings yield byte-identical result lines and share cache entries).
-type SweepRequest struct {
-	Requests []EstimateRequest  `json:"requests,omitempty"`
-	Scenario *scenario.Document `json:"scenario,omitempty"`
-}
-
-// SweepLine is one NDJSON line of a sweep response: a per-request result
-// (in completion order, Index mapping it back to the request) or error.
-// The final line is the summary (Summary true, Result empty).
-type SweepLine struct {
-	Index     int             `json:"index"`
-	Key       string          `json:"key,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
-	Summary   bool            `json:"summary,omitempty"`
-	Requested int             `json:"requested,omitempty"`
-	OK        int             `json:"ok,omitempty"`
-	Errors    int             `json:"errors,omitempty"`
-	CacheHits int             `json:"cache_hits,omitempty"`
-	// Deduped counts the indices that shared another index's fingerprint
-	// within this batch and replayed its bytes instead of scheduling (or
-	// cache-probing) their own run.
-	Deduped int `json:"deduped,omitempty"`
-	// DiskHits counts the subset of CacheHits answered by the persistent
-	// store rather than the memory LRU (additive; memory-only daemons
-	// never emit it). Node is the worker a routed sweep point was served
-	// by — set only by the ltsimr router, never by a single daemon.
-	DiskHits  int    `json:"disk_hits,omitempty"`
-	Node      string `json:"node,omitempty"`
-	ElapsedMS int64  `json:"elapsed_ms,omitempty"`
-}
-
-// handleSweep streams a batch: every request is fingerprinted up front,
-// identical fingerprints are deduplicated batch-wide (one scheduled run
-// per unique key — a cold sweep of N identical requests simulates once,
-// and every duplicate index replays the same bytes), and each unique
-// key is served from cache or scheduled and written back as NDJSON
-// lines the moment it finishes — results interleave across workers, so
-// a sweep's wall clock is the slowest shard, not the sum. A trailing
-// summary line reports totals, the batch's cache-hit count, and how
-// many indices the dedupe absorbed.
+// handleSweep streams a batch through the shared fan-out with the
+// daemon's backend: each unique key is served from cache or scheduled.
+// The pool is sized below total queue capacity so a large sweep applies
+// backpressure to itself instead of tripping 503s.
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if req.Scenario != nil {
-		if len(req.Requests) > 0 {
-			writeError(w, http.StatusBadRequest, errors.New("sweep takes requests or a scenario, not both"))
-			return
-		}
-		points, err := scenario.Expand(*req.Scenario)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		req.Requests = make([]EstimateRequest, len(points))
-		for i, pt := range points {
-			req.Requests[i] = pt.Request
-		}
-	}
-	if len(req.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("sweep needs at least one request"))
-		return
-	}
-	// Explicit request lists honor the same bound scenario expansion
-	// enforces, so neither spelling can queue unbounded work.
-	if len(req.Requests) > scenario.MaxPoints {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("sweep of %d requests exceeds the %d limit", len(req.Requests), scenario.MaxPoints))
-		return
-	}
-	start := time.Now()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(line SweepLine) {
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	summary := SweepLine{Summary: true, Requested: len(req.Requests)}
-
-	// Resolve everything up front — fingerprinting is pure CPU (build +
-	// canonicalize + hash), so a large batch fans it across cores rather
-	// than stalling the stream on one goroutine — then group indices by
-	// fingerprint serially, so the batch schedules each unique
-	// configuration exactly once.
-	type resolution struct {
-		key     string
-		compute func(context.Context) ([]byte, error)
-		err     error
-	}
-	resolutions := make([]resolution, len(req.Requests))
-	var wg sync.WaitGroup
-	var nextResolve atomic.Int64
-	for worker := 0; worker < min(runtime.GOMAXPROCS(0), len(req.Requests)); worker++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(nextResolve.Add(1)) - 1
-				if i >= len(req.Requests) {
-					return
-				}
-				r := &resolutions[i]
-				r.key, r.compute, r.err = s.resolve(req.Requests[i])
+	Sweep[func(context.Context) ([]byte, error)]{
+		Pool:    max(1, s.cfg.Shards*s.cfg.QueueDepth/2),
+		Resolve: s.resolve,
+		Run: func(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) (SweepLine, string, error) {
+			if body, tier, hit := s.cacheGet(key); hit {
+				return SweepLine{Key: key, Result: body}, tier, nil
 			}
-		}()
-	}
-	wg.Wait()
-
-	type group struct {
-		key     string
-		compute func(context.Context) ([]byte, error)
-		indices []int
-	}
-	groups := make(map[string]*group)
-	var order []*group
-	for i, r := range resolutions {
-		if r.err != nil {
-			// Invalid requests answer immediately, in index order, ahead
-			// of any simulation output.
-			summary.Errors++
-			emit(SweepLine{Index: i, Error: r.err.Error()})
-			continue
-		}
-		g, ok := groups[r.key]
-		if !ok {
-			g = &group{key: r.key, compute: r.compute}
-			groups[r.key] = g
-			order = append(order, g)
-		} else {
-			summary.Deduped++
-		}
-		g.indices = append(g.indices, i)
-	}
-	if summary.Deduped > 0 {
-		s.sweepDeduped.Add(uint64(summary.Deduped))
-		s.metrics.sweepDeduped.Add(uint64(summary.Deduped))
-	}
-
-	type outcome struct {
-		g    *group
-		body []byte
-		err  error
-		hit  bool
-		tier string
-	}
-	results := make(chan outcome)
-	// A fixed pool of submitters, sized below total queue capacity so a
-	// large sweep applies backpressure to itself instead of tripping
-	// 503s — and so a 65k-point batch costs a few dozen goroutines, not
-	// one per group.
-	var nextGroup atomic.Int64
-	for worker := 0; worker < min(len(order), max(1, s.cfg.Shards*s.cfg.QueueDepth/2)); worker++ {
-		go func() {
-			for {
-				gi := int(nextGroup.Add(1)) - 1
-				if gi >= len(order) {
-					return
-				}
-				g := order[gi]
-				body, tier, hit := s.cacheGet(g.key)
-				var err error
-				if !hit {
-					body, err = s.submitWithRetry(r.Context(), g.key, g.compute)
-				}
-				results <- outcome{g: g, body: body, err: err, hit: hit, tier: tier}
-			}
-		}()
-	}
-
-	for range order {
-		out := <-results
-		for _, i := range out.g.indices {
-			if out.err != nil {
-				summary.Errors++
-				emit(SweepLine{Index: i, Key: out.g.key, Error: out.err.Error()})
-				continue
-			}
-			summary.OK++
-			if out.hit {
-				summary.CacheHits++
-				if out.tier == tierDisk {
-					summary.DiskHits++
-				}
-			}
-			emit(SweepLine{Index: i, Key: out.g.key, Result: out.body})
-		}
-	}
-	summary.ElapsedMS = time.Since(start).Milliseconds()
-	enc.Encode(summary)
+			body, err := s.submitWithRetry(ctx, key, compute)
+			return SweepLine{Key: key, Result: body}, "", err
+		},
+		Deduped: func(n int) {
+			s.sweepDeduped.Add(uint64(n))
+			s.metrics.sweepDeduped.Add(uint64(n))
+		},
+	}.ServeHTTP(w, r)
 }
 
 // ExpandLine is one NDJSON line of a /scenarios/expand dry run: an
@@ -732,40 +528,27 @@ func (s *Service) handleScenarioExpand(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding scenario: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding scenario: %w", err))
 		return
 	}
 	points, err := scenario.Expand(doc)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Fingerprinting is the same CPU-bound work the sweep parallelizes;
 	// resolve across cores, then emit in index order.
 	lines := make([]ExpandLine, len(points))
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for worker := 0; worker < min(runtime.GOMAXPROCS(0), len(points)); worker++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(points) {
-					return
-				}
-				line := ExpandLine{Index: points[i].Index, Coords: points[i].Coords}
-				if key, eff, _, _, err := s.resolved(points[i].Request); err != nil {
-					line.Error = err.Error()
-				} else {
-					line.Key = key
-					line.Request = &eff
-				}
-				lines[i] = line
-			}
-		}()
-	}
-	wg.Wait()
+	parallelFor(len(points), func(i int) {
+		line := ExpandLine{Index: points[i].Index, Coords: points[i].Coords}
+		if key, eff, _, _, err := s.resolved(points[i].Request); err != nil {
+			line.Error = err.Error()
+		} else {
+			line.Key = key
+			line.Request = &eff
+		}
+		lines[i] = line
+	})
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
@@ -837,14 +620,14 @@ func (s *Service) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	e, ok := experiments.ByID(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown experiment %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown experiment %q", id))
 		return
 	}
 	quick := false
 	if q := r.URL.Query().Get("quick"); q != "" {
 		v, err := strconv.ParseBool(q)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("quick: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("quick: %w", err))
 			return
 		}
 		quick = v
@@ -853,7 +636,7 @@ func (s *Service) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("seed"); q != "" {
 		v, err := strconv.ParseUint(q, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("seed: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("seed: %w", err))
 			return
 		}
 		seed = v
@@ -893,7 +676,7 @@ func (s *Service) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 			return b, nil
 		})
 		if err != nil {
-			writeError(w, submitStatus(err), err)
+			WriteError(w, submitStatus(err), err)
 			return
 		}
 	}
@@ -971,14 +754,11 @@ type StatsSnapshot struct {
 
 // Stats snapshots the service counters.
 func (s *Service) Stats() StatsSnapshot {
-	s.progressMu.Lock()
-	progressInflight := len(s.progressInflight)
-	s.progressMu.Unlock()
 	snap := StatsSnapshot{
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		Cache:            s.cache.Stats(),
 		Scheduler:        s.sched.Stats(),
-		ProgressInflight: progressInflight,
+		ProgressInflight: s.progress.Len(),
 		SweepDeduped:     s.sweepDeduped.Load(),
 		BiasedRuns:       s.biasedRuns.Load(),
 	}

@@ -42,9 +42,9 @@
 //	                      Takes {"requests": [...]} or a declarative
 //	                      {"scenario": {...}} document (internal/scenario)
 //	                      expanded server-side; identical fingerprints
-//	                      within one batch are deduplicated (one
-//	                      scheduled run per unique key, duplicates
-//	                      replay its bytes, "deduped" in the summary)
+//	                      within one batch run once ("deduped" in the
+//	                      summary). One fan-out (Sweep), two backends:
+//	                      this scheduler, and internal/router's ring
 //	POST /scenarios/expand dry-run a scenario document: NDJSON of
 //	                      expanded points with policy-effective requests
 //	                      and the fingerprints a sweep would cache under

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/rng"
@@ -28,36 +30,42 @@ type TemporalBenchArtifact struct {
 	GoMaxProcs        int     `json:"gomaxprocs"`
 }
 
-// benchTrialNs measures the worker-reuse hot path (as in
-// BenchmarkTrialHotPath) for benchMirror under the given profile,
-// taking the fastest of rounds — the minimum is the standard
-// noise-robust statistic for a deterministic workload.
-func benchTrialNs(rounds int, h faults.Hazard) (nsMin, allocs int64) {
+// temporalArm is one hazard profile's worker-reuse hot path (as in
+// BenchmarkTrialHotPath). Every block replays the same fixed seed set,
+// so each block is the same deterministic workload and the fastest block
+// is the arm's noise-robust cost.
+type temporalArm struct {
+	t     *trial
+	base  *rng.Source
+	src   rng.Source
+	nsMin int64
+}
+
+func newTemporalArm(h faults.Hazard) *temporalArm {
 	cfg := benchMirror()
 	cfg.Hazard = h
 	r, err := NewRunner(cfg)
 	if err != nil {
 		panic(err)
 	}
-	for round := 0; round < rounds; round++ {
-		res := testing.Benchmark(func(b *testing.B) {
-			t := allocTrial(&r.cfg, r.specs, nil)
-			base := rng.New(1)
-			var src rng.Source
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				base.DeriveInto(uint64(i)+trialStreamLabel, &src)
-				t.start(&src)
-				t.run(0)
-			}
-		})
-		if ns := res.NsPerOp(); round == 0 || ns < nsMin {
-			nsMin = ns
-		}
-		allocs = res.AllocsPerOp()
+	return &temporalArm{t: allocTrial(&r.cfg, r.specs, nil), base: rng.New(1), nsMin: math.MaxInt64}
+}
+
+// block runs trials 0..n-1 and returns its wall time.
+func (a *temporalArm) block(n int) time.Duration {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		a.base.DeriveInto(uint64(i)+trialStreamLabel, &a.src)
+		a.t.start(&a.src)
+		a.t.run(0)
 	}
-	return nsMin, allocs
+	return time.Since(start)
+}
+
+// allocsPerTrial also warms the arm up: AllocsPerRun makes one untimed
+// run before it counts.
+func (a *temporalArm) allocsPerTrial(n int) int64 {
+	return int64(testing.AllocsPerRun(2, func() { a.block(n) })) / int64(n)
 }
 
 // TestBenchArtifactTemporal gates the hazard plumbing's hot-path cost:
@@ -72,23 +80,30 @@ func TestBenchArtifactTemporal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark artifact is not a -short test")
 	}
-	// Rounds interleave the arms so drifting background load (CI
-	// neighbours, the rest of the package's tests) biases the nil and
-	// profiled measurements alike instead of skewing their ratio; each
-	// arm keeps its own minimum across rounds.
-	const rounds = 5
-	var nsNil, nsConst, nsWeib, allocsNil, allocsConst int64
-	for round := 0; round < rounds; round++ {
-		if ns, a := benchTrialNs(1, nil); round == 0 || ns < nsNil {
-			nsNil, allocsNil = ns, a
-		}
-		if ns, a := benchTrialNs(1, faults.ConstantHazard{Factor: 1}); round == 0 || ns < nsConst {
-			nsConst, allocsConst = ns, a
-		}
-		if ns, _ := benchTrialNs(1, faults.WeibullHazard{Shape: 2, Scale: 2000}); round == 0 || ns < nsWeib {
-			nsWeib = ns
+	// The arms alternate in short blocks (~2 ms each) so drifting
+	// background load (CI neighbours, the rest of the package's tests)
+	// lands on both sides of the ratio alike; each arm keeps its fastest
+	// block, and with hundreds of blocks per arm some of each run
+	// undisturbed.
+	const (
+		blockTrials = 128
+		blocks      = 400
+	)
+	nilArm := newTemporalArm(nil)
+	constArm := newTemporalArm(faults.ConstantHazard{Factor: 1})
+	weibArm := newTemporalArm(faults.WeibullHazard{Shape: 2, Scale: 2000})
+	allocsNil := nilArm.allocsPerTrial(blockTrials)
+	allocsConst := constArm.allocsPerTrial(blockTrials)
+	weibArm.allocsPerTrial(blockTrials)
+	arms := []*temporalArm{nilArm, constArm, weibArm}
+	for b := 0; b < blocks; b++ {
+		for _, a := range arms {
+			if ns := a.block(blockTrials).Nanoseconds() / blockTrials; ns < a.nsMin {
+				a.nsMin = ns
+			}
 		}
 	}
+	nsNil, nsConst, nsWeib := nilArm.nsMin, constArm.nsMin, weibArm.nsMin
 
 	overhead := float64(nsConst) / float64(nsNil)
 	if overhead > 1.10 {
