@@ -59,11 +59,12 @@
 // (internal/trace; see examples/trace-replay). -record file runs the
 // configured system and writes every trial's fault/detection/repair
 // events as a replayable trace (requires -horizon; incompatible with
-// -bias and -target-rel). -trace file replays a recorded trace through
-// the configured system instead of sampling fresh faults: trial count
-// and horizon come from the trace header, and by default repairs are
-// pinned to the recorded completions, reproducing the recorded outcomes
-// exactly. -replay-policy instead re-decides detection and repair from
+// -bias and -target-rel). Recording only observes the run: the printed
+// estimate is byte-identical to the same flags without -record. -trace
+// file replays a recorded trace through the configured system instead
+// of sampling fresh faults: trial count and horizon come from the trace
+// header, and by default repairs are pinned to the recorded
+// completions, reproducing the recorded outcomes exactly. -replay-policy instead re-decides detection and repair from
 // the flags — the counterfactual "what if this fault history had hit a
 // better-maintained fleet" question:
 //

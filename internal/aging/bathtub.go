@@ -10,9 +10,9 @@ import (
 // This file is the bridge from the package's Weibull/bathtub mortality
 // vocabulary to the event simulator's hazard profiles: where
 // SimulatePair is a self-contained renewal model of one aging mirrored
-// pair, the constructors here return faults.Hazard profiles that plug
-// into sim.ReplicaSpec.Hazard, so any fleet the simulator can express
-// can age. See docs/MODEL.md for the sampling contract.
+// pair, Bathtub returns a faults.Hazard profile that plugs into
+// sim.ReplicaSpec.Hazard, so any fleet the simulator can express can
+// age. See docs/MODEL.md for the sampling contract.
 
 // Bathtub returns the §6.5 three-phase lifetime hazard as a
 // piecewise-constant profile over a fault process's base rate:
@@ -44,20 +44,6 @@ func Bathtub(burnInHours, burnInFactor, wearOnsetHours, wearFactor float64) (fau
 	h, err := faults.NewPiecewiseHazard(bounds, factors)
 	if err != nil {
 		return faults.PiecewiseHazard{}, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	return h, nil
-}
-
-// Wearout returns the Weibull wear-out hazard φ(t) = shape·(t/λ)^(shape−1)
-// with λ chosen so a component whose fault-process mean equals
-// characteristicLifeHours has exactly Weibull(shape, λ) first-arrival
-// times. shape must be >= 1; shape 1 is the memoryless constant hazard.
-// For infant mortality (falling hazard) use Bathtub's burn-in phase —
-// shapes below 1 have no finite thinning envelope at t = 0.
-func Wearout(shape, characteristicLifeHours float64) (faults.WeibullHazard, error) {
-	h, err := faults.NewWeibullHazard(shape, characteristicLifeHours)
-	if err != nil {
-		return faults.WeibullHazard{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	return h, nil
 }

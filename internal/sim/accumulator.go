@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // accumulator is the mergeable reduction state of an estimation run: the
@@ -48,6 +49,10 @@ type accumulator struct {
 	// spread of loss times.
 	wLoss  stats.WeightedProportion
 	wTimes stats.WeightedMean
+
+	// events is a recording run's batch of replayable trial events, in
+	// trial order; the reducer appends it to the trace in batch order.
+	events []trace.Event
 }
 
 // weightedObs is one buffered trial of a biased run: its
@@ -106,8 +111,8 @@ func (a *accumulator) merge(o *accumulator) {
 func (a *accumulator) reset() {
 	obs := a.obs
 	obs.Reset()
-	wt := a.wTrials[:0]
-	*a = accumulator{obs: obs, wTrials: wt}
+	wt, ev := a.wTrials[:0], a.events[:0]
+	*a = accumulator{obs: obs, wTrials: wt, events: ev}
 }
 
 // stopWidth returns the adaptive stopping criterion's current value: the

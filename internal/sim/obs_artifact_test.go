@@ -2,9 +2,11 @@ package sim
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -26,39 +28,55 @@ type ObsBenchArtifact struct {
 	GoMaxProcs             int     `json:"gomaxprocs"`
 }
 
-// measurePair benchmarks f with metrics disabled and enabled in
-// alternating rounds, keeping each side's fastest run. Interleaving
-// means a machine-load swing hits both sides rather than biasing
-// whichever side happened to run during the spike, and the minimum
-// estimates the noise-free cost better than the mean.
-func measurePair(f func(b *testing.B)) (plain, instrumented int64) {
-	for i := 0; i < 5; i++ {
+// measurePair times one workload with metrics disabled and enabled, by
+// the method TestBenchArtifactTemporal uses: the two sides alternate in
+// short blocks, every block replays the same fixed seed set, and each
+// side keeps its fastest block. Drifting background load then lands on
+// both sides alike, and with many blocks per side some of each run
+// undisturbed. block runs one block and returns its wall time; the
+// results are ns per unit, for units work items per block.
+func measurePair(blocks, units int, block func() time.Duration) (plain, instrumented int64) {
+	plain, instrumented = math.MaxInt64, math.MaxInt64
+	reg := telemetry.NewRegistry()
+	plainBlock := func() {
 		DisableMetrics()
-		if ns := testing.Benchmark(f).NsPerOp(); plain == 0 || ns < plain {
-			plain = ns
-		}
-		EnableMetrics(telemetry.NewRegistry())
-		if ns := testing.Benchmark(f).NsPerOp(); instrumented == 0 || ns < instrumented {
-			instrumented = ns
+		plain = min(plain, block().Nanoseconds()/int64(units))
+	}
+	instrBlock := func() {
+		EnableMetrics(reg)
+		instrumented = min(instrumented, block().Nanoseconds()/int64(units))
+	}
+	for b := 0; b < blocks; b++ {
+		// Swap which side goes first every round, so neither side
+		// systematically inherits the other's cache and scheduler state.
+		if b%2 == 0 {
+			plainBlock()
+			instrBlock()
+		} else {
+			instrBlock()
+			plainBlock()
 		}
 	}
 	DisableMetrics()
 	return plain, instrumented
 }
 
-// benchEstimate is a full streaming estimation, the path that actually
-// contains the (batch-boundary) instrumentation.
-func benchEstimate(b *testing.B) {
-	cfg := benchMirror()
-	r, err := NewRunner(cfg)
+// estimateBlock times one full streaming estimation at a fixed seed,
+// the path that actually contains the (batch-boundary) instrumentation.
+// One worker keeps the fastest block reachable on a loaded machine: a
+// two-worker run is only fast when both cores happen to be free, which
+// one side of the pair can miss for a whole measurement.
+func estimateBlock(t *testing.T) func() time.Duration {
+	r, err := NewRunner(benchMirror())
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Estimate(Options{Trials: 2000, Seed: uint64(i) + 1, Horizon: 20000, Parallel: 2}); err != nil {
-			b.Fatal(err)
+	return func() time.Duration {
+		start := time.Now()
+		if _, err := r.Estimate(Options{Trials: 500, Seed: 1, Horizon: 20000, Parallel: 1}); err != nil {
+			t.Fatal(err)
 		}
+		return time.Since(start)
 	}
 }
 
@@ -72,8 +90,12 @@ func TestBenchArtifactObservability(t *testing.T) {
 	}
 	out := os.Getenv("BENCH_OBS_OUT")
 	t.Cleanup(DisableMetrics)
-	plainHot, instrHot := measurePair(BenchmarkTrialHotPath)
-	plainEst, instrEst := measurePair(benchEstimate)
+	// Hot-path blocks are 32 worker-reuse trials (~0.5 ms), estimate
+	// blocks one 500-trial run (~4 ms).
+	const blockTrials = 32
+	hot := newTemporalArm(nil)
+	plainHot, instrHot := measurePair(1600, blockTrials, func() time.Duration { return hot.block(blockTrials) })
+	plainEst, instrEst := measurePair(400, 1, estimateBlock(t))
 
 	hotOverhead := float64(instrHot) / float64(plainHot)
 	estOverhead := float64(instrEst) / float64(plainEst)

@@ -1,11 +1,11 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/des"
 	"repro/internal/faults"
-	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -181,25 +181,20 @@ func (r *Runner) ReplayEstimate(opt Options) (Estimate, error) {
 	return r.Estimate(opt)
 }
 
-// RecordTrace runs opt.Trials generative trials sequentially, recording
-// each one's fault/detection/repair events as a replayable trace, and
-// returns the trace alongside the run's own Estimate — so a pinned
-// replay of the returned trace can be checked against the returned
-// estimate. Requires a fixed trial count, a censoring horizon (the
-// trace header's), and no biasing.
+// RecordTrace runs opt.Trials generative trials through the same
+// worker pool and in-order batch reducer as Estimate, recording each
+// trial's fault/detection/repair events as a replayable trace, and
+// returns the trace alongside the run's Estimate — so a pinned replay of
+// the returned trace can be checked against the returned estimate.
+// Requires a fixed trial count, a censoring horizon (the trace
+// header's), and no biasing.
 //
-// Tracing a trial disables the lazy-audit fast path (audit passes must
-// actually execute to be observable), which consumes the audit stream
-// differently than a plain Estimate — a recorded run is its own run,
-// reproducible via RecordTrace with the same seed but not bitwise
-// comparable to Estimate at that seed.
+// Recording only observes the trials, so the returned Estimate, Stats
+// included, is bit-identical to Estimate at the same options, and the
+// trace is identical at any Parallel.
 func (r *Runner) RecordTrace(opt Options) (*trace.Trace, Estimate, error) {
 	if r.replay != nil {
 		return nil, Estimate{}, fmt.Errorf("%w: cannot record from a replay runner", ErrInvalidConfig)
-	}
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
-		return nil, Estimate{}, err
 	}
 	if opt.adaptive() {
 		return nil, Estimate{}, fmt.Errorf("%w: recording requires a fixed trial count", ErrInvalidConfig)
@@ -210,7 +205,6 @@ func (r *Runner) RecordTrace(opt Options) (*trace.Trace, Estimate, error) {
 	if opt.Horizon <= 0 {
 		return nil, Estimate{}, fmt.Errorf("%w: recording requires a censoring horizon", ErrInvalidConfig)
 	}
-
 	out := &trace.Trace{Header: trace.Header{
 		V:            trace.Version,
 		Kind:         trace.Kind,
@@ -219,43 +213,7 @@ func (r *Runner) RecordTrace(opt Options) (*trace.Trace, Estimate, error) {
 		HorizonHours: opt.Horizon,
 		Source:       fmt.Sprintf("sim.RecordTrace(seed=%d)", opt.Seed),
 	}}
-	var batch, global accumulator
-	base := rng.New(opt.Seed)
-	var trialSrc rng.Source
-	tr := &Trace{}
-	t := allocTrial(&r.cfg, r.specs, tr)
-	for i := 0; i < opt.Trials; i++ {
-		base.DeriveInto(uint64(i)+trialStreamLabel, &trialSrc)
-		tr.Events = tr.Events[:0]
-		t.start(&trialSrc)
-		batch.addTrial(t.run(opt.Horizon), opt.Horizon)
-		for _, ev := range tr.Events {
-			switch ev.Kind {
-			case eventFault:
-				cls := trace.FaultVisible
-				if ev.Fault == faults.Latent {
-					cls = trace.FaultLatent
-				}
-				out.Events = append(out.Events, trace.Event{
-					Trial: i, T: ev.Time, Replica: ev.Replica,
-					Event: trace.EventFault, Fault: cls, Planted: ev.Planted,
-				})
-			case eventDetected:
-				out.Events = append(out.Events, trace.Event{
-					Trial: i, T: ev.Time, Replica: ev.Replica, Event: trace.EventAccess,
-				})
-			case eventRepaired:
-				out.Events = append(out.Events, trace.Event{
-					Trial: i, T: ev.Time, Replica: ev.Replica, Event: trace.EventRepair,
-				})
-			}
-		}
-	}
-	// Finalize through the same merge step the streaming reducer uses
-	// (merge is what replays loss times into the Welford pass); fixed
-	// runs are batch-size invariant, so one big batch is equivalent.
-	global.merge(&batch)
-	est, err := global.finalize(opt)
+	est, err := r.stream(context.Background(), opt, nil, &out.Events)
 	if err != nil {
 		return nil, Estimate{}, err
 	}
@@ -263,4 +221,33 @@ func (r *Runner) RecordTrace(opt Options) (*trace.Trace, Estimate, error) {
 		return nil, Estimate{}, fmt.Errorf("sim: internal: recorded trace failed validation: %w", err)
 	}
 	return out, est, nil
+}
+
+// recordEvents appends the replayable part of trial i's event log —
+// fault arrivals, latent-fault detections, repair completions — to dst
+// as trace events, and empties the log for the worker's next trial.
+func recordEvents(dst []trace.Event, i int, tr *Trace) []trace.Event {
+	for _, ev := range tr.Events {
+		switch ev.Kind {
+		case eventFault:
+			cls := trace.FaultVisible
+			if ev.Fault == faults.Latent {
+				cls = trace.FaultLatent
+			}
+			dst = append(dst, trace.Event{
+				Trial: i, T: ev.Time, Replica: ev.Replica,
+				Event: trace.EventFault, Fault: cls, Planted: ev.Planted,
+			})
+		case eventDetected:
+			dst = append(dst, trace.Event{
+				Trial: i, T: ev.Time, Replica: ev.Replica, Event: trace.EventAccess,
+			})
+		case eventRepaired:
+			dst = append(dst, trace.Event{
+				Trial: i, T: ev.Time, Replica: ev.Replica, Event: trace.EventRepair,
+			})
+		}
+	}
+	tr.Events = tr.Events[:0]
+	return dst
 }

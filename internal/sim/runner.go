@@ -12,6 +12,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/rng"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // DefaultBatchSize is the accumulator merge granularity when
@@ -260,8 +261,8 @@ const trialStreamLabel = 0x517cc1b727220a95
 // RunTrial executes one trial with the stream derived from (seed, index)
 // and returns its result. Exposed for replaying individual trials.
 func (r *Runner) RunTrial(seed, index uint64, horizon float64) TrialResult {
-	src := rng.New(seed).Derive(index + trialStreamLabel)
-	t := newTrial(&r.cfg, r.specs, src, nil)
+	t := allocTrial(&r.cfg, r.specs, nil)
+	t.start(rng.New(seed).Derive(index + trialStreamLabel))
 	return t.run(horizon)
 }
 
@@ -315,6 +316,15 @@ func (s *batchState) bounds(b int) (lo, hi int) {
 // stopping rule runs at each boundary (see Options.TargetRelWidth for
 // the determinism contract).
 func (r *Runner) EstimateStream(ctx context.Context, opt Options, sink func(Progress)) (Estimate, error) {
+	return r.stream(ctx, opt, sink, nil)
+}
+
+// stream is EstimateStream with a recording hook: when rec is non-nil,
+// each batch accumulator also carries its trials' replayable events
+// (recordEvents), and the reducer appends them to *rec in batch order,
+// so the recorded stream is in trial order at any Parallel. Recording
+// only observes the trials; it never changes what they draw.
+func (r *Runner) stream(ctx context.Context, opt Options, sink func(Progress), rec *[]trace.Event) (Estimate, error) {
 	batchSet := opt.BatchSize > 0
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -388,6 +398,9 @@ func (r *Runner) EstimateStream(ctx context.Context, opt Options, sink func(Prog
 			if r.replay != nil {
 				t.replay = &replaySchedule{pinRepairs: r.replay.pinRepairs}
 			}
+			if rec != nil {
+				t.trace = &Trace{}
+			}
 			for {
 				b := int(st.next.Add(1) - 1)
 				if int64(b) >= st.stopAt.Load() {
@@ -410,6 +423,9 @@ func (r *Runner) EstimateStream(ctx context.Context, opt Options, sink func(Prog
 					}
 					t.start(&trialSrc)
 					acc.addTrial(t.run(opt.Horizon), opt.Horizon)
+					if rec != nil {
+						acc.events = recordEvents(acc.events, i, t.trace)
+					}
 				}
 				select {
 				case results <- acc:
@@ -448,6 +464,9 @@ func (r *Runner) EstimateStream(ctx context.Context, opt Options, sink func(Prog
 			delete(pending, folded)
 			batchTrials := nb.trials
 			global.merge(nb)
+			if rec != nil {
+				*rec = append(*rec, nb.events...)
+			}
 			pool.Put(nb)
 			folded++
 			if m != nil {

@@ -78,13 +78,17 @@ func (t *trial) traceEvent(at float64, replica int, kind EventKind, fault faults
 
 // TraceTrial runs a single traced trial of the configuration: every
 // fault, detection, repair, audit, and the loss event in chronological
-// order. horizon > 0 censors; 0 runs to data loss.
+// order. horizon > 0 censors; 0 runs to data loss. Audit passes are
+// materialized so they appear on the timeline, which draws the audit
+// stream differently from the lazy path an estimation run takes.
 func TraceTrial(cfg Config, seed uint64, horizon float64) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	tr := &Trace{}
-	t := newTrial(&cfg, cfg.ReplicaSpecs(), rng.New(seed), tr)
+	t := allocTrial(&cfg, cfg.ReplicaSpecs(), tr)
+	t.lazyAudit = false
+	t.start(rng.New(seed))
 	tr.Result = t.run(horizon)
 	return tr, nil
 }

@@ -126,12 +126,14 @@ type trial struct {
 	lossAt int
 
 	// lazyAudit short-circuits audit scheduling: when audits have no
-	// side effects and no trace wants to see them, an audit pass only
-	// matters if a latent fault is outstanding, so the detection time
-	// can be computed directly at fault time instead of simulating
-	// every pass. Exact for the strategies shipped here: Periodic is
-	// deterministic from absolute time, Poisson/OnAccess are
-	// memoryless.
+	// side effects, an audit pass only matters if a latent fault is
+	// outstanding, so the detection time can be computed directly at
+	// fault time instead of simulating every pass. Exact for the
+	// strategies shipped here: Periodic is deterministic from absolute
+	// time, Poisson/OnAccess are memoryless. It depends on the config
+	// alone — recording a trial does not change it — so a recorded run
+	// draws exactly what a plain one does; only TraceTrial switches it
+	// off, to put every audit pass on the Figure 1 timeline.
 	lazyAudit bool
 
 	faulty int // replicas not healthy
@@ -170,22 +172,14 @@ type trial struct {
 	shockFns []des.Handler
 }
 
-// newTrial builds the event graph for one trial. src must be a
-// trial-specific stream. trace may be nil. specs must be
-// cfg.ReplicaSpecs() — precomputed by the caller so estimation runs
-// expand the config once, not once per trial.
-func newTrial(cfg *Config, specs []ReplicaSpec, src *rng.Source, trace *Trace) *trial {
-	t := allocTrial(cfg, specs, trace)
-	t.start(src)
-	return t
-}
-
 // allocTrial allocates a trial's reusable state — engine, replicas,
 // fault processes, derived-source slots, prebound handlers — without
 // arming any events. A worker allocates once and then runs many trials
 // through start, which re-seeds and re-arms in place; the sequence of
 // random draws and scheduled events is identical to a freshly built
-// trial, so reuse cannot change results.
+// trial, so reuse cannot change results. trace may be nil; specs must
+// be cfg.ReplicaSpecs(), precomputed by the caller so estimation runs
+// expand the config once, not once per trial.
 func allocTrial(cfg *Config, specs []ReplicaSpec, trace *Trace) *trial {
 	t := &trial{
 		cfg:       cfg,
@@ -195,7 +189,7 @@ func allocTrial(cfg *Config, specs []ReplicaSpec, trace *Trace) *trial {
 		auditSrc:  &rng.Source{},
 		shockSrc:  &rng.Source{},
 		trace:     trace,
-		lazyAudit: cfg.AuditLatentFaultProb == 0 && cfg.AuditVisibleFaultProb == 0 && trace == nil,
+		lazyAudit: cfg.AuditLatentFaultProb == 0 && cfg.AuditVisibleFaultProb == 0,
 	}
 	minIntact := cfg.MinIntact
 	if minIntact < 1 {
@@ -257,8 +251,8 @@ func allocTrial(cfg *Config, specs []ReplicaSpec, trace *Trace) *trial {
 
 // start (re)initializes the trial from a trial-specific stream and arms
 // the initial events. The derivation labels, draw order, and event
-// scheduling order replicate newTrial's historical construction exactly,
-// so a reset trial is bit-identical to a fresh one.
+// scheduling order are fixed, so a reset trial is bit-identical to a
+// freshly allocated one.
 func (t *trial) start(src *rng.Source) {
 	t.eng.Reset()
 	src.DeriveStringInto("audit", t.auditSrc)
