@@ -2,21 +2,32 @@
 // a simulation clock plus a priority queue of scheduled callbacks.
 //
 // The Monte Carlo reliability simulator in internal/sim is built on top of
-// it. Two properties matter there and shape the design:
+// it. Three properties matter there and shape the design:
 //
 //   - Determinism. Events at equal times fire in scheduling order (FIFO
 //     tie-break by sequence number), so a trial is a pure function of its
 //     random seed.
 //   - Cheap cancellation. Fault/repair/audit processes constantly
 //     invalidate each other's pending events (a repaired replica cancels
-//     its pending second-fault event). Cancellation is O(1) by marking;
-//     dead events are dropped lazily when popped.
+//     its pending second-fault event). Cancellation is O(1).
+//   - No allocation at steady state. A worker runs millions of short
+//     simulations on one Engine, so scheduling, firing, cancelling and
+//     Reset reuse memory instead of allocating it.
+//
+// Events live in a slot table. Each slot holds the event's handler, a
+// generation counter and a free-list link. A Handle is the value pair
+// (slot, generation); firing or cancelling an event bumps its slot's
+// generation and returns the slot to the free list, so a stale Handle —
+// one whose event fired, was cancelled or was freed by Reset — no longer
+// matches its slot and is harmless to keep and to Cancel. The queue is a
+// 4-ary min-heap of value entries (time, seq, slot, generation); an entry
+// whose generation no longer matches its slot is dropped lazily when it
+// reaches the top.
 //
 // Time is a float64 in hours, consistent with the rest of the repository.
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -29,47 +40,45 @@ type Time = float64
 // but must not retain the engine across goroutines.
 type Handler func(e *Engine)
 
-// Handle identifies a scheduled event and allows cancelling it.
+// Handle identifies a scheduled event so it can be cancelled. The zero
+// Handle means "no event": generations start at 1, so it never matches a
+// slot.
 type Handle struct {
-	at        Time
-	seq       uint64
-	fn        Handler
-	index     int // position in the heap, -1 once popped or cancelled
-	cancelled bool
+	slot, gen uint32
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op, so owners can Cancel defensively.
-func (h *Handle) Cancel() {
-	if h == nil {
-		return
-	}
-	h.cancelled = true
-	h.fn = nil // release closure for GC; heap entry is dropped lazily
+// slot is one entry of the event table: the pending event's handler,
+// the generation its Handle carries, and the next free slot (index+1, 0
+// ends the list) while it is free.
+type slot struct {
+	fn   Handler
+	gen  uint32
+	next uint32
 }
 
-// Cancelled reports whether Cancel was called.
-func (h *Handle) Cancelled() bool { return h != nil && h.cancelled }
+// entry is a heap element: an event's firing key plus the slot and
+// generation that say whether it is still live.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot uint32
+	gen  uint32
+}
 
-// At returns the simulation time the event is (or was) scheduled for.
-func (h *Handle) At() Time { return h.at }
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
 
 // Engine is a discrete-event scheduler. The zero value is ready to use at
 // time 0.
 type Engine struct {
 	now     Time
-	queue   eventQueue
+	queue   []entry // 4-ary min-heap on (at, seq)
+	slots   []slot
+	free    uint32 // first free slot, index+1; 0 when none is free
 	seq     uint64
+	fired   uint64
 	stopped bool
-
-	// Fired counts handler invocations, for tests and run statistics.
-	fired uint64
-
-	// free recycles Handles across Reset boundaries: events still
-	// pending when a simulation ends are the common case in censored
-	// reliability runs (a fault arrival far beyond the horizon), and
-	// without recycling every such event costs one allocation per run.
-	free []*Handle
 }
 
 // Now returns the current simulation time.
@@ -80,13 +89,13 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled (possibly cancelled but not yet
 // dropped) events.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule registers fn to run at absolute time at. It panics if at is
 // before the current time or not a finite number: scheduling into the past
 // is always a simulator bug, and failing loudly at the call site is the
 // only useful behaviour.
-func (e *Engine) Schedule(at Time, fn Handler) *Handle {
+func (e *Engine) Schedule(at Time, fn Handler) Handle {
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		panic(fmt.Sprintf("des: Schedule at non-finite time %v", at))
 	}
@@ -96,46 +105,71 @@ func (e *Engine) Schedule(at Time, fn Handler) *Handle {
 	if fn == nil {
 		panic("des: Schedule with nil handler")
 	}
-	var h *Handle
-	if n := len(e.free); n > 0 {
-		h = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		*h = Handle{at: at, seq: e.seq, fn: fn}
+	i := e.free - 1
+	if e.free == 0 {
+		i = uint32(len(e.slots))
+		e.slots = append(e.slots, slot{gen: 1})
 	} else {
-		h = &Handle{at: at, seq: e.seq, fn: fn}
+		e.free = e.slots[i].next
 	}
+	s := &e.slots[i]
+	s.fn = fn
+	e.push(entry{at: at, seq: e.seq, slot: i, gen: s.gen})
 	e.seq++
-	heap.Push(&e.queue, h)
-	return h
+	return Handle{slot: i, gen: s.gen}
 }
 
 // ScheduleAfter registers fn to run delay hours from now. Negative delays
 // panic; a zero delay fires after all events already scheduled for the
 // current instant (FIFO).
-func (e *Engine) ScheduleAfter(delay Time, fn Handler) *Handle {
+func (e *Engine) ScheduleAfter(delay Time, fn Handler) Handle {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: ScheduleAfter negative delay %v", delay))
 	}
 	return e.Schedule(e.now+delay, fn)
 }
 
+// Cancel prevents h's event from firing. Cancelling the zero Handle or a
+// Handle whose event already fired, was cancelled or was freed by Reset
+// is a no-op, so owners can Cancel defensively.
+func (e *Engine) Cancel(h Handle) {
+	if !e.Cancelled(h) {
+		e.release(h.slot)
+	}
+}
+
+// Cancelled reports whether h's event is no longer pending: it was
+// cancelled, it fired, or Reset freed it. The zero Handle is never
+// pending. Slots are reused, so this cannot tell those cases apart.
+func (e *Engine) Cancelled(h Handle) bool {
+	return int(h.slot) >= len(e.slots) || e.slots[h.slot].gen != h.gen
+}
+
+// release retires slot i's event: the generation bump makes its Handle
+// and heap entry stale, and the slot goes back on the free list.
+func (e *Engine) release(i uint32) {
+	s := &e.slots[i]
+	s.fn = nil
+	if s.gen++; s.gen == 0 { // skip 0 on wrap-around: it is the zero Handle's
+		s.gen = 1
+	}
+	s.next = e.free
+	e.free = i + 1
+}
+
 // Step fires the next pending event, advancing the clock to its time. It
 // returns false when no events remain.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		h := heap.Pop(&e.queue).(*Handle)
-		if h.cancelled {
-			continue
-		}
-		e.now = h.at
-		fn := h.fn
-		h.fn = nil
-		e.fired++
-		fn(e)
-		return true
+	if !e.dropStale() {
+		return false
 	}
-	return false
+	ev := e.pop()
+	fn := e.slots[ev.slot].fn
+	e.release(ev.slot)
+	e.now = ev.at
+	e.fired++
+	fn(e)
+	return true
 }
 
 // Run fires events until the queue is empty or Stop is called.
@@ -153,11 +187,7 @@ func (e *Engine) RunUntil(horizon Time) {
 		panic(fmt.Sprintf("des: RunUntil horizon %v before now %v", horizon, e.now))
 	}
 	e.stopped = false
-	for !e.stopped {
-		h := e.peekLive()
-		if h == nil || h.at > horizon {
-			break
-		}
+	for !e.stopped && e.dropStale() && e.queue[0].at <= horizon {
 		e.Step()
 	}
 	if !e.stopped && e.now < horizon {
@@ -166,23 +196,15 @@ func (e *Engine) RunUntil(horizon Time) {
 }
 
 // Reset returns the engine to its zero state — time 0, empty queue,
-// sequence counter 0 — while keeping the queue's backing array and
-// recycling still-queued Handles, so a worker can run millions of short
-// simulations on one Engine with almost no per-run allocation.
-//
-// Recycling makes Reset a hard ownership boundary: every *Handle handed
-// out before the call may be reused by a later Schedule, so callers must
-// drop all Handle references when they Reset (the simulator's per-trial
-// reset does exactly that before arming anything). Handles that already
-// fired are not recycled — callers routinely keep pointers to those
-// within a run and Cancel them defensively.
+// sequence counter 0 — while keeping the queue and slot table, so a
+// worker can run millions of short simulations on one Engine without
+// allocating. Still-pending events are freed like cancelled ones, so
+// every Handle issued before the call becomes stale.
 func (e *Engine) Reset() {
-	for i, h := range e.queue {
-		h.index = -1
-		h.fn = nil
-		h.cancelled = false
-		e.free = append(e.free, h)
-		e.queue[i] = nil
+	for i := range e.queue {
+		if ev := &e.queue[i]; e.slots[ev.slot].gen == ev.gen {
+			e.release(ev.slot)
+		}
 	}
 	e.queue = e.queue[:0]
 	e.now = 0
@@ -198,48 +220,64 @@ func (e *Engine) Stop() { e.stopped = true }
 // Stopped reports whether Stop was called during the last Run/RunUntil.
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// eventQueue is a min-heap on (time, seq).
-type eventQueue []*Handle
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	h := x.(*Handle)
-	h.index = len(*q)
-	*q = append(*q, h)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	h := old[n-1]
-	old[n-1] = nil
-	h.index = -1
-	*q = old[:n-1]
-	return h
-}
-
-// peekLive returns the earliest non-cancelled event without firing it,
-// dropping cancelled entries it encounters at the head.
-func (e *Engine) peekLive() *Handle {
-	for e.queue.Len() > 0 {
-		if h := e.queue[0]; !h.cancelled {
-			return h
+// dropStale pops cancelled entries off the top of the heap and reports
+// whether a live event remains.
+func (e *Engine) dropStale() bool {
+	for len(e.queue) > 0 {
+		if top := &e.queue[0]; e.slots[top.slot].gen == top.gen {
+			return true
 		}
-		heap.Pop(&e.queue)
+		e.pop()
 	}
-	return nil
+	return false
+}
+
+// push adds x to the heap, sifting it up toward the root.
+func (e *Engine) push(x entry) {
+	e.queue = append(e.queue, x)
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
+}
+
+// pop removes and returns the heap's minimum, sifting the last entry
+// down from the root into the hole.
+func (e *Engine) pop() entry {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&x) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = x
+	return top
 }

@@ -105,8 +105,8 @@ func TestCancel(t *testing.T) {
 	var e Engine
 	fired := false
 	h := e.Schedule(1, func(*Engine) { fired = true })
-	h.Cancel()
-	if !h.Cancelled() {
+	e.Cancel(h)
+	if !e.Cancelled(h) {
 		t.Error("handle should report cancelled")
 	}
 	e.Run()
@@ -114,16 +114,16 @@ func TestCancel(t *testing.T) {
 		t.Error("cancelled event fired")
 	}
 	// Double cancel and cancel-after-run are no-ops.
-	h.Cancel()
-	var nilHandle *Handle
-	nilHandle.Cancel() // must not panic
+	e.Cancel(h)
+	var nilHandle Handle
+	e.Cancel(nilHandle) // must not panic
 }
 
 func TestCancelFromHandler(t *testing.T) {
 	var e Engine
 	var secondFired bool
-	var h2 *Handle
-	e.Schedule(1, func(*Engine) { h2.Cancel() })
+	var h2 Handle
+	e.Schedule(1, func(*Engine) { e.Cancel(h2) })
 	h2 = e.Schedule(2, func(*Engine) { secondFired = true })
 	e.Run()
 	if secondFired {
@@ -271,7 +271,7 @@ func TestPendingCountsCancelled(t *testing.T) {
 	var e Engine
 	h := e.Schedule(1, func(*Engine) {})
 	e.Schedule(2, func(*Engine) {})
-	h.Cancel()
+	e.Cancel(h)
 	if e.Pending() != 2 {
 		t.Errorf("pending = %d, want 2 (lazy deletion)", e.Pending())
 	}

@@ -15,7 +15,7 @@ func TestScheduleCancelStorm(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		var e Engine
 		var scheduled, fired, cancelled int
-		var live []*Handle
+		var live []Handle
 		lastTime := -1.0
 
 		var mkHandler func(depth int) Handler
@@ -39,8 +39,8 @@ func TestScheduleCancelStorm(t *testing.T) {
 				if len(live) > 0 && src.Bool(0.3) {
 					idx := src.Intn(len(live))
 					h := live[idx]
-					if !h.Cancelled() && h.At() > e.Now() {
-						h.Cancel()
+					if !e.Cancelled(h) {
+						e.Cancel(h)
 						cancelled++
 					}
 				}

@@ -114,12 +114,12 @@ func (c *resultCache) Put(key string, val []byte) {
 // CacheStats is a point-in-time cache snapshot. Evictions is additive
 // (PR 7); the earlier fields keep their names and positions.
 type CacheStats struct {
-	Size     int     `json:"size"`
-	Capacity int     `json:"capacity"`
-	Hits     uint64  `json:"hits"`
-	Misses   uint64  `json:"misses"`
-	HitRate  float64 `json:"hit_rate"`
-	Evictions uint64 `json:"evictions"`
+	Size      int     `json:"size"`
+	Capacity  int     `json:"capacity"`
+	Hits      uint64  `json:"hits"`
+	Misses    uint64  `json:"misses"`
+	HitRate   float64 `json:"hit_rate"`
+	Evictions uint64  `json:"evictions"`
 }
 
 // Stats snapshots the cache counters.

@@ -136,14 +136,14 @@ func TestBenchArtifactSim(t *testing.T) {
 		t.Errorf("4x trial budget grew allocated bytes %.2fx (%d -> %d); estimation memory still scales with Trials",
 			ratio, bytesSmall, bytesLarge)
 	}
-	// Worker-local reuse bounds per-trial allocations: the des engine,
-	// replicas, processes, sources, arm closures, and still-queued event
-	// handles are all recycled, leaving only the handles of events that
-	// actually fired. The seed implementation (fresh event graph plus a
-	// closure per scheduled event, measured on this exact config)
-	// allocated ~419 objects/trial; the reuse path measures ~200. Gate
-	// at 250 to catch a regression back toward per-trial rebuilding
-	// without flaking on environment noise.
+	// Worker-local reuse bounds per-trial allocations: the des engine
+	// (its slot table and heap), replicas, processes, sources and arm
+	// closures are all recycled. The seed implementation (fresh event
+	// graph plus a closure per scheduled event, measured on this exact
+	// config) allocated ~419 objects/trial; the reuse path measures 0
+	// (TestTrialHotPathAllocsZero gates that exactly). Gate at 250 to
+	// catch a regression back toward per-trial rebuilding without
+	// flaking on environment noise.
 	if hot.AllocsPerOp() > 250 {
 		t.Errorf("hot path allocates %d objects/trial, want <= 250 (seed path was ~419)", hot.AllocsPerOp())
 	}

@@ -92,17 +92,17 @@ type replica struct {
 	visRate float64
 	latRate float64
 
-	visibleEv *des.Handle // pending visible fault arrival
-	latentEv  *des.Handle // pending latent fault arrival
-	detectEv  *des.Handle // pending access-channel detection
-	repairEv  *des.Handle // pending repair completion
+	visibleEv des.Handle // pending visible fault arrival
+	latentEv  des.Handle // pending latent fault arrival
+	detectEv  des.Handle // pending access-channel detection
+	repairEv  des.Handle // pending repair completion
 
 	src *rng.Source // fault/repair randomness for this replica
 
 	// Prebound event handlers: each arm/re-arm schedules the same
 	// callback, so binding the (trial, index) pair once per replica —
 	// instead of allocating a fresh closure per scheduled event — keeps
-	// the reused per-trial hot path nearly allocation-free.
+	// the reused per-trial hot path allocation-free.
 	fireVisible  des.Handler
 	fireLatent   des.Handler
 	fireDetect   des.Handler
@@ -270,7 +270,6 @@ func (t *trial) start(src *rng.Source) {
 		r.state = stateHealthy
 		r.faultKind = 0
 		r.faultAt = 0
-		r.visibleEv, r.latentEv, r.detectEv, r.repairEv = nil, nil, nil, nil
 		r.visible.SetAcceleration(1)
 		r.latent.SetAcceleration(1)
 		if t.bias > 1 {
@@ -370,8 +369,8 @@ func (t *trial) armVisible(i int) {
 		return
 	}
 	r := t.reps[i]
-	r.visibleEv.Cancel()
-	r.visibleEv = nil
+	t.eng.Cancel(r.visibleEv)
+	r.visibleEv = des.Handle{}
 	if r.state != stateRepairing && !r.visible.Disabled() {
 		delay := r.visible.SampleNextAt(t.eng.Now(), r.src)
 		if !math.IsInf(delay, 1) {
@@ -380,7 +379,7 @@ func (t *trial) armVisible(i int) {
 	}
 	if t.bias > 1 {
 		nr := 0.0
-		if r.visibleEv != nil {
+		if r.visibleEv != (des.Handle{}) {
 			nr = 1 / r.visible.EffectiveMean()
 		}
 		t.noteRate(&r.visRate, nr)
@@ -393,8 +392,8 @@ func (t *trial) armLatent(i int) {
 		return
 	}
 	r := t.reps[i]
-	r.latentEv.Cancel()
-	r.latentEv = nil
+	t.eng.Cancel(r.latentEv)
+	r.latentEv = des.Handle{}
 	if r.state == stateHealthy && !r.latent.Disabled() {
 		delay := r.latent.SampleNextAt(t.eng.Now(), r.src)
 		if !math.IsInf(delay, 1) {
@@ -403,7 +402,7 @@ func (t *trial) armLatent(i int) {
 	}
 	if t.bias > 1 {
 		nr := 0.0
-		if r.latentEv != nil {
+		if r.latentEv != (des.Handle{}) {
 			nr = 1 / r.latent.EffectiveMean()
 		}
 		t.noteRate(&r.latRate, nr)
@@ -446,8 +445,8 @@ func (t *trial) armShock(si int) {
 // time is exact for deterministic-periodic and memoryless strategies.
 func (t *trial) armDetection(i int) {
 	r := t.reps[i]
-	r.detectEv.Cancel()
-	r.detectEv = nil
+	t.eng.Cancel(r.detectEv)
+	r.detectEv = des.Handle{}
 	best := math.Inf(1)
 	if t.lazyAudit {
 		if at, ok := t.scrubFor(i).NextAudit(t.eng.Now(), t.auditSrc); ok && at < best {
@@ -576,12 +575,12 @@ func (t *trial) onDetected(i int) {
 	}
 	t.stats.Detections++
 	t.traceEvent(t.eng.Now(), i, eventDetected, faults.Latent, false)
-	r.detectEv.Cancel()
-	r.detectEv = nil
+	t.eng.Cancel(r.detectEv)
+	r.detectEv = des.Handle{}
 	r.state = stateRepairing
 	// The visible arrival no longer matters while repairing.
-	r.visibleEv.Cancel()
-	r.visibleEv = nil
+	t.eng.Cancel(r.visibleEv)
+	r.visibleEv = des.Handle{}
 	t.startRepair(i)
 }
 
@@ -605,12 +604,12 @@ func (t *trial) onShock(si int) {
 func (t *trial) startRepair(i int) {
 	r := t.reps[i]
 	// Fault arrivals pause during repair.
-	r.visibleEv.Cancel()
-	r.visibleEv = nil
-	r.latentEv.Cancel()
-	r.latentEv = nil
-	r.detectEv.Cancel()
-	r.detectEv = nil
+	t.eng.Cancel(r.visibleEv)
+	r.visibleEv = des.Handle{}
+	t.eng.Cancel(r.latentEv)
+	r.latentEv = des.Handle{}
+	t.eng.Cancel(r.detectEv)
+	r.detectEv = des.Handle{}
 	if t.bias > 1 {
 		t.noteRate(&r.visRate, 0)
 		t.noteRate(&r.latRate, 0)
@@ -632,7 +631,7 @@ func (t *trial) onRepaired(i int) {
 		return
 	}
 	r := t.reps[i]
-	r.repairEv = nil
+	r.repairEv = des.Handle{}
 	t.stats.Repairs++
 	t.traceEvent(t.eng.Now(), i, eventRepaired, r.faultKind, false)
 	r.state = stateHealthy

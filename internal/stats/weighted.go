@@ -221,7 +221,7 @@ func (p *WeightedProportion) ControlVariateCI(level float64) (Interval, error) {
 	if s2 > 0 {
 		half = zCritical(level) * math.Sqrt(s2/n)
 	}
-	return Interval{Point: point, Lo: math.Max(0, point - half), Hi: math.Min(1, point + half), Level: level}, nil
+	return Interval{Point: point, Lo: math.Max(0, point-half), Hi: math.Min(1, point+half), Level: level}, nil
 }
 
 // CI returns the normal-approximation interval for the Horvitz–
@@ -243,5 +243,5 @@ func (p *WeightedProportion) CI(level float64) (Interval, error) {
 			half = zCritical(level) * math.Sqrt(s2/n)
 		}
 	}
-	return Interval{Point: point, Lo: math.Max(0, point - half), Hi: math.Min(1, point + half), Level: level}, nil
+	return Interval{Point: point, Lo: math.Max(0, point-half), Hi: math.Min(1, point+half), Level: level}, nil
 }
