@@ -148,9 +148,9 @@ func staggeredAblation(cfg RunConfig) (*report.Table, error) {
 	sync.Scrub = scrub.Periodic{Interval: interval}
 	stag := base
 	stag.Scrub = scrub.Periodic{Interval: interval}
-	stag.ScrubPerReplica = []scrub.Strategy{
-		scrub.Periodic{Interval: interval},
-		scrub.Periodic{Interval: interval, Offset: interval / 2},
+	stag.Specs = []sim.ReplicaSpec{
+		{Scrub: scrub.Periodic{Interval: interval}},
+		{Scrub: scrub.Periodic{Interval: interval, Offset: interval / 2}},
 	}
 	tbl := report.NewTable("Synchronized vs staggered audit schedules (interval 400 h)",
 		"schedule", "MTTDL (h)")

@@ -139,11 +139,6 @@ func (s *Source) normal() float64 {
 	}
 }
 
-// Normal draws from N(mean, stddev). Exposed for workload and cost noise.
-func (s *Source) Normal(mean, stddev float64) float64 {
-	return mean + stddev*s.normal()
-}
-
 // Gamma is the gamma distribution with shape k and scale θ. Erlang repair
 // pipelines (k sequential exponential stages) are Gamma with integer k.
 type Gamma struct {

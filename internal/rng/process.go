@@ -46,7 +46,7 @@ func (s *Source) PoissonCount(mean float64) int {
 	}
 	if mean > 30 {
 		// Normal approximation with continuity correction.
-		n := math.Floor(s.Normal(mean, math.Sqrt(mean)) + 0.5)
+		n := math.Floor(mean + math.Sqrt(mean)*s.normal() + 0.5)
 		if n < 0 {
 			return 0
 		}

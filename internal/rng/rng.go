@@ -172,23 +172,3 @@ func stringLabel(label string) uint64 {
 	}
 	return h
 }
-
-// Shuffle pseudo-randomly permutes the n elements addressed by swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		if i != j {
-			swap(i, j)
-		}
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}

@@ -1,15 +1,16 @@
-package service
+package router
 
 import (
 	"context"
 	"sync"
 )
 
-// Flight is a caller-owned single-flight table: concurrent Do calls for
+// flight is a caller-owned single-flight table: concurrent Do calls for
 // one key run fn once, and every duplicate waits for that run and shares
-// its outcome. The zero value is ready to use. (The scheduler keeps its
-// own table: its entries belong to a queued job, not to a caller.)
-type Flight[V any] struct {
+// its outcome. The zero value is ready to use. (A worker's scheduler
+// keeps its own table: its entries belong to a queued job, not to a
+// caller.)
+type flight[V any] struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall[V]
 }
@@ -24,7 +25,7 @@ type flightCall[V any] struct {
 // which case it waits for that call and returns its outcome with joined
 // set. ctx bounds only a joiner's wait; the owner's fn runs to
 // completion under whatever context it captured.
-func (f *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, joined bool, err error) {
+func (f *flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, joined bool, err error) {
 	f.mu.Lock()
 	if c, ok := f.calls[key]; ok {
 		f.mu.Unlock()
@@ -49,11 +50,4 @@ func (f *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v
 	}()
 	c.val, c.err = fn()
 	return c.val, false, c.err
-}
-
-// Len reports how many calls are in flight.
-func (f *Flight[V]) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.calls)
 }

@@ -95,7 +95,7 @@ type Router struct {
 	// router half of cluster-wide single-flight (the worker's shard
 	// scheduler is the other half, for duplicates that slip past the
 	// router, e.g. from clients hitting workers directly).
-	flights service.Flight[*upstream]
+	flights flight[*upstream]
 
 	probeStop   context.CancelFunc
 	probeDone   chan struct{}

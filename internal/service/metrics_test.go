@@ -298,7 +298,7 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 }
 
 // TestSubmitReportsJoined pins the scheduler's dedup signal: a duplicate
-// key submitted while the first is still running coalesces (joined=true)
+// key enqueued while the first is still running coalesces (joined=true)
 // and both callers get the same bytes.
 func TestSubmitReportsJoined(t *testing.T) {
 	s := newScheduler(1, 8, time.Minute)
@@ -317,20 +317,24 @@ func TestSubmitReportsJoined(t *testing.T) {
 		joined bool
 		err    error
 	}
+	submit := func(fn func(context.Context) ([]byte, error)) res {
+		j, joined, err := s.enqueue(context.Background(), "k", fn)
+		if err != nil {
+			return res{nil, joined, err}
+		}
+		v, err := j.wait(context.Background())
+		return res{v, joined, err}
+	}
 	owner := make(chan res, 1)
-	go func() {
-		v, j, e := s.submit(context.Background(), "k", fn)
-		owner <- res{v, j, e}
-	}()
+	go func() { owner <- submit(fn) }()
 	<-started // the owner's job is running, so the key is in the pending table
 
 	dup := make(chan res, 1)
 	go func() {
-		v, j, e := s.submit(context.Background(), "k", func(context.Context) ([]byte, error) {
+		dup <- submit(func(context.Context) ([]byte, error) {
 			t.Error("duplicate submission ran its own compute")
 			return nil, nil
 		})
-		dup <- res{v, j, e}
 	}()
 	// The duplicate must be visibly joined before the owner finishes;
 	// give its goroutine a moment to take the shard lock.

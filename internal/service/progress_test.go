@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -182,12 +185,13 @@ func TestServicePolicyDefaults(t *testing.T) {
 }
 
 // Concurrent identical progress requests must coalesce onto one
-// simulation: every response carries the same bytes, and the run
-// executes once (one cache miss).
+// simulation: every response carries the same bytes, and exactly one
+// scheduler job runs.
 func TestProgressSingleFlight(t *testing.T) {
 	svc, ts := newTestService(t)
 	seed := uint64(21)
 	req := EstimateRequest{Trials: 5000, HorizonYears: 50, Seed: &seed, Progress: true}
+	before := svc.sched.Stats().Completed
 
 	const clients = 4
 	results := make(chan []byte, clients)
@@ -219,11 +223,235 @@ func TestProgressSingleFlight(t *testing.T) {
 			t.Error("coalesced clients got different results")
 		}
 	}
-	// Every duplicate resolves through the cache — either by coalescing
-	// onto the in-flight owner (post-wait hit) or by arriving after it
-	// finished (initial hit). Independent recomputation records none.
-	if hits := svc.cache.Stats().Hits; hits < clients-1 {
-		t.Errorf("cache recorded %d hits for %d coalesced clients; simulations were duplicated", hits, clients)
+	// Every duplicate either joined the owner's job or arrived after it
+	// finished and replayed the cache; neither runs a job of its own.
+	if n := svc.sched.Stats().Completed - before; n != 1 {
+		t.Errorf("%d scheduler jobs completed for %d coalesced clients, want 1", n, clients)
+	}
+}
+
+// frameReader decodes a progress stream one frame at a time.
+type frameReader struct {
+	resp *http.Response
+	sc   *bufio.Scanner
+}
+
+func openStream(t *testing.T, url string, req EstimateRequest) *frameReader {
+	t.Helper()
+	resp := postJSON(t, url+"/estimate", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("progress request: %s: %s", resp.Status, readAll(t, resp))
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	return &frameReader{resp: resp, sc: sc}
+}
+
+// next returns the stream's next frame, or false at its end.
+func (fr *frameReader) next(t *testing.T) (EstimateFrame, bool) {
+	t.Helper()
+	var f EstimateFrame
+	if !fr.sc.Scan() {
+		if err := fr.sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return f, false
+	}
+	if err := json.Unmarshal(fr.sc.Bytes(), &f); err != nil {
+		t.Fatalf("bad frame %q: %v", fr.sc.Text(), err)
+	}
+	return f, true
+}
+
+// rest reads the remaining frames, requiring exactly one final frame,
+// last, and returns it.
+func (fr *frameReader) rest(t *testing.T) EstimateFrame {
+	t.Helper()
+	var final EstimateFrame
+	for f, ok := fr.next(t); ok; f, ok = fr.next(t) {
+		if final.Final {
+			t.Fatalf("frame after the final frame: %+v", f)
+		}
+		if f.Error != "" {
+			t.Fatalf("error frame: %s", f.Error)
+		}
+		final = f
+	}
+	if !final.Final {
+		t.Fatal("stream ended without a final frame")
+	}
+	return final
+}
+
+// A plain request for a key whose progress run is streaming joins that
+// run instead of simulating again: it answers "dedup" with the streamed
+// result's bytes, and exactly one scheduler job runs.
+func TestPlainRequestJoinsProgressRun(t *testing.T) {
+	svc, ts := newTestService(t)
+	seed := uint64(33)
+	// Many batches, so the run is still going when the plain request
+	// lands just after the first frame.
+	req := EstimateRequest{Trials: 100000, HorizonYears: 50, Seed: &seed, Progress: true}
+	before := svc.sched.Stats().Completed
+
+	stream := openStream(t, ts.URL, req)
+	if got := stream.resp.Header.Get("X-Ltsimd-Cache"); got != "miss" {
+		t.Fatalf("progress owner: cache %q, want miss", got)
+	}
+	first, ok := stream.next(t)
+	if !ok || first.Progress == nil {
+		t.Fatalf("first frame %+v is not a progress frame", first)
+	}
+
+	plain := req
+	plain.Progress = false
+	resp := postJSON(t, ts.URL+"/estimate", plain)
+	if got := resp.Header.Get("X-Ltsimd-Cache"); got != "dedup" {
+		t.Errorf("plain request during a progress run: cache %q, want dedup", got)
+	}
+	body := bytes.TrimSpace(readAll(t, resp))
+
+	final := stream.rest(t)
+	if final.Cache != "miss" {
+		t.Errorf("progress owner's final frame: cache %q, want miss", final.Cache)
+	}
+	if !bytes.Equal(body, bytes.TrimSpace(final.Result)) {
+		t.Error("joined plain body differs from the streamed result")
+	}
+	if n := svc.sched.Stats().Completed - before; n != 1 {
+		t.Errorf("%d scheduler jobs completed, want 1", n)
+	}
+}
+
+// blockShard occupies the scheduler shard that key hashes to with a job
+// that runs until the returned release is called, so jobs queued behind
+// it stay pending.
+func blockShard(t *testing.T, svc *Service, key string) (release func()) {
+	t.Helper()
+	sh := svc.sched.shardFor(key)
+	var blocker string
+	for i := 0; svc.sched.shardFor(blocker) != sh || blocker == ""; i++ {
+		blocker = "blocker-" + strconv.Itoa(i)
+	}
+	started, gate := make(chan struct{}), make(chan struct{})
+	go svc.sched.Submit(context.Background(), blocker, func(context.Context) ([]byte, error) {
+		close(started)
+		<-gate
+		return nil, nil
+	})
+	<-started
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return release
+}
+
+// A progress request for a key whose plain request is in flight joins
+// that job: it streams no progress of its own, and its final frame
+// answers "dedup" with the plain answer's bytes.
+func TestProgressRequestJoinsPlainRun(t *testing.T) {
+	svc, ts := newTestService(t)
+	seed := uint64(34)
+	plain := EstimateRequest{Trials: 600, HorizonYears: 50, Seed: &seed}
+	key, _, err := svc.resolve(plain, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the key's shard so the plain request's job stays queued —
+	// in flight and joinable — until the progress request is in.
+	release := blockShard(t, svc, key)
+	before := svc.sched.Stats().Completed
+
+	type answer struct {
+		cache string
+		body  []byte
+	}
+	plainBody, err := json.Marshal(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainDone := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(plainBody))
+		if err != nil {
+			t.Error(err)
+			plainDone <- answer{}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		plainDone <- answer{resp.Header.Get("X-Ltsimd-Cache"), bytes.TrimSpace(body)}
+	}()
+	for svc.sched.Stats().QueueDepth == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	progress := plain
+	progress.Progress = true
+	stream := openStream(t, ts.URL, progress) // returns once admitted
+	if got := stream.resp.Header.Get("X-Ltsimd-Cache"); got != "dedup" {
+		t.Errorf("progress request during a plain run: cache %q, want dedup", got)
+	}
+	release()
+
+	a := <-plainDone
+	if a.cache != "miss" {
+		t.Errorf("plain owner: cache %q, want miss", a.cache)
+	}
+	final, ok := stream.next(t)
+	if !ok || !final.Final {
+		t.Fatalf("joined progress request's first frame %+v, want the final frame", final)
+	}
+	if _, more := stream.next(t); more {
+		t.Error("frames after the final frame")
+	}
+	if final.Cache != "dedup" {
+		t.Errorf("final frame: cache %q, want dedup", final.Cache)
+	}
+	if !bytes.Equal(a.body, bytes.TrimSpace(final.Result)) {
+		t.Error("joined progress result differs from the plain body")
+	}
+	// The blocker and the one shared estimate job.
+	if n := svc.sched.Stats().Completed - before; n != 2 {
+		t.Errorf("%d scheduler jobs completed, want 2 (the shard blocker and one estimate)", n)
+	}
+}
+
+// Snapshots the job buffered before it finished reach the client ahead
+// of the final frame. Each run is queued behind a blocker and then
+// released, so the job can finish while its snapshots still sit in the
+// buffer; several seeds exercise both orders in which the streaming
+// goroutine can see them.
+func TestProgressFramesFlushedBeforeFinal(t *testing.T) {
+	svc, ts := newTestService(t)
+	for seed := uint64(40); seed < 48; seed++ {
+		req := EstimateRequest{Trials: 1500, HorizonYears: 50, Seed: &seed, Progress: true}
+		key, _, err := svc.resolve(req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := blockShard(t, svc, key)
+		stream := openStream(t, ts.URL, req)
+		release()
+		var frames []EstimateFrame
+		for f, ok := stream.next(t); ok; f, ok = stream.next(t) {
+			frames = append(frames, f)
+		}
+		if len(frames) < 2 {
+			t.Fatalf("seed %d: got %d frames, want at least one progress frame before the final", seed, len(frames))
+		}
+		for i, f := range frames[:len(frames)-1] {
+			if f.Progress == nil || f.Final {
+				t.Fatalf("seed %d: frame %d is not a progress frame: %+v", seed, i, f)
+			}
+		}
+		if last := frames[len(frames)-1]; !last.Final || last.Cache != "miss" || len(last.Result) == 0 {
+			t.Fatalf("seed %d: bad final frame: %+v", seed, last)
+		}
 	}
 }
 

@@ -214,45 +214,49 @@ func (s *scheduler) run(sh *shard, j *job) {
 // ctx cancels the *wait*, not the job: an abandoned job still completes
 // and can populate the cache.
 func (s *scheduler) Submit(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) ([]byte, error) {
-	val, _, err := s.submit(ctx, key, fn)
-	return val, err
+	j, _, err := s.enqueue(ctx, key, fn)
+	if err != nil {
+		return nil, err
+	}
+	return j.wait(ctx)
 }
 
-// submit is Submit reporting whether the call coalesced onto an
-// already-in-flight job for the same key (the "dedup" cache outcome).
-// The owner's submit carries its context trace into the job, so the
-// worker's "running" and the compute path's later marks land on the
-// originating request's timeline.
-func (s *scheduler) submit(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) ([]byte, bool, error) {
+// enqueue admits fn under key without waiting for it, reporting whether
+// the call joined an already queued or running job for the same key
+// (the "dedup" cache outcome) instead of queueing its own. The owner's
+// context trace rides into the job, so the worker's "running" and the
+// compute path's later marks land on the originating request's
+// timeline.
+func (s *scheduler) enqueue(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) (*job, bool, error) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
-		s.mu.RUnlock()
 		return nil, false, ErrShuttingDown
 	}
 	sh := s.shardFor(key)
-
 	sh.mu.Lock()
-	j, joined := sh.pending[key]
-	if !joined {
-		j = &job{key: key, fn: fn, done: make(chan struct{}), enqueued: time.Now(), trace: telemetry.TraceFrom(ctx)}
-		select {
-		case sh.queue <- j:
-			sh.pending[key] = j
-			s.jobs.Add(1)
-		default:
-			sh.mu.Unlock()
-			s.mu.RUnlock()
-			return nil, false, ErrQueueFull
-		}
+	defer sh.mu.Unlock()
+	if j, ok := sh.pending[key]; ok {
+		return j, true, nil
 	}
-	sh.mu.Unlock()
-	s.mu.RUnlock()
+	j := &job{key: key, fn: fn, done: make(chan struct{}), enqueued: time.Now(), trace: telemetry.TraceFrom(ctx)}
+	select {
+	case sh.queue <- j:
+		sh.pending[key] = j
+		s.jobs.Add(1)
+		return j, false, nil
+	default:
+		return nil, false, ErrQueueFull
+	}
+}
 
+// wait blocks until the job publishes its outcome or ctx ends.
+func (j *job) wait(ctx context.Context) ([]byte, error) {
 	select {
 	case <-j.done:
-		return j.val, joined, j.err
+		return j.val, j.err
 	case <-ctx.Done():
-		return nil, joined, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 

@@ -33,15 +33,9 @@ type Service struct {
 	sched     *scheduler
 	mux       *http.ServeMux
 	start     time.Time
-	// progressSem bounds concurrently-running progress-streamed
-	// simulations. Progress runs execute outside the shard queue, so
-	// this capacity is additive to the scheduler's: at most Shards extra
-	// simulations on top of the Shards queued ones, never unbounded.
-	progressSem chan struct{}
-	// progress single-flights progress runs by canonical key: concurrent
-	// duplicates wait for the owner and replay its cached result instead
-	// of recomputing.
-	progress Flight[struct{}]
+	// progressRuns counts scheduler jobs currently simulating on behalf
+	// of a progress-streamed request.
+	progressRuns atomic.Int64
 
 	// logger receives one structured record per request (the span
 	// timeline) plus service lifecycle events; defaults to discarding.
@@ -62,14 +56,13 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:         cfg,
-		cache:       newResultCache(cfg.CacheSize),
-		diskStore:   cfg.Store,
-		sched:       newScheduler(cfg.Shards, cfg.QueueDepth, cfg.JobTimeout),
-		mux:         http.NewServeMux(),
-		start:       time.Now(),
-		progressSem: make(chan struct{}, cfg.Shards),
-		logger:      cfg.Logger,
+		cfg:       cfg,
+		cache:     newResultCache(cfg.CacheSize),
+		diskStore: cfg.Store,
+		sched:     newScheduler(cfg.Shards, cfg.QueueDepth, cfg.JobTimeout),
+		mux:       http.NewServeMux(),
+		start:     time.Now(),
+		logger:    cfg.Logger,
 	}
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
@@ -89,7 +82,7 @@ func New(cfg Config) *Service {
 	sim.EnableMetrics(reg)
 	reg.GaugeFunc("ltsimd_progress_inflight",
 		"Progress-streamed estimate runs currently in flight (single-flight owners).", func() float64 {
-			return float64(s.progress.Len())
+			return float64(s.progressRuns.Load())
 		})
 	reg.GaugeFunc("ltsimd_uptime_seconds", "Seconds since the service started.", func() float64 {
 		return time.Since(s.start).Seconds()
@@ -233,9 +226,11 @@ func (s *Service) resolved(req EstimateRequest) (string, EstimateRequest, sim.Co
 	return key, req, cfg, opt, nil
 }
 
-// resolve fingerprints one request and returns the compute closure that
-// produces (and caches) its encoded result.
-func (s *Service) resolve(req EstimateRequest) (key string, compute func(context.Context) ([]byte, error), err error) {
+// resolve fingerprints one request and returns the job that simulates
+// it and encodes its result. progress, when non-nil, receives the run's
+// batch-boundary snapshots. The job is the service's only call into the
+// simulator, and only a scheduler worker runs it.
+func (s *Service) resolve(req EstimateRequest, progress func(sim.Progress)) (key string, compute func(context.Context) ([]byte, error), err error) {
 	key, _, cfg, opt, err := s.resolved(req)
 	if err != nil {
 		return "", nil, err
@@ -248,7 +243,11 @@ func (s *Service) resolve(req EstimateRequest) (key string, compute func(context
 		if opt.Bias != 0 {
 			s.biasedRuns.Add(1)
 		}
-		est, err := runner.EstimateContext(ctx, opt)
+		if progress != nil {
+			s.progressRuns.Add(1)
+			defer s.progressRuns.Add(-1)
+		}
+		est, err := runner.EstimateStream(ctx, opt, progress)
 		if err != nil {
 			return nil, err
 		}
@@ -258,14 +257,62 @@ func (s *Service) resolve(req EstimateRequest) (key string, compute func(context
 		}
 		// ctx carries the owning request's trace through the scheduler.
 		telemetry.TraceFrom(ctx).Mark("encoded")
-		s.cachePut(key, body)
 		return body, nil
 	}
 	return key, compute, nil
 }
 
-// handleEstimate serves one estimate: cache hit replays the stored
-// bytes; miss schedules the simulation and waits for it.
+// lookup is the one route every keyed answer takes, up to the wait: a
+// cache probe (memory, then disk), else a scheduler job that runs fn and
+// writes its bytes through both tiers. disp is the X-Ltsimd-Cache value:
+// the answering tier ("hit" or "disk", with body set), or "miss" or
+// "dedup" with the job to wait on — "dedup" when a job for key was
+// already queued or running and this request joined it. With retry a
+// full shard queue is waited out rather than returned, so a sweep paces
+// itself instead of failing points; a lone request gets the 503.
+func (s *Service) lookup(ctx context.Context, key string, fn func(context.Context) ([]byte, error), retry bool) (body []byte, disp string, j *job, err error) {
+	if body, tier, ok := s.cacheGet(key); ok {
+		return body, tier, nil, nil
+	}
+	telemetry.TraceFrom(ctx).Mark("queued")
+	run := func(ctx context.Context) ([]byte, error) {
+		body, err := fn(ctx)
+		if err == nil {
+			s.cachePut(key, body)
+		}
+		return body, err
+	}
+	backoff := 5 * time.Millisecond
+	for {
+		j, joined, err := s.sched.enqueue(ctx, key, run)
+		switch {
+		case err == nil && joined:
+			return nil, "dedup", j, nil
+		case err == nil:
+			return nil, "miss", j, nil
+		case !retry || !errors.Is(err, ErrQueueFull):
+			return nil, "", nil, err
+		}
+		select {
+		case <-time.After(backoff):
+		case <-ctx.Done():
+			return nil, "", nil, ctx.Err()
+		}
+		backoff = min(2*backoff, 200*time.Millisecond)
+	}
+}
+
+// answer is lookup followed by the wait for the job's bytes.
+func (s *Service) answer(ctx context.Context, key string, fn func(context.Context) ([]byte, error), retry bool) ([]byte, string, error) {
+	body, disp, j, err := s.lookup(ctx, key, fn, retry)
+	if j != nil {
+		body, err = j.wait(ctx)
+	}
+	return body, disp, err
+}
+
+// handleEstimate serves one estimate as a JSON body, or with "progress"
+// as an NDJSON stream (streamEstimate); both take the lookup route.
 func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req EstimateRequest
 	dec := json.NewDecoder(r.Body)
@@ -274,37 +321,44 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
+	var frames chan sim.Progress
+	var sink func(sim.Progress)
 	if req.Progress {
-		s.streamEstimate(w, r, req)
-		return
+		// The simulation never waits on the client: a snapshot that
+		// finds the buffer full is dropped, as the throttle would drop
+		// it anyway. Eight slots absorb the batch boundaries a fast run
+		// crosses while one frame is being written.
+		frames = make(chan sim.Progress, 8)
+		sink = func(p sim.Progress) {
+			if p.Final {
+				return // the final frame carries the result
+			}
+			select {
+			case frames <- p:
+			default:
+			}
+		}
 	}
-	tr := telemetry.TraceFrom(r.Context())
-	key, compute, err := s.resolve(req)
+	key, compute, err := s.resolve(req, sink)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	tr.Mark("resolved")
-	body, tier, hit := s.cacheGet(key)
-	joined := false
-	if !hit {
-		tr.Mark("queued")
-		body, joined, err = s.sched.submit(r.Context(), key, compute)
-		if err != nil {
-			WriteError(w, submitStatus(err), err)
-			return
-		}
+	telemetry.TraceFrom(r.Context()).Mark("resolved")
+	if req.Progress {
+		s.streamEstimate(w, r, key, compute, frames)
+		return
 	}
-	disp := "miss"
-	switch {
-	case hit:
-		// tierMemory ("hit") or tierDisk ("disk"), per the tier that
-		// actually answered.
-		disp = tier
-	case joined:
-		// The request coalesced onto an already-in-flight computation of
-		// the same fingerprint and replayed its bytes.
-		disp = "dedup"
+	body, disp, err := s.answer(r.Context(), key, compute, false)
+	writeAnswer(w, key, disp, body, err)
+}
+
+// writeAnswer replies with one answer's bytes and its cache metadata,
+// or with the error mapped onto its HTTP status.
+func writeAnswer(w http.ResponseWriter, key, disp string, body []byte, err error) {
+	if err != nil {
+		WriteError(w, submitStatus(err), err)
+		return
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
@@ -376,84 +430,33 @@ type EstimateFrame struct {
 
 // streamEstimate serves one estimate as an NDJSON stream: progress
 // frames at batch boundaries (throttled), then a final frame with the
-// canonical result body. A cache hit skips straight to the final frame.
-// Progress runs execute on the request goroutine under the per-job
-// timeout rather than on the shard queue — a queued job could not emit
-// frames while it waits — but they are still disciplined: duplicates of
-// an in-flight key coalesce onto the owner's result, at most Shards
-// progress simulations run at once (additively to the scheduler's own
-// Shards workers; excess requests get 503, the same backpressure signal
-// a full shard queue sends), and the result lands in the shared cache
-// under the same canonical key a plain request would use.
-func (s *Service) streamEstimate(w http.ResponseWriter, r *http.Request, req EstimateRequest) {
-	tr := telemetry.TraceFrom(r.Context())
-	key, _, cfg, opt, err := s.resolved(req)
+// canonical result body and the same X-Ltsimd-Cache value a plain
+// request would get. It takes the lookup route like any other answer,
+// so a progress run shares the shard queue's admission (a full queue is
+// a 503) and single-flight with plain requests for the same key. The
+// job hands snapshots to this goroutine through frames; only the job's
+// owner receives any, and a request that joined another job simply
+// waits for its bytes. A client that leaves does not stop the job: it
+// completes and fills the cache.
+func (s *Service) streamEstimate(w http.ResponseWriter, r *http.Request, key string, compute func(context.Context) ([]byte, error), frames <-chan sim.Progress) {
+	ctx := r.Context()
+	body, disp, j, err := s.lookup(ctx, key, compute, false)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	tr.Mark("resolved")
-	// Serve cache hits before taking a slot: replaying bytes is cheap.
-	// Single-flight: a duplicate of an in-flight progress run waits for
-	// the owner and replays its cached bytes instead of recomputing.
-	body, tier, hit := s.cacheGet(key)
-	if !hit {
-		_, joined, err := s.progress.Do(r.Context(), key, func() (struct{}, error) {
-			s.runProgress(w, r, key, cfg, opt)
-			return struct{}{}, nil
-		})
-		if !joined || err != nil {
-			return
-		}
-		if body, tier, hit = s.cacheGet(key); !hit {
-			// The owner failed; report rather than silently recomputing.
-			WriteError(w, http.StatusInternalServerError, errors.New("service: coalesced progress run failed; retry"))
-			return
-		}
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/x-ndjson")
-	h.Set("X-Ltsimd-Key", key)
-	h.Set("X-Ltsimd-Cache", tier)
-	json.NewEncoder(w).Encode(EstimateFrame{Final: true, Key: key, Cache: tier, Result: body})
-}
-
-// runProgress is the single-flight owner's half of streamEstimate: it
-// takes a progress slot, runs the simulation on the request goroutine
-// and streams its frames.
-func (s *Service) runProgress(w http.ResponseWriter, r *http.Request, key string, cfg sim.Config, opt sim.Options) {
-	tr := telemetry.TraceFrom(r.Context())
-	select {
-	case s.progressSem <- struct{}{}:
-		defer func() { <-s.progressSem }()
-	default:
-		WriteError(w, http.StatusServiceUnavailable, errors.New("service: progress-streaming capacity exhausted"))
+		WriteError(w, submitStatus(err), err)
 		return
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/x-ndjson")
 	h.Set("X-Ltsimd-Key", key)
-	emit := json.NewEncoder(FlushWriter{w}).Encode
-	h.Set("X-Ltsimd-Cache", "miss")
-
-	runner, err := sim.NewRunner(cfg)
-	if err != nil {
-		emit(EstimateFrame{Error: err.Error(), Key: key})
-		return
-	}
-	// Progress runs execute on the request goroutine, so the span
-	// timeline skips "queued" and marks "running" directly.
-	tr.Mark("running")
-	if opt.Bias != 0 {
-		s.biasedRuns.Add(1)
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
-	defer cancel()
+	h.Set("X-Ltsimd-Cache", disp)
+	// Send the headers now: a request that joined another job streams
+	// nothing until the job's bytes arrive, but learns its disposition
+	// as soon as it is admitted.
+	flush := FlushWriter{w}
+	flush.Flush()
+	emit := json.NewEncoder(flush).Encode
 	var lastEmit time.Time
-	est, err := runner.EstimateStream(ctx, opt, func(p sim.Progress) {
-		if p.Final {
-			return // the final frame below carries the result
-		}
+	relay := func(p sim.Progress) {
 		// Always emit the first boundary, then throttle so a
 		// million-trial run does not flood the connection.
 		if !lastEmit.IsZero() && time.Since(lastEmit) < 100*time.Millisecond {
@@ -461,19 +464,27 @@ func (s *Service) runProgress(w http.ResponseWriter, r *http.Request, key string
 		}
 		lastEmit = time.Now()
 		emit(EstimateFrame{Progress: newProgressJSON(p), Key: key})
-	})
+	}
+	for j != nil {
+		select {
+		case p := <-frames:
+			relay(p)
+		case <-j.done:
+			// Snapshots buffered before the job finished go out ahead
+			// of the final frame.
+			for len(frames) > 0 {
+				relay(<-frames)
+			}
+			body, err, j = j.val, j.err, nil
+		case <-ctx.Done():
+			return
+		}
+	}
 	if err != nil {
 		emit(EstimateFrame{Error: err.Error(), Key: key})
 		return
 	}
-	body, err := json.Marshal(report.NewEstimateJSON(est, opt.Horizon))
-	if err != nil {
-		emit(EstimateFrame{Error: err.Error(), Key: key})
-		return
-	}
-	tr.Mark("encoded")
-	s.cachePut(key, body)
-	emit(EstimateFrame{Final: true, Key: key, Cache: "miss", Result: body})
+	emit(EstimateFrame{Final: true, Key: key, Cache: disp, Result: body})
 }
 
 // handleSweep streams a batch through the shared fan-out with the
@@ -482,14 +493,13 @@ func (s *Service) runProgress(w http.ResponseWriter, r *http.Request, key string
 // backpressure to itself instead of tripping 503s.
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	Sweep[func(context.Context) ([]byte, error)]{
-		Pool:    max(1, s.cfg.Shards*s.cfg.QueueDepth/2),
-		Resolve: s.resolve,
+		Pool: max(1, s.cfg.Shards*s.cfg.QueueDepth/2),
+		Resolve: func(req EstimateRequest) (string, func(context.Context) ([]byte, error), error) {
+			return s.resolve(req, nil)
+		},
 		Run: func(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) (SweepLine, string, error) {
-			if body, tier, hit := s.cacheGet(key); hit {
-				return SweepLine{Key: key, Result: body}, tier, nil
-			}
-			body, err := s.submitWithRetry(ctx, key, compute)
-			return SweepLine{Key: key, Result: body}, "", err
+			body, disp, err := s.answer(ctx, key, compute, true)
+			return SweepLine{Key: key, Result: body}, disp, err
 		},
 		Deduped: func(n int) {
 			s.sweepDeduped.Add(uint64(n))
@@ -564,28 +574,6 @@ func (s *Service) handleScenarioExpand(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(summary)
 }
 
-// submitWithRetry is Submit with backoff on a full shard queue: the
-// sweep semaphore caps total concurrency, but key hashing can still
-// skew submissions onto one shard, and a sweep item should wait its
-// turn rather than surface a transient 503 as a failed line.
-func (s *Service) submitWithRetry(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) ([]byte, error) {
-	backoff := 5 * time.Millisecond
-	for {
-		body, err := s.sched.Submit(ctx, key, compute)
-		if !errors.Is(err, ErrQueueFull) {
-			return body, err
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if backoff < 200*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
 // handleExperiments lists the registered experiment index.
 func (s *Service) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 	type entry struct {
@@ -642,54 +630,32 @@ func (s *Service) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		seed = v
 	}
 	key := fmt.Sprintf("exp/v1|%s|seed=%d|quick=%t", e.ID, seed, quick)
-	body, tier, hit := s.cacheGet(key)
-	if !hit {
-		var err error
-		body, err = s.sched.Submit(r.Context(), key, func(ctx context.Context) ([]byte, error) {
-			res, err := runExperiment(ctx, e, experiments.RunConfig{Seed: seed, Quick: quick})
-			if err != nil {
-				return nil, err
-			}
-			out := experimentResult{
-				ID: e.ID, Title: e.Title, Source: e.Source,
-				Tables: res.Tables, Plots: make([]string, 0, len(res.Plots)),
-				Notes: res.Notes,
-			}
-			if out.Tables == nil {
-				out.Tables = []*report.Table{}
-			}
-			if out.Notes == nil {
-				out.Notes = []string{}
-			}
-			for _, p := range res.Plots {
-				var sb strings.Builder
-				if err := p.Render(&sb); err != nil {
-					return nil, err
-				}
-				out.Plots = append(out.Plots, sb.String())
-			}
-			b, err := json.Marshal(out)
-			if err != nil {
-				return nil, err
-			}
-			s.cachePut(key, b)
-			return b, nil
-		})
+	body, disp, err := s.answer(r.Context(), key, func(ctx context.Context) ([]byte, error) {
+		res, err := runExperiment(ctx, e, experiments.RunConfig{Seed: seed, Quick: quick})
 		if err != nil {
-			WriteError(w, submitStatus(err), err)
-			return
+			return nil, err
 		}
-	}
-	disp := "miss"
-	if hit {
-		disp = tier
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("X-Ltsimd-Key", key)
-	h.Set("X-Ltsimd-Cache", disp)
-	w.Write(body)
-	w.Write([]byte("\n"))
+		out := experimentResult{
+			ID: e.ID, Title: e.Title, Source: e.Source,
+			Tables: res.Tables, Plots: make([]string, 0, len(res.Plots)),
+			Notes: res.Notes,
+		}
+		if out.Tables == nil {
+			out.Tables = []*report.Table{}
+		}
+		if out.Notes == nil {
+			out.Notes = []string{}
+		}
+		for _, p := range res.Plots {
+			var sb strings.Builder
+			if err := p.Render(&sb); err != nil {
+				return nil, err
+			}
+			out.Plots = append(out.Plots, sb.String())
+		}
+		return json.Marshal(out)
+	}, false)
+	writeAnswer(w, key, disp, body, err)
 }
 
 // runExperiment runs e under ctx's deadline. Experiment Run functions
@@ -736,7 +702,7 @@ type StatsSnapshot struct {
 	Cache         CacheStats     `json:"cache"`
 	Scheduler     SchedulerStats `json:"scheduler"`
 	// ProgressInflight counts progress-streamed estimate runs currently
-	// in flight (single-flight owners executing off the shard queue).
+	// in flight (scheduler jobs simulating for a progress request).
 	ProgressInflight int `json:"progress_inflight"`
 	// SweepDeduped is the cumulative count of sweep indices that
 	// replayed another index's bytes via batch-wide fingerprint dedupe.
@@ -758,7 +724,7 @@ func (s *Service) Stats() StatsSnapshot {
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		Cache:            s.cache.Stats(),
 		Scheduler:        s.sched.Stats(),
-		ProgressInflight: s.progress.Len(),
+		ProgressInflight: int(s.progressRuns.Load()),
 		SweepDeduped:     s.sweepDeduped.Load(),
 		BiasedRuns:       s.biasedRuns.Load(),
 	}

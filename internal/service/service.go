@@ -28,15 +28,26 @@
 //     under per-job contexts with a timeout, and shutdown drains queued
 //     work before cancelling anything.
 //
+// The scheduler is the only place the service runs work. Every keyed
+// answer — a plain or progress-streamed /estimate, a /sweep point, an
+// /experiments/run — takes one route: cache probe, then a scheduler job,
+// whose bytes are written through both cache tiers. Each answer reports
+// the route's outcome the same way: "hit" or "disk" for the tier that
+// answered, "miss" for the request that queued the job, "dedup" for one
+// that joined a job already queued or running for its key. A progress
+// request therefore shares the shard queue's admission and its 503
+// backpressure, and coalesces with plain requests for the same key;
+// only the job's owner streams progress frames. A job outlives the
+// request that queued it: an abandoned run still completes and fills
+// the cache.
+//
 // HTTP surface (all JSON):
 //
-//	POST /estimate        one estimate; X-Ltsimd-Cache: hit|miss. With
-//	                      "progress": true, an NDJSON stream of progress
-//	                      frames at batch boundaries followed by a final
+//	POST /estimate        one estimate; X-Ltsimd-Cache:
+//	                      hit|disk|miss|dedup. With "progress": true, an
+//	                      NDJSON stream of progress frames at batch
+//	                      boundaries (owner only) followed by a final
 //	                      frame carrying the canonical result bytes
-//	                      (progress mode runs on the request goroutine,
-//	                      bypassing the shard queue; the result still
-//	                      populates the shared cache)
 //	POST /sweep           many estimates, streamed back as NDJSON lines
 //	                      in completion order, trailing summary line.
 //	                      Takes {"requests": [...]} or a declarative

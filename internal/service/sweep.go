@@ -214,8 +214,14 @@ type FlushWriter struct{ http.ResponseWriter }
 
 func (f FlushWriter) Write(p []byte) (int, error) {
 	n, err := f.ResponseWriter.Write(p)
+	f.Flush()
+	return n, err
+}
+
+// Flush sends whatever the handler has written so far, headers
+// included.
+func (f FlushWriter) Flush() {
 	if fl, ok := f.ResponseWriter.(http.Flusher); ok {
 		fl.Flush()
 	}
-	return n, err
 }

@@ -27,10 +27,6 @@
 // zero/nil field inherits the corresponding scalar, so partial overrides
 // compose with fleet-wide defaults.
 //
-// ScrubPerReplica is deprecated: it predates Specs and survives only as a
-// shorthand that the expansion folds into the per-replica Scrub fields.
-// New code should set Specs[i].Scrub instead.
-//
 // # Time-varying fault processes and trace replay
 //
 // Fault arrivals default to time-homogeneous Poisson, but a
@@ -205,13 +201,6 @@ type Config struct {
 	// outstanding latent faults. scrub.None{} for a system that never
 	// audits.
 	Scrub scrub.Strategy
-	// ScrubPerReplica, if non-nil, overrides Scrub with one strategy per
-	// replica — e.g. staggered periodic schedules so replicas are not
-	// audited in lockstep. Must have exactly Replicas entries.
-	//
-	// Deprecated: set Specs[i].Scrub instead; the expansion folds this
-	// field into the spec path. Setting both is an error.
-	ScrubPerReplica []scrub.Strategy
 	// AccessDetect, if non-nil, is the §4.1 user-access detection
 	// channel: an additional, usually very slow, detector for latent
 	// faults (typically scrub.OnAccess).
@@ -267,7 +256,7 @@ func (c Config) NumReplicas() int {
 
 // resolveSpec returns replica i's fully-resolved spec: the explicit
 // Specs[i] entry (when present) with zero/nil fields filled from the
-// uniform scalar shorthand and the deprecated ScrubPerReplica slice.
+// uniform scalar shorthand.
 func (c Config) resolveSpec(i int) ReplicaSpec {
 	var s ReplicaSpec
 	if i < len(c.Specs) {
@@ -281,9 +270,6 @@ func (c Config) resolveSpec(i int) ReplicaSpec {
 	}
 	if s.Scrub == nil {
 		s.Scrub = c.Scrub
-		if len(c.Specs) == 0 && i < len(c.ScrubPerReplica) {
-			s.Scrub = c.ScrubPerReplica[i]
-		}
 	}
 	if s.AccessDetect == nil {
 		s.AccessDetect = c.AccessDetect
@@ -320,20 +306,9 @@ func (c Config) Validate() error {
 		if c.Replicas != 0 && c.Replicas != len(c.Specs) {
 			return fmt.Errorf("%w: %d specs for %d replicas", ErrInvalidConfig, len(c.Specs), c.Replicas)
 		}
-		if c.ScrubPerReplica != nil {
-			return fmt.Errorf("%w: Specs and deprecated ScrubPerReplica are mutually exclusive", ErrInvalidConfig)
-		}
 	}
 	if c.MinIntact < 0 || c.MinIntact > n {
 		return fmt.Errorf("%w: min intact %d must be in [0, %d]", ErrInvalidConfig, c.MinIntact, n)
-	}
-	if c.ScrubPerReplica != nil && len(c.ScrubPerReplica) != n {
-		return fmt.Errorf("%w: %d per-replica scrub strategies for %d replicas", ErrInvalidConfig, len(c.ScrubPerReplica), n)
-	}
-	for i, s := range c.ScrubPerReplica {
-		if s == nil {
-			return fmt.Errorf("%w: nil per-replica scrub strategy at index %d", ErrInvalidConfig, i)
-		}
 	}
 	anyChannel := len(c.Shocks) > 0
 	for i := 0; i < n; i++ {

@@ -51,8 +51,6 @@ func TestConfigValidate(t *testing.T) {
 			c.Shocks = []faults.Shock{{Name: "x", Mean: 10, Targets: []int{5}, Kind: faults.Visible, HitProb: 1}}
 		}},
 		{"bad audit prob", func(c *Config) { c.AuditLatentFaultProb = -0.1 }},
-		{"short per-replica scrub", func(c *Config) { c.ScrubPerReplica = []scrub.Strategy{scrub.None{}} }},
-		{"nil per-replica scrub", func(c *Config) { c.ScrubPerReplica = []scrub.Strategy{scrub.None{}, nil} }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

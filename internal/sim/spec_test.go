@@ -77,14 +77,15 @@ func TestUniformConfigMatchesSeedGolden(t *testing.T) {
 	}
 }
 
-// TestDeprecatedScrubPerReplicaMatchesSeedGolden pins the folded
-// ScrubPerReplica path to its pre-refactor results.
-func TestDeprecatedScrubPerReplicaMatchesSeedGolden(t *testing.T) {
+// TestPerReplicaScrubSpecsMatchSeedGolden pins per-replica audit
+// schedules spelled as Specs[i].Scrub (other fields inherited from the
+// scalars) to the results the seed recorded for the same fleet.
+func TestPerReplicaScrubSpecsMatchSeedGolden(t *testing.T) {
 	cfg := goldenConfig(t)
-	cfg.ScrubPerReplica = []scrub.Strategy{
-		scrub.Periodic{Interval: 400},
-		scrub.Periodic{Interval: 400, Offset: 200},
-		scrub.Periodic{Interval: 500},
+	cfg.Specs = []ReplicaSpec{
+		{Scrub: scrub.Periodic{Interval: 400}},
+		{Scrub: scrub.Periodic{Interval: 400, Offset: 200}},
+		{Scrub: scrub.Periodic{Interval: 500}},
 	}
 	r, err := NewRunner(cfg)
 	if err != nil {
@@ -261,9 +262,6 @@ func TestSpecValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"specs vs replicas mismatch", func(c *Config) { c.Replicas = 2 }},
-		{"specs plus deprecated scrub slice", func(c *Config) {
-			c.ScrubPerReplica = []scrub.Strategy{scrub.None{}, scrub.None{}, scrub.None{}}
-		}},
 		{"NaN spec mean", func(c *Config) { c.Specs[1].VisibleMean = math.NaN() }},
 		{"negative spec mean", func(c *Config) { c.Specs[2].LatentMean = -1 }},
 		{"min intact beyond derived count", func(c *Config) { c.MinIntact = 4 }},

@@ -81,7 +81,7 @@ func TestBootstrapMeanCI(t *testing.T) {
 	src := rng.New(9)
 	xs := make([]float64, 400)
 	for i := range xs {
-		xs[i] = src.Normal(50, 10)
+		xs[i] = normal(src, 50, 10)
 	}
 	s := NewSample(xs)
 	iv, err := s.BootstrapMeanCI(0.95, 500, src)
