@@ -96,6 +96,9 @@ type Router struct {
 	// scheduler is the other half, for duplicates that slip past the
 	// router, e.g. from clients hitting workers directly).
 	flights flight[*upstream]
+	// memo maps /estimate bodies to their routing keys, so a repeated
+	// body is neither decoded nor fingerprinted again.
+	memo *service.KeyMemo
 
 	probeStop   context.CancelFunc
 	probeDone   chan struct{}
@@ -148,6 +151,7 @@ func New(cfg Config) (*Router, error) {
 		logger:    cfg.Logger,
 		start:     time.Now(),
 		probeDone: make(chan struct{}),
+		memo:      service.NewKeyMemo(memoBodies),
 	}
 	r.metrics = &routerMetrics{
 		reg: reg,
@@ -247,6 +251,10 @@ func (r *Router) probeOnce(ctx context.Context, n *Node) bool {
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
 }
+
+// memoBodies bounds the /estimate body memo; it matches ltsimd's
+// default result cache size.
+const memoBodies = 1024
 
 // routingKey fingerprints a request for ring placement and coalescing.
 // The router applies no request policy (workers fold their own
@@ -352,19 +360,12 @@ func (r *Router) handleEstimate(w http.ResponseWriter, req *http.Request) {
 		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	var er service.EstimateRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&er); err != nil {
-		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	key, err := routingKey(er)
+	key, progress, err := r.memo.Key(body, routingKey)
 	if err != nil {
 		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	if er.Progress {
+	if progress {
 		r.proxyStream(w, req.Context(), key, body)
 		return
 	}

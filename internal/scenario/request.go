@@ -350,10 +350,23 @@ type EstimateRequest struct {
 	Progress bool `json:"progress,omitempty"`
 }
 
+// MaxReplicas bounds one request's replica count, scalar or fleet.
+// Validation, the canonical key and every trial are linear in it, so an
+// unbounded count from the wire would let one small body pin a CPU or
+// exhaust memory before any simulation starts.
+const MaxReplicas = 1024
+
 // Build assembles the simulator configuration and options the request
 // describes. The result is not yet validated beyond what construction
 // requires; sim.Fingerprint / sim.NewRunner validate fully.
 func (r EstimateRequest) Build() (sim.Config, sim.Options, error) {
+	n := r.Replicas
+	if len(r.Fleet) > 0 {
+		n = len(r.Fleet)
+	}
+	if n > MaxReplicas {
+		return sim.Config{}, sim.Options{}, fmt.Errorf("replicas %d exceeds the limit of %d", n, MaxReplicas)
+	}
 	scrubs := 3.0
 	if r.ScrubsPerYear != nil {
 		scrubs = *r.ScrubsPerYear
@@ -409,13 +422,17 @@ func (r EstimateRequest) Build() (sim.Config, sim.Options, error) {
 			return v
 		}
 		// Repairs cannot be disabled: the negative-disables convention
-		// applies only to fault means.
-		for name, v := range map[string]float64{
-			"repair_visible_hours": r.RepairVisibleHours,
-			"repair_latent_hours":  r.RepairLatentHours,
+		// applies only to fault means. Checked in a fixed order, so a
+		// request with both wrong always gets the same error.
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{
+			{"repair_visible_hours", r.RepairVisibleHours},
+			{"repair_latent_hours", r.RepairLatentHours},
 		} {
-			if v < 0 || math.IsInf(v, 1) {
-				return sim.Config{}, sim.Options{}, fmt.Errorf("%s %v must be positive and finite", name, v)
+			if f.v < 0 || math.IsInf(f.v, 1) {
+				return sim.Config{}, sim.Options{}, fmt.Errorf("%s %v must be positive and finite", f.name, f.v)
 			}
 		}
 		rep, err := repair.Automated(

@@ -56,3 +56,19 @@ func TestBuildRejectsDisabledRepairs(t *testing.T) {
 		}
 	}
 }
+
+func TestBuildRejectsReplicaCountsOverLimit(t *testing.T) {
+	for _, req := range []EstimateRequest{
+		{Trials: 10, Replicas: MaxReplicas + 1},
+		{Trials: 10, Replicas: 1 << 40},
+		{Trials: 10, Fleet: make([]FleetEntry, MaxReplicas+1)},
+	} {
+		_, _, err := req.Build()
+		if err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+			t.Errorf("Build(%d replicas, %d fleet entries) = %v, want the replica limit", req.Replicas, len(req.Fleet), err)
+		}
+	}
+	if _, _, err := (EstimateRequest{Trials: 10, Replicas: MaxReplicas}).Build(); err != nil {
+		t.Errorf("Build rejected %d replicas, the limit itself: %v", MaxReplicas, err)
+	}
+}

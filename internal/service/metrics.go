@@ -96,6 +96,11 @@ func (s *Service) withTelemetry(h http.Handler) http.Handler {
 		if route == "/healthz" || route == "/metrics" {
 			level = slog.LevelDebug
 		}
+		// The record's attributes copy the span timeline, so skip
+		// building them when the handler would drop the record.
+		if !s.logger.Enabled(r.Context(), level) {
+			return
+		}
 		attrs := append([]slog.Attr{
 			slog.String("method", r.Method),
 			slog.String("route", route),

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -27,6 +28,8 @@ import (
 type Service struct {
 	cfg   Config
 	cache *resultCache
+	// memo maps /estimate bodies to the keys they resolved to.
+	memo *KeyMemo
 	// diskStore is the persistent result tier under the memory LRU; nil
 	// when the service runs memory-only (Config.Store unset).
 	diskStore store.Store
@@ -58,6 +61,7 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:       cfg,
 		cache:     newResultCache(cfg.CacheSize),
+		memo:      NewKeyMemo(cfg.CacheSize),
 		diskStore: cfg.Store,
 		sched:     newScheduler(cfg.Shards, cfg.QueueDepth, cfg.JobTimeout),
 		mux:       http.NewServeMux(),
@@ -226,6 +230,15 @@ func (s *Service) resolved(req EstimateRequest) (string, EstimateRequest, sim.Co
 	return key, req, cfg, opt, nil
 }
 
+// key is the cache key one request resolves to: the resolve function
+// behind the /estimate body memo. The memo may keep its answers for as
+// long as the service runs only because the policy folded in here is
+// fixed at New.
+func (s *Service) key(req EstimateRequest) (string, error) {
+	key, _, _, _, err := s.resolved(req)
+	return key, err
+}
+
 // resolve fingerprints one request and returns the job that simulates
 // it and encodes its result. progress, when non-nil, receives the run's
 // batch-boundary snapshots. The job is the service's only call into the
@@ -312,18 +325,23 @@ func (s *Service) answer(ctx context.Context, key string, fn func(context.Contex
 }
 
 // handleEstimate serves one estimate as a JSON body, or with "progress"
-// as an NDJSON stream (streamEstimate); both take the lookup route.
+// as an NDJSON stream (streamEstimate); both take the lookup route. The
+// body memo resolves a repeated body to its key without decoding it.
 func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	var req EstimateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
+	key, progress, err := s.memo.Key(body, s.key)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	telemetry.TraceFrom(r.Context()).Mark("resolved")
 	var frames chan sim.Progress
 	var sink func(sim.Progress)
-	if req.Progress {
+	if progress {
 		// The simulation never waits on the client: a snapshot that
 		// finds the buffer full is dropped, as the throttle would drop
 		// it anyway. Eight slots absorb the batch boundaries a fast run
@@ -339,18 +357,26 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	key, compute, err := s.resolve(req, sink)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
+	// The memo keeps only the key, so the job resolves the body again
+	// to get the run; that costs little next to the simulation, and
+	// only a cache miss pays it.
+	compute := func(ctx context.Context) ([]byte, error) {
+		req, err := decodeEstimate(body)
+		if err != nil {
+			return nil, err
+		}
+		_, run, err := s.resolve(req, sink)
+		if err != nil {
+			return nil, err
+		}
+		return run(ctx)
 	}
-	telemetry.TraceFrom(r.Context()).Mark("resolved")
-	if req.Progress {
+	if progress {
 		s.streamEstimate(w, r, key, compute, frames)
 		return
 	}
-	body, disp, err := s.answer(r.Context(), key, compute, false)
-	writeAnswer(w, key, disp, body, err)
+	answer, disp, err := s.answer(r.Context(), key, compute, false)
+	writeAnswer(w, key, disp, answer, err)
 }
 
 // writeAnswer replies with one answer's bytes and its cache metadata,

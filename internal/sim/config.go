@@ -151,12 +151,17 @@ func (s ReplicaSpec) inheritsRepair() bool {
 
 // validate checks a fully-resolved spec (after scalar inheritance).
 func (s ReplicaSpec) validate(i int) error {
-	for name, v := range map[string]float64{
-		"visible mean": s.VisibleMean,
-		"latent mean":  s.LatentMean,
+	// Fields are checked in a fixed order (a slice, not a map), so a
+	// config with several bad fields always reports the same one.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"visible mean", s.VisibleMean},
+		{"latent mean", s.LatentMean},
 	} {
-		if math.IsNaN(v) || v <= 0 {
-			return fmt.Errorf("%w: replica %d %s %v must be positive (use +Inf to disable)", ErrInvalidConfig, i, name, v)
+		if math.IsNaN(f.v) || f.v <= 0 {
+			return fmt.Errorf("%w: replica %d %s %v must be positive (use +Inf to disable)", ErrInvalidConfig, i, f.name, f.v)
 		}
 	}
 	if s.Scrub == nil {
@@ -336,12 +341,15 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	for name, p := range map[string]float64{
-		"audit latent fault probability":  c.AuditLatentFaultProb,
-		"audit visible fault probability": c.AuditVisibleFaultProb,
+	for _, f := range []struct {
+		name string
+		p    float64
+	}{
+		{"audit latent fault probability", c.AuditLatentFaultProb},
+		{"audit visible fault probability", c.AuditVisibleFaultProb},
 	} {
-		if math.IsNaN(p) || p < 0 || p > 1 {
-			return fmt.Errorf("%w: %s %v must be in [0,1]", ErrInvalidConfig, name, p)
+		if math.IsNaN(f.p) || f.p < 0 || f.p > 1 {
+			return fmt.Errorf("%w: %s %v must be in [0,1]", ErrInvalidConfig, f.name, f.p)
 		}
 	}
 	return nil

@@ -47,13 +47,18 @@ type Spec struct {
 
 // Validate reports whether the spec is well-formed.
 func (s Spec) Validate() error {
-	for name, v := range map[string]float64{
-		"visible mean": s.VisibleMean,
-		"latent mean":  s.LatentMean,
-		"repair hours": s.RepairHours,
+	// Fields are checked in a fixed order (a slice, not a map), so a spec
+	// with several bad fields always reports the same one.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"visible mean", s.VisibleMean},
+		{"latent mean", s.LatentMean},
+		{"repair hours", s.RepairHours},
 	} {
-		if math.IsNaN(v) || v <= 0 {
-			return fmt.Errorf("%w: spec %q %s = %v, must be positive", ErrInvalid, s.Label, name, v)
+		if math.IsNaN(f.v) || f.v <= 0 {
+			return fmt.Errorf("%w: spec %q %s = %v, must be positive", ErrInvalid, s.Label, f.name, f.v)
 		}
 	}
 	if math.IsInf(s.RepairHours, 1) {
@@ -70,12 +75,15 @@ func (s Spec) Validate() error {
 	if (s.AccessRatePerHour > 0) != (s.AccessCoverage > 0) {
 		return fmt.Errorf("%w: spec %q access rate %v and coverage %v must be set together", ErrInvalid, s.Label, s.AccessRatePerHour, s.AccessCoverage)
 	}
-	for name, v := range map[string]float64{
-		"access rate":     s.AccessRatePerHour,
-		"access coverage": s.AccessCoverage,
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"access rate", s.AccessRatePerHour},
+		{"access coverage", s.AccessCoverage},
 	} {
-		if math.IsNaN(v) || v < 0 {
-			return fmt.Errorf("%w: spec %q %s = %v, must be non-negative", ErrInvalid, s.Label, name, v)
+		if math.IsNaN(f.v) || f.v < 0 {
+			return fmt.Errorf("%w: spec %q %s = %v, must be non-negative", ErrInvalid, s.Label, f.name, f.v)
 		}
 	}
 	if s.AccessCoverage > 1 {
