@@ -59,7 +59,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8355", "listen address")
 		vnodes       = flag.Int("vnodes", 64, "virtual nodes per worker on the hash ring")
-		loadFactor   = flag.Float64("load-factor", 1.25, "bounded-load ceiling: a worker is skipped while its in-flight load exceeds this multiple of the mean")
+		loadFactor   = flag.Float64("load-factor", 1.25, "bounded-load ceiling: a worker with at least 8 requests in flight is skipped while its load exceeds this multiple of the mean")
 		probe        = flag.Duration("probe", 2*time.Second, "health-probe interval (ejection and re-admission cadence)")
 		probeTimeout = flag.Duration("probe-timeout", time.Second, "per-probe timeout")
 		logLevel     = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")

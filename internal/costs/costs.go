@@ -50,23 +50,26 @@ func (p Plan) Validate() error {
 	if p.Replicas < 1 {
 		return fmt.Errorf("%w: replicas %d must be >= 1", ErrInvalid, p.Replicas)
 	}
-	for name, v := range map[string]float64{
-		"archive size":  p.ArchiveGB,
-		"mission years": p.MissionYears,
+	// Fields are checked in declaration order (a slice, not a map), so a
+	// plan with several bad fields always reports the same one.
+	for _, f := range []struct {
+		name     string
+		v        float64
+		positive bool // must exceed 0, not just reach it
+	}{
+		{"archive size", p.ArchiveGB, true},
+		{"mission years", p.MissionYears, true},
+		{"scrubs per year", p.ScrubsPerYear, false},
+		{"audit cost", p.AuditCostPerPass, false},
+		{"power watts", p.PowerWattsPerDrive, false},
+		{"power cost", p.PowerCostPerKWh, false},
+		{"admin cost/drive-year", p.AdminCostPerDriveYear, false},
 	} {
-		if math.IsNaN(v) || v <= 0 {
-			return fmt.Errorf("%w: %s %v must be positive", ErrInvalid, name, v)
-		}
-	}
-	for name, v := range map[string]float64{
-		"scrubs per year":       p.ScrubsPerYear,
-		"audit cost":            p.AuditCostPerPass,
-		"power watts":           p.PowerWattsPerDrive,
-		"power cost":            p.PowerCostPerKWh,
-		"admin cost/drive-year": p.AdminCostPerDriveYear,
-	} {
-		if math.IsNaN(v) || v < 0 {
-			return fmt.Errorf("%w: %s %v must be non-negative", ErrInvalid, name, v)
+		switch {
+		case f.positive && (math.IsNaN(f.v) || f.v <= 0):
+			return fmt.Errorf("%w: %s %v must be positive", ErrInvalid, f.name, f.v)
+		case math.IsNaN(f.v) || f.v < 0:
+			return fmt.Errorf("%w: %s %v must be non-negative", ErrInvalid, f.name, f.v)
 		}
 	}
 	return nil

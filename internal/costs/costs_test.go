@@ -178,3 +178,17 @@ func TestEvaluate(t *testing.T) {
 		t.Error("Evaluate accepted invalid plan")
 	}
 }
+
+// TestPlanValidateDeterministic: a plan with two bad fields reports the
+// first-declared one, identically on every call.
+func TestPlanValidateDeterministic(t *testing.T) {
+	p := basePlan()
+	p.ScrubsPerYear = -1
+	p.PowerCostPerKWh = -1
+	const want = "costs: invalid parameter: scrubs per year -1 must be non-negative"
+	for i := 0; i < 100; i++ {
+		if err := p.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: err = %v, want %q", i, err, want)
+		}
+	}
+}

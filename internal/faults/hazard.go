@@ -49,6 +49,24 @@ type Hazard interface {
 // is vanishingly small but positive.
 const maxHazardTime = 1e18
 
+// maxThinningRejects bounds the candidates one SampleNextAt call rejects
+// before it samples the rest of the wait by inverting the profile's
+// integrated multiplier, for profiles that can (see inverter). Realistic
+// profiles reject a few candidates per arrival, so they never reach the
+// cap and keep their exact draw sequence; a steep one (a Weibull shape of
+// 100, or a scale far beyond the channel's mean) would otherwise reject
+// for hours per arrival.
+const maxThinningRejects = 1 << 16
+
+// inverter is implemented by profiles whose integrated multiplier has a
+// closed-form inverse.
+type inverter interface {
+	// advance returns the time u >= t at which ∫_t^u φ reaches mass, or
+	// +Inf if it never does within float range; ok is false if the
+	// profile cannot invert.
+	advance(t, mass float64) (u float64, ok bool)
+}
+
 // SetProfile attaches a hazard profile to the process; nil restores the
 // time-homogeneous behaviour. The profile multiplies the base hazard
 // sampled by SampleNextAt; SampleNext ignores it (callers that sample
@@ -66,8 +84,12 @@ func (p *Process) Profile() Hazard { return p.profile }
 // window end on overshoot, and otherwise accepts with probability
 // φ(candidate)/bound — outright when the envelope is tight (φ = bound,
 // as for constant and piecewise profiles), so the acceptance draw is
-// only spent where rejection is possible. Returns +Inf when the process
-// is disabled or the profile's remaining mass is negligible.
+// only spent where rejection is possible. After maxThinningRejects
+// rejections an invertible profile finishes the wait in one draw: no
+// arrival fell in [now, t], so the next one is where the integrated
+// hazard from t reaches a fresh Exp(1) draw — exact, like thinning.
+// Returns +Inf when the process is disabled or the profile's remaining
+// mass is negligible.
 func (p *Process) SampleNextAt(now float64, src *rng.Source) float64 {
 	if p.profile == nil {
 		return p.SampleNext(src)
@@ -77,7 +99,17 @@ func (p *Process) SampleNextAt(now float64, src *rng.Source) float64 {
 	}
 	base := p.accel * p.bias / p.mean
 	t := now
-	for {
+	if c, ok := p.profile.(ConstantHazard); ok && c.Factor > 0 && t <= maxHazardTime {
+		// A constant profile's envelope is tight and endless, so the walk
+		// below would accept its first candidate: the same draw and the
+		// same arithmetic, without the interface calls.
+		t += -math.Log(src.Float64Open()) / (base * c.Factor)
+		if math.IsInf(t, 1) {
+			return t
+		}
+		return t - now
+	}
+	for rejects := 0; ; {
 		if t > maxHazardTime {
 			return math.Inf(1)
 		}
@@ -97,6 +129,16 @@ func (p *Process) SampleNextAt(now float64, src *rng.Source) float64 {
 		}
 		if m := p.profile.Multiplier(t); m >= bound || src.Float64Open()*bound <= m {
 			return t - now
+		}
+		if rejects++; rejects == maxThinningRejects {
+			if inv, ok := p.profile.(inverter); ok {
+				if u, ok := inv.advance(t, -math.Log(src.Float64Open())/base); ok {
+					if u > maxHazardTime {
+						return math.Inf(1)
+					}
+					return u - now
+				}
+			}
 		}
 	}
 }
@@ -288,6 +330,34 @@ func (h WeibullHazard) MeanMultiplier(horizon float64) float64 {
 	return math.Pow(horizon/h.Scale, h.Shape-1)
 }
 
+// advance inverts the integrated multiplier Scale·(t/Scale)^Shape in
+// log space, so extreme shapes and scales neither overflow nor lose the
+// starting time: with a = ln((t/Scale)^Shape) and b = ln(mass/Scale),
+// u = Scale·exp(ln(e^a + e^b)/Shape).
+func (h WeibullHazard) advance(t, mass float64) (float64, bool) {
+	switch {
+	case mass <= 0:
+		return t, true
+	case math.IsInf(mass, 1):
+		return mass, true
+	}
+	lnScale := math.Log(h.Scale)
+	b := math.Log(mass) - lnScale
+	if t <= 0 {
+		return math.Exp(lnScale + b/h.Shape), true
+	}
+	a := h.Shape * (math.Log(t) - lnScale)
+	var u float64
+	if a >= b {
+		// u = t·(1 + e^(b−a))^(1/Shape): exactly t when the mass is
+		// negligible, even where a itself overflows.
+		u = t * math.Exp(math.Log1p(math.Exp(b-a))/h.Shape)
+	} else {
+		u = math.Exp(lnScale + (b+math.Log1p(math.Exp(a-b)))/h.Shape)
+	}
+	return math.Max(t, u), true
+}
+
 // Validate reports whether shape and scale are in domain.
 func (h WeibullHazard) Validate() error {
 	if math.IsNaN(h.Shape) || math.IsInf(h.Shape, 0) || h.Shape < 1 {
@@ -323,8 +393,10 @@ func Normalize(h Hazard, horizon float64) (ScaledHazard, error) {
 	if math.IsNaN(horizon) || math.IsInf(horizon, 0) || horizon <= 0 {
 		return ScaledHazard{}, fmt.Errorf("%w: normalization horizon %v must be positive and finite", ErrInvalid, horizon)
 	}
+	// A mean multiplier so small that its reciprocal overflows is as
+	// unnormalizable as zero.
 	m := h.MeanMultiplier(horizon)
-	if math.IsNaN(m) || m <= 0 || math.IsInf(m, 0) {
+	if math.IsNaN(m) || m <= 0 || math.IsInf(m, 0) || math.IsInf(1/m, 0) {
 		return ScaledHazard{}, fmt.Errorf("%w: hazard mean multiplier %v over %v h is not normalizable", ErrInvalid, m, horizon)
 	}
 	return ScaledHazard{Base: h, Factor: 1 / m}, nil
@@ -344,6 +416,14 @@ func (h ScaledHazard) Envelope(t float64) (float64, float64) {
 // MeanMultiplier scales the base average.
 func (h ScaledHazard) MeanMultiplier(horizon float64) float64 {
 	return h.Factor * h.Base.MeanMultiplier(horizon)
+}
+
+// advance scales the mass into the base profile's units.
+func (h ScaledHazard) advance(t, mass float64) (float64, bool) {
+	if inv, ok := h.Base.(inverter); ok {
+		return inv.advance(t, mass/h.Factor)
+	}
+	return 0, false
 }
 
 // Validate checks the factor and the base profile.

@@ -65,6 +65,106 @@ func TestWeibullThinningClosedFormMean(t *testing.T) {
 	}
 }
 
+// TestConstantFastPathMatchesThinning: ConstantHazard skips the
+// thinning walk, and must draw exactly what the walk draws for the same
+// envelope — a single-segment PiecewiseHazard walks it.
+func TestConstantFastPathMatchesThinning(t *testing.T) {
+	for _, factor := range []float64{1, 0.25, 3, 1e-300, 1e300} {
+		fast := mustProcess(t, 1000)
+		fast.SetProfile(ConstantHazard{Factor: factor})
+		walk := mustProcess(t, 1000)
+		walk.SetProfile(PiecewiseHazard{Factors: []float64{factor}})
+		fast.SetAcceleration(2)
+		walk.SetAcceleration(2)
+		srcA, srcB := rng.New(3), rng.New(3)
+		for i, now := range []float64{0, 1, 123.456, 5e6, 1e18, 2e18} {
+			for j := 0; j < 200; j++ {
+				a, b := fast.SampleNextAt(now, srcA), walk.SampleNextAt(now, srcB)
+				if math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("factor %v, now %d, draw %d: fast path %v, thinning walk %v", factor, i, j, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestSteepWeibullFallsBackToInversion: a profile too steep to thin —
+// shape 100, where an envelope window overshoots φ by a factor of
+// 1.5^99 — finishes each draw by inverting the integrated multiplier
+// once it has rejected maxThinningRejects candidates, and the draws
+// still match the closed form Weibull(k, m) mean m·Γ(1+1/k). A scale far
+// beyond the channel's mean is "never", not hours of thinning.
+func TestSteepWeibullFallsBackToInversion(t *testing.T) {
+	const mean, shape = 100.0, 100.0
+	h, err := NewWeibullHazard(shape, mean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		profile Hazard
+		n       int
+	}{{h, 100}, {ScaledHazard{Base: h, Factor: 1}, 25}} {
+		p := mustProcess(t, mean)
+		p.SetProfile(c.profile)
+		src := rng.New(5)
+		sum := 0.0
+		for i := 0; i < c.n; i++ {
+			sum += p.SampleNextAt(0, src)
+		}
+		got, want := sum/float64(c.n), mean*math.Gamma(1+1/shape)
+		// The Weibull(100, 100) standard deviation is about 1.28: allow
+		// five standard errors of the mean.
+		if tol := 5 * 1.28 / math.Sqrt(float64(c.n)); math.Abs(got-want) > tol {
+			t.Errorf("%T: sample mean %v vs closed form %v (tolerance %.2f)", c.profile, got, want, tol)
+		}
+	}
+
+	p := mustProcess(t, 1.4e6)
+	p.SetProfile(WeibullHazard{Shape: 2, Scale: 1e300})
+	if v := p.SampleNextAt(0, rng.New(1)); !math.IsInf(v, 1) {
+		t.Errorf("scale 1e300 over a 1.4e6 h mean: first fault at %v, want +Inf", v)
+	}
+}
+
+// TestWeibullAdvanceInvertsIntegral: advance(t, mass) lands where the
+// integrated multiplier Scale·(u/Scale)^Shape has grown by mass, never
+// before t, and without overflow at extreme shapes.
+func TestWeibullAdvanceInvertsIntegral(t *testing.T) {
+	integral := func(h WeibullHazard, u float64) float64 { return h.Scale * math.Pow(u/h.Scale, h.Shape) }
+	for _, c := range []struct {
+		h       WeibullHazard
+		t, mass float64
+	}{
+		{WeibullHazard{Shape: 2, Scale: 1000}, 0, 5},
+		{WeibullHazard{Shape: 2, Scale: 1000}, 700, 5},
+		{WeibullHazard{Shape: 1.5, Scale: 200000}, 1e5, 3e4},
+		{WeibullHazard{Shape: 100, Scale: 100}, 95, 0.01},
+		{WeibullHazard{Shape: 1, Scale: 10}, 3, 4},
+	} {
+		u, ok := c.h.advance(c.t, c.mass)
+		if !ok || u < c.t {
+			t.Fatalf("%+v from %v: advance = %v, %v", c.h, c.t, u, ok)
+		}
+		if got := integral(c.h, u) - integral(c.h, c.t); math.Abs(got-c.mass) > 1e-9*math.Max(1, integral(c.h, u)) {
+			t.Errorf("%+v from %v: integral grew by %v, want %v", c.h, c.t, got, c.mass)
+		}
+	}
+	for _, c := range []struct {
+		h       WeibullHazard
+		t, mass float64
+		want    float64
+	}{
+		{WeibullHazard{Shape: 1e300, Scale: 10}, 20, 1, 20},       // past Scale the hazard is infinite
+		{WeibullHazard{Shape: 1e300, Scale: 10}, 5, 1, 10},        // before it, zero
+		{WeibullHazard{Shape: 2, Scale: 1}, 1e200, 1e-300, 1e200}, // negligible mass
+		{WeibullHazard{Shape: 2, Scale: 5}, 3, math.Inf(1), math.Inf(1)},
+	} {
+		if u, _ := c.h.advance(c.t, c.mass); !(u == c.want || math.Abs(u-c.want) <= 1e-12*c.want) {
+			t.Errorf("%+v from %v with mass %v: advance = %v, want %v", c.h, c.t, c.mass, u, c.want)
+		}
+	}
+}
+
 // TestPiecewiseThinningClosedFormSurvival checks the piecewise sampler
 // against the exact first-arrival survival function: with base mean m
 // and factor f on [0, b), P(T > b) = exp(−f·b/m).
@@ -261,5 +361,10 @@ func TestHazardValidation(t *testing.T) {
 	}
 	if _, err := Normalize(ConstantHazard{Factor: 1}, 0); err == nil {
 		t.Error("normalization horizon 0 accepted")
+	}
+	// A mean multiplier of ~1e-310 is positive, but its reciprocal
+	// overflows: the scaled profile would fail its own validation.
+	if n, err := Normalize(WeibullHazard{Shape: 71.57142857142857, Scale: 50000}, 2); err == nil {
+		t.Errorf("normalizing a vanishing mean multiplier accepted: %+v", n)
 	}
 }

@@ -53,11 +53,11 @@ type vnode struct {
 
 // Ring is a consistent-hash ring with virtual nodes and bounded loads
 // (Mirrokni et al.: a node is skipped while its in-flight load exceeds
-// loadFactor times the mean, so one hot fingerprint region cannot
-// saturate a single worker while others idle). Membership is fixed at
-// build time; health is dynamic — ejected nodes stay on the circle but
-// are skipped, so re-admission restores the exact same key ownership
-// and the warm caches behind it.
+// loadFactor times the mean and is at least loadFloor, so one hot
+// fingerprint region cannot saturate a single worker while others
+// idle). Membership is fixed at build time; health is dynamic — ejected
+// nodes stay on the circle but are skipped, so re-admission restores
+// the exact same key ownership and the warm caches behind it.
 type Ring struct {
 	nodes      []*Node // sorted by name, for stable listings
 	vnodes     []vnode // sorted by hash
@@ -137,12 +137,21 @@ func (r *Ring) HealthyCount() int {
 	return c
 }
 
+// loadFloor is the in-flight count below which a node is always
+// admissible, whatever the bounded-load ceiling says. It is also the
+// per-node share of the router's /sweep pool, so one client's sweep
+// never spills a point off the worker that owns it:
+// with few requests in flight the mean-based ceiling is tiny (two
+// requests on one node of two already exceed 1.25 × 3/2), and spilling
+// there only scatters cache warmth.
+const loadFloor = 8
+
 // Pick returns the worker that owns key: the first healthy,
 // non-excluded node clockwise from the key's point whose in-flight load
-// fits the bounded-load rule. If every candidate is over the bound the
-// first healthy one is used anyway (the bound balances, it does not
-// reject). exclude names nodes already tried and failed this request —
-// the successor-retry path after an ejection.
+// is under loadFloor or fits the bounded-load rule. If every candidate
+// is over the bound the first healthy one is used anyway (the bound
+// balances, it does not reject). exclude names nodes already tried and
+// failed this request — the successor-retry path after an ejection.
 func (r *Ring) Pick(key string, exclude ...string) (*Node, error) {
 	if len(r.vnodes) == 0 {
 		return nil, ErrNoHealthyNodes
@@ -187,7 +196,7 @@ func (r *Ring) Pick(key string, exclude ...string) (*Node, error) {
 		if first == nil {
 			first = n
 		}
-		if n.Inflight()+1 <= ceiling {
+		if load := n.Inflight(); load < loadFloor || load+1 <= ceiling {
 			return n, nil
 		}
 	}

@@ -195,3 +195,29 @@ func TestRingValidation(t *testing.T) {
 		t.Error("load factor 1.0 accepted")
 	}
 }
+
+// TestRingLightLoadStaysOnOwner: below loadFloor a node keeps its keys
+// even when the mean-based ceiling alone would spill them — with loads
+// {2, 0} the ceiling is ceil(1.25 × 3/2) = 2, which the loaded owner's
+// next request would exceed.
+func TestRingLightLoadStaysOnOwner(t *testing.T) {
+	r, _ := ringOf(t, "a", "b")
+	for i := 0; i < 50; i++ {
+		key := fmt.Sprintf("%064x", i)
+		owner, err := r.Pick(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner.acquire()
+		owner.acquire()
+		got, err := r.Pick(key)
+		owner.release()
+		owner.release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != owner {
+			t.Fatalf("key %d spilled from %s (inflight 2, peer idle) to %s", i, owner.Name, got.Name)
+		}
+	}
+}

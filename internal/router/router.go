@@ -428,10 +428,10 @@ func (r *Router) proxyStream(w http.ResponseWriter, ctx context.Context, key str
 // handleSweep fans a batch across the cluster: scenario documents are
 // expanded once here, and each unique routing key dispatches to the
 // worker that owns it (joining any in-flight duplicate cluster-wide),
-// 8 points per worker at a time. Lines carry node attribution.
+// loadFloor points per worker at a time. Lines carry node attribution.
 func (r *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
 	service.Sweep[[]byte]{
-		Pool: 8 * len(r.ring.Nodes()),
+		Pool: loadFloor * len(r.ring.Nodes()),
 		Resolve: func(er service.EstimateRequest) (string, []byte, error) {
 			key, err := routingKey(er)
 			if err != nil {

@@ -1,0 +1,94 @@
+package scenario
+
+import (
+	"encoding/json"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/rng"
+)
+
+// FuzzHazardSpec drives HazardSpec.Build with arbitrary kinds and
+// parameters, NaN and ±Inf included (flags and Go callers can pass what
+// JSON cannot). It must never panic and must reject the same spec with
+// the same error every time. A spec it accepts must fingerprint, inside
+// an EstimateRequest, to the same key twice and again after a JSON round
+// trip, and its profile must draw a first fault — a time >= 0, or +Inf
+// for never — from the process the request builds. bounds and factors
+// are comma-separated numbers; an empty string is a nil slice.
+func FuzzHazardSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, kind string, factor, shape, scale, burnIn, burnInFactor, wearOnset, wearFactor, normalize float64, bounds, factors string) {
+		parse := func(s string) ([]float64, bool) {
+			if s == "" {
+				return nil, true
+			}
+			parts := strings.Split(s, ",")
+			if len(parts) > 64 {
+				return nil, false
+			}
+			out := make([]float64, len(parts))
+			for i, p := range parts {
+				v, err := strconv.ParseFloat(p, 64)
+				if err != nil {
+					return nil, false
+				}
+				out[i] = v
+			}
+			return out, true
+		}
+		b, okB := parse(bounds)
+		fs, okF := parse(factors)
+		if !okB || !okF {
+			return
+		}
+		spec := HazardSpec{Kind: kind, Factor: factor, Shape: shape, ScaleHours: scale,
+			BurnInHours: burnIn, BurnInFactor: burnInFactor, WearOnsetHours: wearOnset, WearFactor: wearFactor,
+			BoundsHours: b, Factors: fs, NormalizeHours: normalize}
+
+		h, err := spec.Build()
+		if _, again := spec.Build(); (err == nil) != (again == nil) || err != nil && err.Error() != again.Error() {
+			t.Fatalf("Build is not repeatable: %v, then %v", err, again)
+		}
+		if err != nil {
+			return
+		}
+		if err := h.Validate(); err != nil {
+			t.Fatalf("Build accepted a profile that fails its own validation: %v", err)
+		}
+
+		req := EstimateRequest{Trials: 100, HorizonYears: 50, Hazard: &spec}
+		fp, err := req.Fingerprint()
+		if err != nil {
+			t.Fatalf("accepted spec does not fingerprint: %v", err)
+		}
+		if again, err := req.Fingerprint(); err != nil || again != fp {
+			t.Fatalf("fingerprint unstable: %s, then %s (%v)", fp, again, err)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted spec does not encode: %v", err)
+		}
+		var back EstimateRequest
+		if err := json.Unmarshal(body, &back); err != nil {
+			t.Fatalf("decoding %s: %v", body, err)
+		}
+		if got, err := back.Fingerprint(); err != nil || got != fp {
+			t.Fatalf("JSON round trip %s moved the key: %s, then %s (%v)", body, fp, got, err)
+		}
+
+		cfg, _, err := req.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := faults.NewProcess(cfg.VisibleMean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetProfile(cfg.Hazard)
+		if at := p.SampleNextAt(0, rng.New(1)); !(at >= 0) {
+			t.Fatalf("first draw %v, want >= 0 or +Inf", at)
+		}
+	})
+}

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"strconv"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/rng"
 )
 
@@ -28,5 +30,64 @@ func TestTrialHotPathAllocsZero(t *testing.T) {
 	})
 	if perTrial := allocs / trials; perTrial != 0 {
 		t.Errorf("hot path allocates %v objects/trial, want 0", perTrial)
+	}
+}
+
+// fingerprintWeibull is a sweep-style point: the §5.4 mirror widened
+// to replicas copies, with sweep_store's Weibull wear-out profile
+// normalized over the 50-year horizon it is censored at.
+func fingerprintWeibull(tb testing.TB, replicas int) (Config, Options) {
+	tb.Helper()
+	cfg, err := PaperConfig(3, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w, err := faults.NewWeibullHazard(1.5, 200000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if cfg.Hazard, err = faults.Normalize(w, 438300); err != nil {
+		tb.Fatal(err)
+	}
+	cfg.Replicas = replicas
+	return cfg, Options{Trials: 1000, Seed: 21, Horizon: 50 * 8760}
+}
+
+// TestFingerprintAllocs gates the canonical encoder on allocation
+// counts, which are stable from run to run: a uniform fleet encodes its
+// one spec once into a stack buffer, so a 2-replica key costs the boxed
+// spec and the hex string, and 8 replicas add only the buffer's growth
+// past the stack.
+func TestFingerprintAllocs(t *testing.T) {
+	for _, c := range []struct {
+		replicas int
+		max      float64
+	}{{2, 3}, {8, 5}} {
+		cfg, opt := fingerprintWeibull(t, c.replicas)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Fingerprint(cfg, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d replicas: %v allocs/Fingerprint", c.replicas, allocs)
+		if allocs > c.max {
+			t.Errorf("Fingerprint at %d replicas allocates %v objects, want <= %v", c.replicas, allocs, c.max)
+		}
+	}
+}
+
+// BenchmarkFingerprint measures one sweep-style key at 2, 4 and 8
+// replicas.
+func BenchmarkFingerprint(b *testing.B) {
+	for _, replicas := range []int{2, 4, 8} {
+		cfg, opt := fingerprintWeibull(b, replicas)
+		b.Run(strconv.Itoa(replicas), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Fingerprint(cfg, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

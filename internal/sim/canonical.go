@@ -1,14 +1,14 @@
 package sim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"strconv"
-	"strings"
+	"sync"
 
 	"repro/internal/faults"
 )
@@ -32,57 +32,115 @@ import (
 // collide, without each implementation opting in. Function-valued state
 // cannot be canonicalized and returns an error.
 func Canonical(cfg Config, opt Options) (string, error) {
-	if err := cfg.Validate(); err != nil {
+	var stack [canonStackBytes]byte
+	b, err := appendCanonical(stack[:0], &cfg, opt)
+	if err != nil {
 		return "", err
 	}
-	if opt.Bias != 0 && cfg.HasHazard() {
-		return "", fmt.Errorf("%w: failure biasing is incompatible with hazard profiles (likelihood-ratio exposure assumes constant armed rates)", ErrInvalidConfig)
+	return string(b), nil
+}
+
+// Fingerprint returns the hex SHA-256 of Canonical(cfg, opt): the
+// content-addressed cache key for an estimation request. It hashes the
+// encoder's buffer directly, without materializing the string.
+func Fingerprint(cfg Config, opt Options) (string, error) {
+	var stack [canonStackBytes]byte
+	b, err := appendCanonical(stack[:0], &cfg, opt)
+	if err != nil {
+		return "", err
 	}
-	var b strings.Builder
-	b.WriteString("sim.Config/v1{")
-	fmt.Fprintf(&b, "replicas:%d,", cfg.NumReplicas())
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:]), nil
+}
+
+// canonStackBytes sizes the stack buffer Canonical and Fingerprint
+// encode into: a uniform profiled fleet of up to about five replicas
+// fits, larger keys grow onto the heap.
+const canonStackBytes = 2048
+
+// appendCanonical appends the canonical form of (cfg, opt) to b.
+func appendCanonical(b []byte, cfg *Config, opt Options) ([]byte, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if opt.Bias != 0 && cfg.HasHazard() {
+		return nil, fmt.Errorf("%w: failure biasing is incompatible with hazard profiles (likelihood-ratio exposure assumes constant armed rates)", ErrInvalidConfig)
+	}
+	n := cfg.NumReplicas()
 	minIntact := cfg.MinIntact
 	if minIntact == 0 {
 		minIntact = 1
 	}
-	fmt.Fprintf(&b, "minIntact:%d,", minIntact)
-	b.WriteString("specs:[")
-	for i, s := range cfg.ReplicaSpecs() {
+	b = append(b, "sim.Config/v1{replicas:"...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, ",minIntact:"...)
+	b = strconv.AppendInt(b, int64(minIntact), 10)
+	b = append(b, ",specs:["...)
+	var err error
+	if len(cfg.Specs) == 0 {
+		// A uniform fleet resolves every replica to the same spec
+		// (ReplicaSpecs' contract), so its bytes are encoded once and
+		// repeated.
+		start := len(b)
+		if b, err = appendValue(b, reflect.ValueOf(cfg.resolveSpec(0))); err != nil {
+			return nil, fmt.Errorf("sim: canonicalizing replica 0: %w", err)
+		}
+		end := len(b)
+		for i := 1; i < n; i++ {
+			b = append(b, ',')
+			b = append(b, b[start:end]...)
+		}
+	} else {
+		for i := range cfg.Specs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = appendValue(b, reflect.ValueOf(cfg.resolveSpec(i))); err != nil {
+				return nil, fmt.Errorf("sim: canonicalizing replica %d: %w", i, err)
+			}
+		}
+	}
+	b = append(b, "],correlation:"...)
+	if b, err = appendValue(b, reflect.ValueOf(cfg.Correlation)); err != nil {
+		return nil, fmt.Errorf("sim: canonicalizing correlation: %w", err)
+	}
+	b = append(b, ",shocks:["...)
+	for i := range cfg.Shocks {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		if err := writeCanonical(&b, reflect.ValueOf(s)); err != nil {
-			return "", fmt.Errorf("sim: canonicalizing replica %d: %w", i, err)
-		}
-	}
-	b.WriteString("],correlation:")
-	if err := writeCanonical(&b, reflect.ValueOf(cfg.Correlation)); err != nil {
-		return "", fmt.Errorf("sim: canonicalizing correlation: %w", err)
-	}
-	b.WriteString(",shocks:[")
-	for i, s := range cfg.Shocks {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if err := writeCanonical(&b, reflect.ValueOf(s)); err != nil {
-			return "", fmt.Errorf("sim: canonicalizing shock %q: %w", s.Name, err)
+		if b, err = appendValue(b, reflect.ValueOf(cfg.Shocks[i])); err != nil {
+			return nil, fmt.Errorf("sim: canonicalizing shock %q: %w", cfg.Shocks[i].Name, err)
 		}
 	}
-	b.WriteString("],")
-	fmt.Fprintf(&b, "auditLatent:%s,auditVisible:%s}",
-		canonFloat(cfg.AuditLatentFaultProb), canonFloat(cfg.AuditVisibleFaultProb))
+	b = append(b, "],auditLatent:"...)
+	b = appendFloat(b, cfg.AuditLatentFaultProb)
+	b = append(b, ",auditVisible:"...)
+	b = appendFloat(b, cfg.AuditVisibleFaultProb)
 
 	opt = opt.withDefaults()
-	fmt.Fprintf(&b, "sim.Options/v1{trials:%d,horizon:%s,seed:%d,level:%s",
-		opt.Trials, canonFloat(opt.Horizon), opt.Seed, canonFloat(opt.Level))
+	b = append(b, "}sim.Options/v1{trials:"...)
+	b = strconv.AppendInt(b, int64(opt.Trials), 10)
+	b = append(b, ",horizon:"...)
+	b = appendFloat(b, opt.Horizon)
+	b = append(b, ",seed:"...)
+	b = strconv.AppendUint(b, opt.Seed, 10)
+	b = append(b, ",level:"...)
+	b = appendFloat(b, opt.Level)
 	if opt.adaptive() {
 		// Adaptive runs stop at batch boundaries, so the realized trial
 		// count is a deterministic function of (target, maxTrials,
 		// batchSize) — these join the key, while fixed-trial runs keep
 		// their historical encoding (batch size cannot shape a fixed
 		// result, and older fingerprints stay valid).
-		fmt.Fprintf(&b, ",targetRel:%s,maxTrials:%d,batch:%d",
-			canonFloat(opt.TargetRelWidth), opt.MaxTrials, opt.BatchSize)
+		b = append(b, ",targetRel:"...)
+		b = appendFloat(b, opt.TargetRelWidth)
+		b = append(b, ",maxTrials:"...)
+		b = strconv.AppendInt(b, int64(opt.MaxTrials), 10)
+		b = append(b, ",batch:"...)
+		b = strconv.AppendInt(b, int64(opt.BatchSize), 10)
 	}
 	if opt.Bias != 0 {
 		// Biased runs use a different estimator, so they must never
@@ -90,45 +148,59 @@ func Canonical(cfg Config, opt Options) (string, error) {
 		// bias-free encoding. Encoding the *resolved* β makes AutoBias
 		// and the explicit factor it resolves to share a fingerprint
 		// (the resolution is a pure function of the config).
-		fmt.Fprintf(&b, ",bias:%s", canonFloat(resolveBias(&cfg, opt.Horizon, opt.Bias)))
+		b = append(b, ",bias:"...)
+		b = appendFloat(b, resolveBias(cfg, opt.Horizon, opt.Bias))
 	}
-	b.WriteString("}")
-	return b.String(), nil
+	return append(b, '}'), nil
 }
 
-// Fingerprint returns the hex SHA-256 of Canonical(cfg, opt): the
-// content-addressed cache key for an estimation request.
-func Fingerprint(cfg Config, opt Options) (string, error) {
-	s, err := Canonical(cfg, opt)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// canonFloat renders a float deterministically and round-trippably.
-func canonFloat(v float64) string {
-	switch {
-	case math.IsNaN(v):
-		return "NaN"
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// appendFloat renders a float deterministically and round-trippably
+// (strconv spells the specials NaN, +Inf and -Inf).
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // hazardType is the faults.Hazard interface, for the additive-field
-// omission rule in writeCanonical.
+// omission rule in appendValue.
 var hazardType = reflect.TypeOf((*faults.Hazard)(nil)).Elem()
 
-// writeCanonical deep-encodes a value: concrete type names for interface
+// structCodec is what encoding a struct type needs from reflection,
+// computed once per type: the "pkg.Type{" opener and, per field in
+// declaration order, its "Name:" label and whether the field is omitted
+// while nil.
+type structCodec struct {
+	open   string
+	fields []fieldCodec
+}
+
+type fieldCodec struct {
+	label   string
+	omitNil bool
+}
+
+// structCodecs caches a *structCodec per reflect.Type.
+var structCodecs sync.Map
+
+// codecOf returns t's codec, building and caching it on first use.
+func codecOf(t reflect.Type) *structCodec {
+	if c, ok := structCodecs.Load(t); ok {
+		return c.(*structCodec)
+	}
+	c := &structCodec{open: t.String() + "{", fields: make([]fieldCodec, t.NumField())}
+	for i := range c.fields {
+		f := t.Field(i)
+		c.fields[i] = fieldCodec{label: f.Name + ":", omitNil: f.Type == hazardType}
+	}
+	actual, _ := structCodecs.LoadOrStore(t, c)
+	return actual.(*structCodec)
+}
+
+// appendValue deep-encodes a value: concrete type names for interface
 // and pointer indirections, declaration-ordered struct fields (unexported
 // included — derived caches are themselves deterministic functions of the
-// exported state), ordered slices, and key-sorted maps. It never calls
-// Interface(), so unexported fields of foreign types are readable.
+// exported state), ordered slices, and maps sorted by encoded entry. It
+// never calls Interface(), so unexported fields of foreign types are
+// readable.
 //
 // One additive-field rule: struct fields of interface type faults.Hazard
 // are omitted entirely while nil. The Hazard field joined ReplicaSpec
@@ -137,93 +209,91 @@ var hazardType = reflect.TypeOf((*faults.Hazard)(nil)).Elem()
 // omitting it keeps every unprofiled config's canonical string (and disk
 // store) byte-identical to pre-hazard builds, while any non-nil profile
 // encodes its concrete type and parameters and fingerprints distinctly.
-func writeCanonical(b *strings.Builder, v reflect.Value) error {
+func appendValue(b []byte, v reflect.Value) ([]byte, error) {
 	if !v.IsValid() {
-		b.WriteString("nil")
-		return nil
+		return append(b, "nil"...), nil
 	}
+	var err error
 	switch v.Kind() {
 	case reflect.Interface, reflect.Pointer:
 		if v.IsNil() {
-			b.WriteString("nil")
-			return nil
+			return append(b, "nil"...), nil
 		}
-		return writeCanonical(b, v.Elem())
+		return appendValue(b, v.Elem())
 	case reflect.Struct:
-		t := v.Type()
-		b.WriteString(t.String())
-		b.WriteByte('{')
+		c := codecOf(v.Type())
+		b = append(b, c.open...)
 		wrote := false
-		for i := 0; i < t.NumField(); i++ {
-			if t.Field(i).Type == hazardType && v.Field(i).IsNil() {
+		for i, f := range c.fields {
+			fv := v.Field(i)
+			if f.omitNil && fv.IsNil() {
 				continue
 			}
 			if wrote {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
 			wrote = true
-			b.WriteString(t.Field(i).Name)
-			b.WriteByte(':')
-			if err := writeCanonical(b, v.Field(i)); err != nil {
-				return err
+			b = append(b, f.label...)
+			if b, err = appendValue(b, fv); err != nil {
+				return nil, err
 			}
 		}
-		b.WriteByte('}')
-		return nil
+		return append(b, '}'), nil
 	case reflect.Slice, reflect.Array:
 		if v.Kind() == reflect.Slice && v.IsNil() {
-			b.WriteString("nil")
-			return nil
+			return append(b, "nil"...), nil
 		}
-		b.WriteByte('[')
+		b = append(b, '[')
 		for i := 0; i < v.Len(); i++ {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			if err := writeCanonical(b, v.Index(i)); err != nil {
-				return err
+			if b, err = appendValue(b, v.Index(i)); err != nil {
+				return nil, err
 			}
 		}
-		b.WriteByte(']')
-		return nil
+		return append(b, ']'), nil
 	case reflect.Map:
 		if v.IsNil() {
-			b.WriteString("nil")
-			return nil
+			return append(b, "nil"...), nil
 		}
-		keys := v.MapKeys()
-		entries := make([]string, 0, len(keys))
-		for _, k := range keys {
-			var kb, vb strings.Builder
-			if err := writeCanonical(&kb, k); err != nil {
-				return err
+		// Entries sort by their encoded "k:v" bytes, so iteration
+		// order never shows. (Inline rather than a helper: mutual
+		// recursion would make b escape and cost the stack buffer.)
+		var entries []byte
+		spans := make([][2]int, 0, v.Len())
+		for it := v.MapRange(); it.Next(); {
+			start := len(entries)
+			if entries, err = appendValue(entries, it.Key()); err != nil {
+				return nil, err
 			}
-			if err := writeCanonical(&vb, v.MapIndex(k)); err != nil {
-				return err
+			entries = append(entries, ':')
+			if entries, err = appendValue(entries, it.Value()); err != nil {
+				return nil, err
 			}
-			entries = append(entries, kb.String()+":"+vb.String())
+			spans = append(spans, [2]int{start, len(entries)})
 		}
-		sort.Strings(entries)
-		b.WriteString("map{")
-		b.WriteString(strings.Join(entries, ","))
-		b.WriteByte('}')
-		return nil
+		entry := func(i int) []byte { return entries[spans[i][0]:spans[i][1]] }
+		sort.Slice(spans, func(i, j int) bool { return bytes.Compare(entry(i), entry(j)) < 0 })
+		b = append(b, "map{"...)
+		for i := range spans {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, entry(i)...)
+		}
+		return append(b, '}'), nil
 	case reflect.Float64, reflect.Float32:
-		b.WriteString(canonFloat(v.Float()))
-		return nil
+		return appendFloat(b, v.Float()), nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		b.WriteString(strconv.FormatInt(v.Int(), 10))
-		return nil
+		return strconv.AppendInt(b, v.Int(), 10), nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		b.WriteString(strconv.FormatUint(v.Uint(), 10))
-		return nil
+		return strconv.AppendUint(b, v.Uint(), 10), nil
 	case reflect.Bool:
-		b.WriteString(strconv.FormatBool(v.Bool()))
-		return nil
+		return strconv.AppendBool(b, v.Bool()), nil
 	case reflect.String:
-		b.WriteString(strconv.Quote(v.String()))
-		return nil
+		return strconv.AppendQuote(b, v.String()), nil
 	default:
-		return fmt.Errorf("cannot canonicalize %s value", v.Kind())
+		return nil, fmt.Errorf("cannot canonicalize %s value", v.Kind())
 	}
 }

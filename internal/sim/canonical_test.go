@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/repair"
+	"repro/internal/rng"
 	"repro/internal/scrub"
 )
 
@@ -223,4 +227,130 @@ func TestConfigMismatchErrorsAreClear(t *testing.T) {
 	if !strings.Contains(err.Error(), "2 specs for 3 replicas") {
 		t.Errorf("mismatch error %q does not state both counts", err)
 	}
+}
+
+// canonKinds exercises every kind the canonical encoder handles,
+// including the ones no Config reaches today.
+type canonKinds struct {
+	B      bool
+	I8     int8
+	U      uint
+	U16    uint16
+	F32    float32
+	NaN    float64
+	NegInf float64
+	S      string
+	Arr    [3]int
+	Nil    []float64
+	Empty  []float64
+	M      map[string]float64
+	IM     map[int]string
+	NilMap map[string]int
+	P      *faults.WeibullHazard
+	NilP   *faults.WeibullHazard
+	Any    any
+	NilAny any
+	H      faults.Hazard
+	hidden struct{ x, y float64 }
+}
+
+// canonKindsGolden is canonKinds' encoding as the reflective
+// string-builder encoder wrote it: the nil Hazard field is omitted, maps
+// sort by encoded "k:v" entry (so 10:"x" sorts before 1:"w"), and
+// pointers and interfaces are transparent.
+const canonKindsGolden = `sim.canonKinds{B:true,I8:-3,U:7,U16:65535,F32:0.10000000149011612,NaN:NaN,NegInf:-Inf,S:"q\"uo\tteé",Arr:[1,2,3],Nil:nil,Empty:[],M:map{"a":1,"b":2,"c":+Inf},IM:map{-1:"z",10:"x",1:"w",2:"y"},NilMap:nil,P:faults.WeibullHazard{Shape:2,Scale:3},NilP:nil,Any:faults.ConstantHazard{Factor:1.5},NilAny:nil,hidden:struct { x float64; y float64 }{x:1e-300,y:1.23456789e+08}}`
+
+func TestCanonicalValueKinds(t *testing.T) {
+	v := canonKinds{
+		B: true, I8: -3, U: 7, U16: 65535, F32: 0.1, NaN: math.NaN(), NegInf: math.Inf(-1),
+		S: "q\"uo\tteé", Arr: [3]int{1, 2, 3}, Empty: []float64{},
+		M:  map[string]float64{"b": 2, "a": 1, "c": math.Inf(1)},
+		IM: map[int]string{10: "x", 2: "y", -1: "z", 1: "w"},
+		P:  &faults.WeibullHazard{Shape: 2, Scale: 3}, Any: faults.ConstantHazard{Factor: 1.5},
+	}
+	v.hidden.x = 1e-300
+	v.hidden.y = 123456789
+	for i := 0; i < 20; i++ { // map iteration order must never show
+		b, err := appendValue(nil, reflect.ValueOf(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != canonKindsGolden {
+			t.Fatalf("encoding drifted:\n got %s\nwant %s", b, canonKindsGolden)
+		}
+	}
+
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{func() {}, "cannot canonicalize func value"},
+		{make(chan int), "cannot canonicalize chan value"},
+		{struct{ F func() }{}, "cannot canonicalize func value"},
+		{complex(1, 2), "cannot canonicalize complex128 value"},
+		{[]any{1, func() {}}, "cannot canonicalize func value"},
+		{map[string]any{"f": func() {}}, "cannot canonicalize func value"},
+	} {
+		if _, err := appendValue(nil, reflect.ValueOf(c.v)); err == nil || err.Error() != c.want {
+			t.Errorf("%T: err = %v, want %q", c.v, err, c.want)
+		}
+	}
+}
+
+// TestCanonicalRejectsFuncState: a config carrying function-valued
+// state fails to canonicalize and names the replica it sits on.
+func TestCanonicalRejectsFuncState(t *testing.T) {
+	cfg, opt := canonPaperConfig(t)
+	cfg.Specs = cfg.ReplicaSpecs()
+	cfg.Specs[1].Scrub = funcScrub{next: func(float64) float64 { return 0 }}
+	_, err := Fingerprint(cfg, opt)
+	if err == nil || err.Error() != "sim: canonicalizing replica 1: cannot canonicalize func value" {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// funcScrub is a scrub strategy whose state is a function.
+type funcScrub struct{ next func(float64) float64 }
+
+func (f funcScrub) NextAudit(now float64, _ *rng.Source) (float64, bool) { return f.next(now), true }
+func (funcScrub) MeanDetectionLag() float64                              { return 1 }
+func (funcScrub) Name() string                                           { return "func" }
+
+// canonRace is encoded only by TestCanonicalConcurrent, so its codec is
+// first built while several goroutines race for it.
+type canonRace struct {
+	A float64
+	H faults.Hazard
+	S []string
+}
+
+// TestCanonicalConcurrent: the per-type codec cache is shared by every
+// caller; concurrent first use and concurrent fingerprints must agree
+// (run under -race in CI).
+func TestCanonicalConcurrent(t *testing.T) {
+	cfg, opt := canonPaperConfig(t)
+	want, err := Fingerprint(cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantRace = `sim.canonRace{A:1.5,S:["a","b"]}`
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				b, err := appendValue(nil, reflect.ValueOf(canonRace{A: 1.5, S: []string{"a", "b"}}))
+				if err != nil || string(b) != wantRace {
+					t.Errorf("encoded %s, %v; want %s", b, err, wantRace)
+					return
+				}
+				if fp, err := Fingerprint(cfg, opt); err != nil || fp != want {
+					t.Errorf("Fingerprint = %s, %v; want %s", fp, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -76,22 +76,30 @@ func (d DriveSpec) Validate() error {
 		}
 		return nil
 	}
-	for name, v := range map[string]float64{
-		"capacity":       d.CapacityGB,
-		"sustained rate": d.SustainedMBps,
-		"interface rate": d.InterfaceMBps,
-		"service life":   d.ServiceLifeYears,
-		"price per GB":   d.PricePerGB,
+	prob := func(name string, v float64, excludeOne bool) error {
+		if math.IsNaN(v) || v < 0 || v > 1 || (excludeOne && v == 1) {
+			interval := "[0,1]"
+			if excludeOne {
+				interval = "[0,1)"
+			}
+			return fmt.Errorf("%w: drive %q %s = %v, must be in %s", ErrInvalid, d.Name, name, v, interval)
+		}
+		return nil
+	}
+	// Fields are checked in declaration order (a slice, not a map), so a
+	// spec with several bad fields always reports the same one.
+	for _, err := range []error{
+		pos("capacity", d.CapacityGB),
+		pos("sustained rate", d.SustainedMBps),
+		pos("interface rate", d.InterfaceMBps),
+		prob("UBER", d.UBER, false),
+		prob("service-life fault probability", d.ServiceLifeFaultProb, true),
+		pos("service life", d.ServiceLifeYears),
+		pos("price per GB", d.PricePerGB),
 	} {
-		if err := pos(name, v); err != nil {
+		if err != nil {
 			return err
 		}
-	}
-	if d.UBER < 0 || d.UBER > 1 || math.IsNaN(d.UBER) {
-		return fmt.Errorf("%w: drive %q UBER = %v, must be in [0,1]", ErrInvalid, d.Name, d.UBER)
-	}
-	if d.ServiceLifeFaultProb < 0 || d.ServiceLifeFaultProb >= 1 || math.IsNaN(d.ServiceLifeFaultProb) {
-		return fmt.Errorf("%w: drive %q service-life fault probability = %v, must be in [0,1)", ErrInvalid, d.Name, d.ServiceLifeFaultProb)
 	}
 	return nil
 }

@@ -62,21 +62,24 @@ func (m Media) Validate() error {
 	if m.Kind != Online && m.Kind != Offline {
 		return fmt.Errorf("%w: media %q kind %d unknown", ErrInvalid, m.Name, int(m.Kind))
 	}
-	for name, v := range map[string]float64{
-		"audit hours":  m.AuditHours,
-		"audit cost":   m.AuditCost,
-		"repair hours": m.RepairHours,
+	// Fields are checked in declaration order (a slice, not a map), so a
+	// description with several bad fields always reports the same one.
+	for _, f := range []struct {
+		name string
+		v    float64
+		prob bool // a probability: bounded by 1 as well as by 0
+	}{
+		{"audit hours", m.AuditHours, false},
+		{"audit cost", m.AuditCost, false},
+		{"handling fault probability", m.HandlingFaultProb, true},
+		{"read wear fault probability", m.ReadWearFaultProb, true},
+		{"repair hours", m.RepairHours, false},
 	} {
-		if math.IsNaN(v) || v < 0 {
-			return fmt.Errorf("%w: media %q %s = %v, must be non-negative", ErrInvalid, m.Name, name, v)
-		}
-	}
-	for name, p := range map[string]float64{
-		"handling fault probability":  m.HandlingFaultProb,
-		"read wear fault probability": m.ReadWearFaultProb,
-	} {
-		if math.IsNaN(p) || p < 0 || p > 1 {
-			return fmt.Errorf("%w: media %q %s = %v, must be in [0,1]", ErrInvalid, m.Name, name, p)
+		switch {
+		case f.prob && (math.IsNaN(f.v) || f.v < 0 || f.v > 1):
+			return fmt.Errorf("%w: media %q %s = %v, must be in [0,1]", ErrInvalid, m.Name, f.name, f.v)
+		case math.IsNaN(f.v) || f.v < 0:
+			return fmt.Errorf("%w: media %q %s = %v, must be non-negative", ErrInvalid, m.Name, f.name, f.v)
 		}
 	}
 	return nil

@@ -103,3 +103,28 @@ func TestMediaValidateRejections(t *testing.T) {
 		})
 	}
 }
+
+// TestValidateMessagesDeterministic: a description with two bad fields
+// reports the first-declared one, identically on every call.
+func TestValidateMessagesDeterministic(t *testing.T) {
+	drive := Cheetah146()
+	drive.SustainedMBps = -1
+	drive.PricePerGB = math.NaN()
+	media := DiskMedia(Cheetah146(), 0)
+	media.AuditCost = -1
+	media.RepairHours = -2
+	for _, c := range []struct {
+		name     string
+		validate func() error
+		want     string
+	}{
+		{"drive", drive.Validate, `storage: invalid parameter: drive "Seagate Cheetah 15K.4" sustained rate = -1, must be positive`},
+		{"media", media.Validate, `storage: invalid parameter: media "Seagate Cheetah 15K.4" audit cost = -1, must be non-negative`},
+	} {
+		for i := 0; i < 100; i++ {
+			if err := c.validate(); err == nil || err.Error() != c.want {
+				t.Fatalf("%s call %d: err = %v, want %q", c.name, i, err, c.want)
+			}
+		}
+	}
+}
