@@ -348,14 +348,21 @@ func buildRequest(c config) (service.EstimateRequest, error) {
 	}
 	// On the wire, zero means "use the default" — reject it here so an
 	// explicit -mv 0 errors instead of silently becoming the paper value.
-	for name, v := range map[string]float64{"-mv": c.mv, "-ml": c.ml} {
-		if v == 0 {
-			return service.EstimateRequest{}, fmt.Errorf("%s must be positive (or inf to disable the channel)", name)
-		}
-	}
-	for name, v := range map[string]float64{"-mrv": c.mrv, "-mrl": c.mrl} {
-		if v == 0 {
-			return service.EstimateRequest{}, fmt.Errorf("%s must be positive", name)
+	// Flags are checked in a fixed order (a slice, not a map), so several
+	// zero flags always report the same one.
+	const channel = " (or inf to disable the channel)"
+	for _, f := range []struct {
+		name string
+		v    float64
+		hint string
+	}{
+		{"-mv", c.mv, channel},
+		{"-ml", c.ml, channel},
+		{"-mrv", c.mrv, ""},
+		{"-mrl", c.mrl, ""},
+	} {
+		if f.v == 0 {
+			return service.EstimateRequest{}, fmt.Errorf("%s must be positive%s", f.name, f.hint)
 		}
 	}
 	req.Replicas = c.replicas

@@ -49,44 +49,6 @@ func (e Exponential) Mean() float64 { return e.MeanValue }
 // Rate returns 1/mean, the hazard rate.
 func (e Exponential) Rate() float64 { return 1 / e.MeanValue }
 
-// Weibull models age-dependent hazard. Shape < 1 gives infant mortality,
-// shape == 1 reduces to Exponential, shape > 1 gives wear-out; combining
-// phases yields the "bathtub" lifetime curve the paper cites for disks in
-// §6.5 (Gibson's dissertation).
-type Weibull struct {
-	Shape float64 // k
-	Scale float64 // λ
-}
-
-// NewWeibull returns a Weibull with shape k and scale lambda.
-func NewWeibull(shape, scale float64) (Weibull, error) {
-	if shape <= 0 || scale <= 0 || math.IsNaN(shape) || math.IsNaN(scale) {
-		return Weibull{}, fmt.Errorf("%w: weibull shape %v and scale %v must be positive", ErrInvalidParam, shape, scale)
-	}
-	return Weibull{Shape: shape, Scale: scale}, nil
-}
-
-// Sample draws by inverse transform: λ * (-ln U)^(1/k).
-func (w Weibull) Sample(src *Source) float64 {
-	return w.Scale * math.Pow(-math.Log(src.Float64Open()), 1/w.Shape)
-}
-
-// Mean returns λ·Γ(1 + 1/k).
-func (w Weibull) Mean() float64 {
-	return w.Scale * math.Gamma(1+1/w.Shape)
-}
-
-// WeibullFromMean returns the Weibull with the given shape whose mean is
-// mean, convenient when substituting an age-dependent process for an
-// exponential one with a matched MTTF.
-func WeibullFromMean(shape, mean float64) (Weibull, error) {
-	if mean <= 0 {
-		return Weibull{}, fmt.Errorf("%w: weibull mean %v must be positive", ErrInvalidParam, mean)
-	}
-	scale := mean / math.Gamma(1+1/shape)
-	return NewWeibull(shape, scale)
-}
-
 // LogNormal models multiplicative noise, used for operator repair delays
 // whose distribution is heavy-tailed.
 type LogNormal struct {
@@ -138,59 +100,6 @@ func (s *Source) normal() float64 {
 		}
 	}
 }
-
-// Gamma is the gamma distribution with shape k and scale θ. Erlang repair
-// pipelines (k sequential exponential stages) are Gamma with integer k.
-type Gamma struct {
-	Shape float64 // k
-	Scale float64 // θ
-}
-
-// NewGamma returns a Gamma with shape k and scale theta.
-func NewGamma(shape, scale float64) (Gamma, error) {
-	if shape <= 0 || scale <= 0 || math.IsNaN(shape) || math.IsNaN(scale) {
-		return Gamma{}, fmt.Errorf("%w: gamma shape %v and scale %v must be positive", ErrInvalidParam, shape, scale)
-	}
-	return Gamma{Shape: shape, Scale: scale}, nil
-}
-
-// Erlang returns the Gamma distribution of the sum of k independent
-// exponentials with the given total mean.
-func Erlang(k int, mean float64) (Gamma, error) {
-	if k <= 0 {
-		return Gamma{}, fmt.Errorf("%w: erlang stage count %d must be positive", ErrInvalidParam, k)
-	}
-	return NewGamma(float64(k), mean/float64(k))
-}
-
-// Sample draws using Marsaglia–Tsang for k >= 1 and the boost
-// transformation U^(1/k) for k < 1.
-func (g Gamma) Sample(src *Source) float64 {
-	k := g.Shape
-	boost := 1.0
-	if k < 1 {
-		// X_k = X_{k+1} * U^{1/k}
-		boost = math.Pow(src.Float64Open(), 1/k)
-		k++
-	}
-	d := k - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := src.normal()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := src.Float64Open()
-		if u < 1-0.0331*x*x*x*x || math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return boost * d * v * g.Scale
-		}
-	}
-}
-
-// Mean returns k·θ.
-func (g Gamma) Mean() float64 { return g.Shape * g.Scale }
 
 // Uniform is the continuous uniform distribution on [Lo, Hi).
 type Uniform struct {

@@ -71,61 +71,6 @@ func TestExponentialInvalid(t *testing.T) {
 	}
 }
 
-func TestWeibullShapeOneIsExponential(t *testing.T) {
-	w, err := NewWeibull(1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(w.Mean()-100) > 1e-9 {
-		t.Fatalf("Weibull(1, 100) mean = %v, want 100", w.Mean())
-	}
-	mean, variance := sampleMoments(t, w, New(3), 300000)
-	if math.Abs(mean-100)/100 > 0.01 {
-		t.Errorf("Weibull(1,100) sample mean %v, want 100 within 1%%", mean)
-	}
-	if math.Abs(variance-10000)/10000 > 0.05 {
-		t.Errorf("Weibull(1,100) sample variance %v, want 10000 within 5%%", variance)
-	}
-}
-
-func TestWeibullFromMean(t *testing.T) {
-	for _, shape := range []float64{0.5, 1, 1.5, 3} {
-		w, err := WeibullFromMean(shape, 1234)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(w.Mean()-1234)/1234 > 1e-12 {
-			t.Errorf("WeibullFromMean(shape=%v) mean = %v, want 1234", shape, w.Mean())
-		}
-	}
-}
-
-func TestWeibullHazardShape(t *testing.T) {
-	// Shape < 1: more early failures than exponential with same mean.
-	// Shape > 1: fewer early failures. Compare P(X < mean/10).
-	src := New(5)
-	early := func(shape float64) float64 {
-		w, err := WeibullFromMean(shape, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		count := 0
-		const n = 200000
-		for i := 0; i < n; i++ {
-			if w.Sample(src) < 10 {
-				count++
-			}
-		}
-		return float64(count) / n
-	}
-	infant := early(0.5)
-	expo := early(1.0)
-	wearout := early(3.0)
-	if !(infant > expo && expo > wearout) {
-		t.Errorf("early-failure fractions not ordered: shape0.5=%v shape1=%v shape3=%v", infant, expo, wearout)
-	}
-}
-
 func TestLogNormalFromMeanCV(t *testing.T) {
 	l, err := LogNormalFromMeanCV(48, 1.5)
 	if err != nil {
@@ -141,42 +86,6 @@ func TestLogNormalFromMeanCV(t *testing.T) {
 	wantSD := 48 * 1.5
 	if sd := math.Sqrt(variance); math.Abs(sd-wantSD)/wantSD > 0.1 {
 		t.Errorf("lognormal sample stddev %v, want %v within 10%%", sd, wantSD)
-	}
-}
-
-func TestGammaMoments(t *testing.T) {
-	for _, tc := range []struct{ shape, scale float64 }{
-		{0.5, 2}, {1, 3}, {2.5, 10}, {9, 0.5},
-	} {
-		g, err := NewGamma(tc.shape, tc.scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mean, variance := sampleMoments(t, g, New(11), 300000)
-		wantMean := tc.shape * tc.scale
-		wantVar := tc.shape * tc.scale * tc.scale
-		if math.Abs(mean-wantMean)/wantMean > 0.02 {
-			t.Errorf("Gamma(%v,%v) sample mean %v, want %v within 2%%", tc.shape, tc.scale, mean, wantMean)
-		}
-		if math.Abs(variance-wantVar)/wantVar > 0.06 {
-			t.Errorf("Gamma(%v,%v) sample variance %v, want %v within 6%%", tc.shape, tc.scale, variance, wantVar)
-		}
-	}
-}
-
-func TestErlangIsSumOfExponentials(t *testing.T) {
-	g, err := Erlang(4, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g.Mean()-100) > 1e-9 {
-		t.Fatalf("Erlang(4, 100) mean = %v, want 100", g.Mean())
-	}
-	// Variance of Erlang(k, mean) is mean^2/k.
-	_, variance := sampleMoments(t, g, New(13), 300000)
-	want := 100.0 * 100 / 4
-	if math.Abs(variance-want)/want > 0.06 {
-		t.Errorf("Erlang(4,100) variance %v, want %v within 6%%", variance, want)
 	}
 }
 
@@ -285,10 +194,8 @@ func TestSamplersNonNegativeProperty(t *testing.T) {
 	// produce non-negative values for any seed.
 	src := New(31)
 	e, _ := NewExponential(5)
-	w, _ := NewWeibull(1.7, 3)
-	g, _ := NewGamma(2, 2)
 	l, _ := NewLogNormal(0, 1)
-	samplers := []Sampler{e, w, g, l}
+	samplers := []Sampler{e, l}
 	f := func(seed uint64) bool {
 		s := src.Derive(seed)
 		for _, d := range samplers {

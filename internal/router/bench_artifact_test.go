@@ -1,37 +1,15 @@
 package router
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 	"time"
-)
 
-// ClusterBenchArtifact is the schema of BENCH_cluster.json: the routed
-// sweep measured cold (every point simulated somewhere in the cluster),
-// warm (cluster-wide cache hits through the router), and disk-warm
-// (every worker restarted, answers replayed from the persistent tier) —
-// the cluster-level analogue of BENCH_service.json.
-type ClusterBenchArtifact struct {
-	Bench         string  `json:"bench"`
-	Workers       int     `json:"workers"`
-	SweepConfigs  int     `json:"sweep_configs"`
-	TrialsPerItem int     `json:"trials_per_item"`
-	ColdMS        int64   `json:"cold_ms"`
-	WarmMS        int64   `json:"warm_ms"`
-	DiskWarmMS    int64   `json:"disk_warm_ms"`
-	WarmSpeedup   float64 `json:"warm_speedup"`
-	WarmHits      int     `json:"warm_cache_hits"`
-	DiskHits      int     `json:"disk_warm_disk_hits"`
-	ScheduledRuns uint64  `json:"scheduled_runs"`
-	BitIdentical  bool    `json:"bit_identical"`
-	GoMaxProcs    int     `json:"gomaxprocs"`
-}
+	"repro/internal/service"
+)
 
 // benchSweep posts the doc and returns elapsed, per-index results, and
 // the summary.
-func benchSweep(t *testing.T, url string, doc map[string]any) (time.Duration, map[int][]byte, SweepSummary) {
+func benchSweep(t *testing.T, url string, doc map[string]any) (time.Duration, map[int][]byte, service.SweepLine) {
 	t.Helper()
 	start := time.Now()
 	lines, sum := decodeSweep(t, slurp(t, post(t, url+"/sweep", doc)))
@@ -40,19 +18,15 @@ func benchSweep(t *testing.T, url string, doc map[string]any) (time.Duration, ma
 	for _, l := range lines {
 		byIndex[l.Index] = l.Result
 	}
-	return elapsed, byIndex, SweepSummary{OK: sum.OK, Errors: sum.Errors, CacheHits: sum.CacheHits, DiskHits: sum.DiskHits}
-}
-
-// SweepSummary is the slice of the sweep summary line the bench reads.
-type SweepSummary struct {
-	OK, Errors, CacheHits, DiskHits int
+	return elapsed, byIndex, sum
 }
 
 // TestBenchArtifactCluster measures a scenario sweep through a 2-worker
 // routed cluster: cold, memory-warm, then disk-warm after restarting
-// every worker over its cache directory. With BENCH_CLUSTER_OUT set the
-// measurements land as a JSON artifact (CI publishes BENCH_cluster.json);
-// without it the test still asserts warmth and bit-identity.
+// every worker over its cache directory, and asserts warmth, that the
+// restarted cluster simulates nothing, and bit-identity across the three
+// passes. ltbench's service.restart_sweep_ms layer times the
+// single-daemon restart.
 func TestBenchArtifactCluster(t *testing.T) {
 	dirs := []string{t.TempDir(), t.TempDir()}
 	ws := startWorkers(t, 2, dirs)
@@ -96,44 +70,12 @@ func TestBenchArtifactCluster(t *testing.T) {
 		t.Fatalf("restarted cluster simulated %d points, want 0", got)
 	}
 
-	identical := true
 	for i := 0; i < points; i++ {
 		if string(cold[i]) != string(warm[i]) || string(cold[i]) != string(disk[i]) {
-			identical = false
 			t.Errorf("point %d differs across cold/warm/disk passes", i)
 		}
 	}
 
-	art := ClusterBenchArtifact{
-		Bench:         "cluster_sweep_cold_vs_warm_vs_disk",
-		Workers:       2,
-		SweepConfigs:  points,
-		TrialsPerItem: trials,
-		ColdMS:        coldDur.Milliseconds(),
-		WarmMS:        warmDur.Milliseconds(),
-		DiskWarmMS:    diskDur.Milliseconds(),
-		WarmHits:      warmSum.CacheHits,
-		DiskHits:      diskSum.DiskHits,
-		ScheduledRuns: completedAcross(ws),
-		BitIdentical:  identical,
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-	}
-	if w := warmDur.Milliseconds(); w > 0 {
-		art.WarmSpeedup = float64(coldDur.Milliseconds()) / float64(w)
-	}
-
-	out := os.Getenv("BENCH_CLUSTER_OUT")
-	if out == "" {
-		t.Logf("cold %dms, warm %dms, disk-warm %dms, %d scheduled runs (set BENCH_CLUSTER_OUT to write the artifact)",
-			art.ColdMS, art.WarmMS, art.DiskWarmMS, art.ScheduledRuns)
-		return
-	}
-	b, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: cold %dms, warm %dms, disk-warm %dms", out, art.ColdMS, art.WarmMS, art.DiskWarmMS)
+	t.Logf("cold %dms, warm %dms, disk-warm %dms, %d scheduled runs",
+		coldDur.Milliseconds(), warmDur.Milliseconds(), diskDur.Milliseconds(), completedAcross(ws))
 }

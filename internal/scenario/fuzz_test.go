@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"strconv"
 	"strings"
@@ -89,6 +90,50 @@ func FuzzHazardSpec(f *testing.F) {
 		p.SetProfile(cfg.Hazard)
 		if at := p.SampleNextAt(0, rng.New(1)); !(at >= 0) {
 			t.Fatalf("first draw %v, want >= 0 or +Inf", at)
+		}
+	})
+}
+
+// FuzzScenarioDocument drives Parse and Expand with arbitrary bytes, as
+// the daemon's /sweep and /scenarios/expand bodies do. No input may
+// panic. A document Parse accepts must expand to exactly numPoints
+// points, and its JSON encoding must parse back to a document that
+// encodes to the same bytes (encoded bytes, not DeepEqual, because an
+// empty slice and an absent one decode differently but encode alike).
+// The first few points must fingerprint to the same key twice, or fail
+// with the same error twice.
+func FuzzScenarioDocument(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := Parse(data)
+		if err != nil {
+			return
+		}
+		points, err := Expand(d)
+		if err != nil {
+			t.Fatalf("Parse accepted a document Expand rejects: %v", err)
+		}
+		if len(points) != d.numPoints() {
+			t.Fatalf("Expand returned %d points, want numPoints %d", len(points), d.numPoints())
+		}
+
+		enc, err := json.Marshal(d)
+		if err != nil {
+			t.Fatalf("accepted document does not encode: %v", err)
+		}
+		back, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("encoded document %s does not parse: %v", enc, err)
+		}
+		if again, err := json.Marshal(back); err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("JSON round trip changed the document: %s, then %s (%v)", enc, again, err)
+		}
+
+		for _, p := range points[:min(len(points), 4)] {
+			fp, err := p.Fingerprint()
+			again, err2 := p.Fingerprint()
+			if (err == nil) != (err2 == nil) || err != nil && err.Error() != err2.Error() || fp != again {
+				t.Fatalf("point %d fingerprint is not repeatable: %q (%v), then %q (%v)", p.Index, fp, err, again, err2)
+			}
 		}
 	})
 }

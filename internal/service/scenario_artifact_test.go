@@ -2,36 +2,14 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/scenario"
 )
 
-// ScenarioBenchArtifact is the schema of BENCH_scenario.json: one
-// scenario document swept cold and warm through server-side expansion,
-// recording expansion size, batch dedupe, and the cache's effect on
-// wall time.
-type ScenarioBenchArtifact struct {
-	Bench           string  `json:"bench"`
-	ConfigsExpanded int     `json:"configs_expanded"`
-	UniqueKeys      int     `json:"unique_keys"`
-	DedupedCold     int     `json:"deduped_cold"`
-	TrialsPerItem   int     `json:"trials_per_item"`
-	ColdMS          int64   `json:"cold_ms"`
-	WarmMS          int64   `json:"warm_ms"`
-	Speedup         float64 `json:"speedup"`
-	WarmCacheHits   int     `json:"warm_cache_hits"`
-	WarmHitRate     float64 `json:"warm_hit_rate"`
-	BitIdentical    bool    `json:"bit_identical"`
-	GoMaxProcs      int     `json:"gomaxprocs"`
-}
-
-// benchScenario is the artifact's document: a replicas × scrubs × alpha
+// benchScenario is the swept document: a replicas × scrubs × alpha
 // grid with a deliberately-colliding min_intact axis (0 canonicalizes
 // to its default 1), so the cold pass exercises batch dedupe — half the
 // expansion shares the other half's fingerprints.
@@ -51,10 +29,9 @@ func benchScenario() scenario.Document {
 }
 
 // TestBenchArtifactScenario sweeps the scenario document cold and warm
-// through server-side expansion and, when BENCH_SCENARIO_OUT is set,
-// writes the measurements as a machine-readable JSON artifact (CI
-// publishes it as BENCH_scenario.json). Without the env var it still
-// runs as a cheap assertion on dedupe, hit counts, and bit-identity.
+// through server-side expansion and asserts dedupe, hit and job counts,
+// bit-identity and a faster warm pass. ltbench's service.sweep_deduped
+// layer tracks the dedupe count.
 func TestBenchArtifactScenario(t *testing.T) {
 	svc := New(Config{CacheSize: 256, Shards: 4, QueueDepth: 64, JobTimeout: time.Minute})
 	ts := httptest.NewServer(svc.Handler())
@@ -98,38 +75,10 @@ func TestBenchArtifactScenario(t *testing.T) {
 		t.Errorf("scheduler ran %d jobs across both passes, want %d (unique keys, cold pass only)", got, unique)
 	}
 
-	art := ScenarioBenchArtifact{
-		Bench:           "scenario_sweep_cold_vs_cached",
-		ConfigsExpanded: len(points),
-		UniqueKeys:      unique,
-		DedupedCold:     coldSum.Deduped,
-		TrialsPerItem:   200,
-		ColdMS:          coldMS,
-		WarmMS:          warmMS,
-		WarmCacheHits:   warmSum.CacheHits,
-		WarmHitRate:     float64(warmSum.CacheHits) / float64(len(points)),
-		BitIdentical:    identical,
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-	}
-	if warmMS > 0 {
-		art.Speedup = float64(coldMS) / float64(warmMS)
-	}
 	if coldMS >= 50 && warmMS >= coldMS {
 		t.Errorf("cached scenario sweep (%dms) not faster than cold (%dms)", warmMS, coldMS)
 	}
 
-	out := os.Getenv("BENCH_SCENARIO_OUT")
-	if out == "" {
-		t.Logf("expanded %d (unique %d), cold %dms, warm %dms, %d hits (set BENCH_SCENARIO_OUT to write the artifact)",
-			len(points), unique, coldMS, warmMS, warmSum.CacheHits)
-		return
-	}
-	b, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %d configs (%d unique), cold %dms, warm %dms, speedup %.1fx", out, len(points), unique, coldMS, warmMS, art.Speedup)
+	t.Logf("expanded %d (unique %d), cold %dms, warm %dms, %d hits",
+		len(points), unique, coldMS, warmMS, warmSum.CacheHits)
 }

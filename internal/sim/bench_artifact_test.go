@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"encoding/json"
 	"math"
-	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/faults"
@@ -74,24 +71,6 @@ func BenchmarkEstimateCensored(b *testing.B) {
 	}
 }
 
-// SimBenchArtifact is the schema of BENCH_sim.json: the simulator-side
-// perf trajectory published by CI alongside BENCH_service.json. The
-// memory section demonstrates the O(batch) refactor: total bytes
-// allocated by an estimation run must not scale with the trial budget.
-type SimBenchArtifact struct {
-	Bench          string  `json:"bench"`
-	NsPerTrial     int64   `json:"ns_per_trial"`
-	TrialsPerSec   float64 `json:"trials_per_sec"`
-	AllocsPerTrial int64   `json:"allocs_per_trial"`
-	BytesPerTrial  int64   `json:"bytes_per_trial"`
-	MemTrialsSmall int     `json:"mem_trials_small"`
-	MemTrialsLarge int     `json:"mem_trials_large"`
-	MemBytesSmall  int64   `json:"mem_bytes_small"`
-	MemBytesLarge  int64   `json:"mem_bytes_large"`
-	MemBytesRatio  float64 `json:"mem_bytes_ratio"`
-	GoMaxProcs     int     `json:"gomaxprocs"`
-}
-
 // estimateAllocBytes returns the total bytes allocated by one streaming
 // estimation of a rare-loss censored scenario at the given trial budget.
 func estimateAllocBytes(t *testing.T, trials int) int64 {
@@ -114,10 +93,11 @@ func estimateAllocBytes(t *testing.T, trials int) int64 {
 }
 
 // TestBenchArtifactSim measures the trial hot path and the estimation
-// memory profile and, when BENCH_SIM_OUT is set, writes BENCH_sim.json
-// (CI publishes it). Without the env var it still asserts the structural
-// claims: trial reuse keeps per-trial allocations low, and quadrupling
-// the trial budget does not come close to quadrupling allocated bytes.
+// memory profile and asserts the structural claims: trial reuse keeps
+// per-trial allocations low, and quadrupling the trial budget does not
+// come close to quadrupling allocated bytes. ltbench's
+// sim.allocs_per_trial and sim.bytes_per_trial layers track the same
+// figures.
 func TestBenchArtifactSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark artifact is not a -short test")
@@ -148,33 +128,6 @@ func TestBenchArtifactSim(t *testing.T) {
 		t.Errorf("hot path allocates %d objects/trial, want <= 250 (seed path was ~419)", hot.AllocsPerOp())
 	}
 
-	art := SimBenchArtifact{
-		Bench:          "sim_trial_hot_path_and_memory",
-		NsPerTrial:     hot.NsPerOp(),
-		AllocsPerTrial: hot.AllocsPerOp(),
-		BytesPerTrial:  hot.AllocedBytesPerOp(),
-		MemTrialsSmall: small,
-		MemTrialsLarge: large,
-		MemBytesSmall:  bytesSmall,
-		MemBytesLarge:  bytesLarge,
-		MemBytesRatio:  ratio,
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-	}
-	if hot.NsPerOp() > 0 {
-		art.TrialsPerSec = 1e9 / float64(hot.NsPerOp())
-	}
-	out := os.Getenv("BENCH_SIM_OUT")
-	if out == "" {
-		t.Logf("hot path %d ns/trial, %d allocs/trial; bytes %d @%d trials vs %d @%d trials (%.2fx) — set BENCH_SIM_OUT to write the artifact",
-			hot.NsPerOp(), hot.AllocsPerOp(), bytesSmall, small, bytesLarge, large, ratio)
-		return
-	}
-	bts, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(bts, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %d ns/trial, %d allocs/trial, mem ratio %.2f", out, hot.NsPerOp(), hot.AllocsPerOp(), ratio)
+	t.Logf("hot path %d ns/trial, %d allocs/trial; bytes %d @%d trials vs %d @%d trials (%.2fx)",
+		hot.NsPerOp(), hot.AllocsPerOp(), bytesSmall, small, bytesLarge, large, ratio)
 }

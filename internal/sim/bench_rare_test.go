@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"encoding/json"
 	"math"
-	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/faults"
@@ -33,27 +30,6 @@ func rareBenchMirror() Config {
 	}
 }
 
-// RareBenchArtifact is the schema of BENCH_rare.json: what the
-// importance-sampling fast path buys at equal CI width, published by CI
-// alongside BENCH_sim.json.
-type RareBenchArtifact struct {
-	Bench             string  `json:"bench"`
-	TargetRelWidth    float64 `json:"target_rel_width"`
-	Beta              float64 `json:"beta"`
-	NaiveTrials       int     `json:"naive_trials"`
-	BiasedTrials      int     `json:"biased_trials"`
-	TrialsRatio       float64 `json:"trials_ratio"`
-	NaiveLossProb     float64 `json:"naive_loss_prob"`
-	BiasedLossProb    float64 `json:"biased_loss_prob"`
-	NaiveRelWidth     float64 `json:"naive_rel_width"`
-	BiasedRelWidth    float64 `json:"biased_rel_width"`
-	VarianceReduction float64 `json:"variance_reduction"`
-	EffectiveSamples  float64 `json:"effective_samples"`
-	CVLossProb        float64 `json:"cv_loss_prob"`
-	CVRelWidth        float64 `json:"cv_rel_width"`
-	GoMaxProcs        int     `json:"gomaxprocs"`
-}
-
 // relWidth returns the interval's relative half-width.
 func relWidth(lo, hi, point float64) float64 {
 	if point <= 0 {
@@ -66,8 +42,8 @@ func relWidth(lo, hi, point float64) float64 {
 // plain Monte Carlo and auto-biased importance sampling — with one
 // precision target, and measures the trials each needed. This is the
 // tentpole's acceptance check: the biased run must reach the target CI
-// width in at least 10x fewer trials. When BENCH_RARE_OUT is set the
-// measurement is written as BENCH_rare.json for CI to publish.
+// width in at least 10x fewer trials. ltbench's sim.trials_to_target
+// layer tracks the biased arm's count on its rare_target workload.
 func TestBenchArtifactRare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark artifact is not a -short test")
@@ -143,35 +119,6 @@ func TestBenchArtifactRare(t *testing.T) {
 	// per-trial estimator variance, so the ratio is the classic VRF.
 	vrf := (halfN * halfN * float64(naive.Trials)) / (halfB * halfB * float64(biased.Trials))
 
-	art := RareBenchArtifact{
-		Bench:             "sim_rare_event_importance_sampling",
-		TargetRelWidth:    targetRel,
-		Beta:              biased.Bias,
-		NaiveTrials:       naive.Trials,
-		BiasedTrials:      biased.Trials,
-		TrialsRatio:       ratio,
-		NaiveLossProb:     naive.LossProb.Point,
-		BiasedLossProb:    biased.LossProb.Point,
-		NaiveRelWidth:     nw,
-		BiasedRelWidth:    bw,
-		VarianceReduction: vrf,
-		EffectiveSamples:  biased.EffectiveSamples,
-		CVLossProb:        biased.LossProbCV.Point,
-		CVRelWidth:        cw,
-		GoMaxProcs:        runtime.GOMAXPROCS(0),
-	}
-	out := os.Getenv("BENCH_RARE_OUT")
-	if out == "" {
-		t.Logf("naive %d trials (rel width %.3f) vs biased %d trials (rel width %.3f, β=%.1f, ESS %.1f): %.1fx fewer trials, VRF %.1f — set BENCH_RARE_OUT to write the artifact",
-			naive.Trials, nw, biased.Trials, bw, biased.Bias, biased.EffectiveSamples, ratio, vrf)
-		return
-	}
-	bts, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(bts, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %.1fx fewer trials at rel width %.2f, VRF %.1f", out, ratio, targetRel, vrf)
+	t.Logf("naive %d trials (rel width %.3f) vs biased %d trials (rel width %.3f, β=%.1f, ESS %.1f, CV rel width %.3f): %.1fx fewer trials, VRF %.1f",
+		naive.Trials, nw, biased.Trials, bw, biased.Bias, biased.EffectiveSamples, cw, ratio, vrf)
 }

@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"encoding/json"
 	"math"
-	"os"
-	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -12,28 +9,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/rng"
 )
-
-// TemporalBenchArtifact is the schema of BENCH_temporal.json: what the
-// hazard-profile thinning machinery costs on the trial hot path. The
-// constant arm runs ConstantHazard{1} — dynamically identical to the
-// unprofiled process — so the nil/constant ratio isolates pure thinning
-// overhead (the envelope walk and its interface calls; a tight envelope
-// spends no acceptance draws) from any change in simulated dynamics;
-// the Weibull arm reports a real time-varying profile for context.
-type TemporalBenchArtifact struct {
-	Bench             string  `json:"bench"`
-	NsPerTrialNil     int64   `json:"ns_per_trial_nil"`
-	NsPerTrialConst   int64   `json:"ns_per_trial_const"`
-	NsPerTrialWeibull int64   `json:"ns_per_trial_weibull"`
-	ConstOverhead     float64 `json:"const_overhead"`
-	// ConstOverheadMedian is the median over rounds of the const/nil
-	// block-time ratio; it is the gated figure. ConstOverhead is the
-	// ratio of the two arms' fastest blocks, reported for context.
-	ConstOverheadMedian float64 `json:"const_overhead_median"`
-	AllocsNil           int64   `json:"allocs_nil"`
-	AllocsConst         int64   `json:"allocs_const"`
-	GoMaxProcs          int     `json:"gomaxprocs"`
-}
 
 // temporalArm is one hazard profile's worker-reuse hot path (as in
 // BenchmarkTrialHotPath). Every block replays the same fixed seed set,
@@ -79,8 +54,11 @@ func (a *temporalArm) allocsPerTrial(n int) int64 {
 // nil arm must not have picked up overhead from the profile plumbing
 // itself, which it can only show against the constant arm), and neither
 // profiled arm may allocate more than the nil path — thinning is
-// allocation-free by construction. When BENCH_TEMPORAL_OUT is set the
-// measurement is written as BENCH_temporal.json for CI to publish.
+// allocation-free by construction. The constant arm is dynamically
+// identical to the unprofiled process, so the ratio isolates pure
+// thinning overhead (the envelope walk and its interface calls; a tight
+// envelope spends no acceptance draws); the Weibull arm times a real
+// time-varying profile for context.
 func TestBenchArtifactTemporal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark artifact is not a -short test")
@@ -131,29 +109,6 @@ func TestBenchArtifactTemporal(t *testing.T) {
 			allocsConst, allocsNil)
 	}
 
-	art := TemporalBenchArtifact{
-		Bench:               "sim_hazard_profile_hot_path",
-		NsPerTrialNil:       nsNil,
-		NsPerTrialConst:     nsConst,
-		NsPerTrialWeibull:   nsWeib,
-		ConstOverhead:       overhead,
-		ConstOverheadMedian: median,
-		AllocsNil:           allocsNil,
-		AllocsConst:         allocsConst,
-		GoMaxProcs:          runtime.GOMAXPROCS(0),
-	}
-	out := os.Getenv("BENCH_TEMPORAL_OUT")
-	if out == "" {
-		t.Logf("nil %d ns/trial, const-profile %d ns/trial (%.3fx, median round %.3fx), weibull %d ns/trial — set BENCH_TEMPORAL_OUT to write the artifact",
-			nsNil, nsConst, overhead, median, nsWeib)
-		return
-	}
-	bts, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(bts, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: const overhead median %.3fx, weibull %d ns/trial", out, median, nsWeib)
+	t.Logf("nil %d ns/trial, const-profile %d ns/trial (%.3fx, median round %.3fx), weibull %d ns/trial",
+		nsNil, nsConst, overhead, median, nsWeib)
 }

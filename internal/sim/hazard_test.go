@@ -17,7 +17,7 @@ import (
 // before ReplicaSpec gained its Hazard field. Unprofiled configs must
 // keep producing exactly this string (and fingerprint) forever: the
 // canonical form is the persistent disk-store key, so any drift silently
-// orphans every cached result. The writeCanonical additive-field rule —
+// orphans every cached result. The appendCanonical additive-field rule —
 // nil faults.Hazard fields are omitted — is what this test pins.
 const canonPaperGolden = `sim.Config/v1{replicas:2,minIntact:1,specs:[sim.ReplicaSpec{Label:"",VisibleMean:1.4e+06,LatentMean:280000,Scrub:scrub.Periodic{Interval:2920,Offset:0},AccessDetect:nil,Repair:repair.Policy{Visible:rng.Deterministic{Value:0.3333333333333333},Latent:rng.Deterministic{Value:0.3333333333333333},OperatorDelay:nil,BugLatentProb:0}},sim.ReplicaSpec{Label:"",VisibleMean:1.4e+06,LatentMean:280000,Scrub:scrub.Periodic{Interval:2920,Offset:0},AccessDetect:nil,Repair:repair.Policy{Visible:rng.Deterministic{Value:0.3333333333333333},Latent:rng.Deterministic{Value:0.3333333333333333},OperatorDelay:nil,BugLatentProb:0}}],correlation:faults.Independent{},shocks:[],auditLatent:0,auditVisible:0}sim.Options/v1{trials:1000,horizon:0,seed:1,level:0.95}`
 
