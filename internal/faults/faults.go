@@ -121,8 +121,12 @@ func (p *Process) SampleNext(src *rng.Source) float64 {
 // Correlation maps the number of replicas with outstanding faults to the
 // hazard acceleration experienced by the still-healthy replicas.
 type Correlation interface {
-	// Acceleration returns the hazard multiplier (≥ 1) applied to
-	// healthy replicas while nFaulty replicas have outstanding faults.
+	// Acceleration returns the hazard multiplier (finite, ≥ 1) applied
+	// to healthy replicas while nFaulty replicas have outstanding faults.
+	// It must be a pure function of nFaulty: the simulator calls it once
+	// per n when it sets a trial up and reuses the table for every trial,
+	// and sim.Config.Validate rejects a model whose values are not finite
+	// or fall below 1.
 	Acceleration(nFaulty int) float64
 	// Alpha returns the equivalent model correlation factor α ∈ (0, 1]
 	// for the first conditional fault, for analytic comparison.

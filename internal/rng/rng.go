@@ -149,18 +149,13 @@ func (s *Source) DeriveInto(label uint64, into *Source) {
 // DeriveString is Derive with a string label, for callers that identify
 // subsystems by name ("faults/visible", "scrub", ...).
 func (s *Source) DeriveString(label string) *Source {
-	return s.Derive(stringLabel(label))
+	return s.Derive(StringLabel(label))
 }
 
-// DeriveStringInto is DeriveString with the allocation-free contract of
-// DeriveInto.
-func (s *Source) DeriveStringInto(label string, into *Source) {
-	s.DeriveInto(stringLabel(label), into)
-}
-
-// stringLabel hashes a string label for Derive. FNV-1a; inlined to keep
-// the package dependency-free.
-func stringLabel(label string) uint64 {
+// StringLabel hashes a string label for Derive: DeriveString(label) is
+// Derive(StringLabel(label)), so a hot loop can hash its labels once and
+// call DeriveInto. FNV-1a; inlined to keep the package dependency-free.
+func StringLabel(label string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

@@ -91,6 +91,15 @@ const Version = 1
 // cannot fan out into an unbounded amount of scheduled work.
 const MaxPoints = 65536
 
+// MaxFleetEntries bounds the fleet entries one document's expansion
+// copies, points × base fleet length: every point carries its own copy
+// of the base fleet, so without it a few-KB body with a long fleet and
+// a full grid would copy that fleet MaxPoints times. At about 100 bytes
+// an entry the bound keeps the copies near the memory of MaxPoints
+// points themselves: a 4-entry fleet may still sweep MaxPoints points,
+// a MaxReplicas-entry one 256.
+const MaxFleetEntries = 1 << 18
+
 // Document is one declarative scenario: a base request plus named sweep
 // axes. See the package comment for the schema.
 type Document struct {
@@ -383,11 +392,16 @@ func (a Axis) conflictKey() string {
 	return a.Param
 }
 
-// Validate checks the document's structure: version, axis shapes, zip
-// alignment, conflicting axes, and the expansion size cap.
+// Validate checks the document's structure: version, base fleet
+// length, axis shapes, zip alignment, conflicting axes, and the
+// expansion size caps (points, and fleet entries copied).
 func (d Document) Validate() error {
 	if d.V != Version {
 		return fmt.Errorf("scenario: unsupported version %d (this build speaks v%d)", d.V, Version)
+	}
+	if n := len(d.Base.Fleet); n > MaxReplicas {
+		// Every point would fail Build; reject before expanding.
+		return fmt.Errorf("scenario: base fleet of %d entries exceeds the limit of %d replicas", n, MaxReplicas)
 	}
 	seen := make(map[string]bool)
 	tierAll, tierSome := false, false
@@ -426,8 +440,12 @@ func (d Document) Validate() error {
 				a.Param, a.len(), d.Zip[0].Param, d.Zip[0].len())
 		}
 	}
-	if n := d.numPoints(); n > MaxPoints {
+	n := d.numPoints()
+	if n > MaxPoints {
 		return fmt.Errorf("scenario: document expands to %d points, limit %d", n, MaxPoints)
+	}
+	if f := n * len(d.Base.Fleet); f > MaxFleetEntries {
+		return fmt.Errorf("scenario: document expands to %d points of %d fleet entries (%d entries), limit %d", n, len(d.Base.Fleet), f, MaxFleetEntries)
 	}
 	return nil
 }

@@ -207,6 +207,46 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestFleetEntryBound: a document may copy at most MaxFleetEntries
+// fleet entries across its points, and a base fleet longer than
+// MaxReplicas fails up front, before any axis is looked at.
+func TestFleetEntryBound(t *testing.T) {
+	values := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(i + 1)
+		}
+		return v
+	}
+	doc := func(fleet, points int) Document {
+		return Document{V: 1,
+			Base: EstimateRequest{Fleet: make([]FleetEntry, fleet)},
+			Grid: []Axis{{Param: "seed", Values: values(points)}}}
+	}
+	for _, c := range []struct {
+		fleet, points int
+		ok            bool
+	}{
+		{1, MaxPoints, true},
+		{4, MaxPoints, true},
+		{MaxReplicas, MaxFleetEntries / MaxReplicas, true},
+		{MaxReplicas, MaxFleetEntries/MaxReplicas + 1, false},
+		{5, 52429, false}, // one entry over
+	} {
+		err := doc(c.fleet, c.points).Validate()
+		if c.ok && err != nil {
+			t.Errorf("%d entries x %d points rejected: %v", c.fleet, c.points, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "fleet entries")) {
+			t.Errorf("%d entries x %d points: Validate = %v, want the fleet-entry limit", c.fleet, c.points, err)
+		}
+	}
+	long := Document{V: 1, Base: EstimateRequest{Fleet: make([]FleetEntry, MaxReplicas+1)}}
+	if err := long.Validate(); err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+		t.Errorf("base fleet of %d: Validate = %v, want the replica limit", MaxReplicas+1, err)
+	}
+}
+
 // TestParseStrict: unknown fields and trailing garbage are rejected, a
 // valid document round-trips.
 func TestParseStrict(t *testing.T) {

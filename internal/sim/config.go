@@ -331,6 +331,14 @@ func (c Config) Validate() error {
 	if c.Correlation == nil {
 		return fmt.Errorf("%w: nil correlation model (use faults.Independent{})", ErrInvalidConfig)
 	}
+	// The trial tabulates Acceleration(n) for n = 0..replicas and feeds
+	// it to faults.Process.SetAcceleration, which panics below 1; a
+	// custom model must fail here, not inside a worker goroutine.
+	for k := 0; k <= n; k++ {
+		if a := c.Correlation.Acceleration(k); math.IsNaN(a) || math.IsInf(a, 0) || a < 1 {
+			return fmt.Errorf("%w: correlation acceleration %v at %d faulty replicas must be finite and >= 1", ErrInvalidConfig, a, k)
+		}
+	}
 	for _, s := range c.Shocks {
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalidConfig, err)

@@ -152,3 +152,236 @@ func TestGoldenBitIdentity(t *testing.T) {
 		})
 	}
 }
+
+// goldenWithLatent is goldenMirror with a latent channel audited
+// periodically, so windows open by both fault classes.
+func goldenWithLatent(t *testing.T) Config {
+	t.Helper()
+	cfg := goldenMirror(t)
+	cfg.LatentMean = 2000
+	cfg.Scrub = scrub.Periodic{Interval: 200}
+	return cfg
+}
+
+// goldenEverything turns on every optional trial path at once:
+// correlation, a shock, audit side effects and an access channel.
+func goldenEverything(t *testing.T) Config {
+	t.Helper()
+	cfg := goldenWithLatent(t)
+	cfg.Replicas = 3
+	cfg.Correlation = faults.AlphaCorrelation{Factor: 0.5}
+	cfg.Shocks = []faults.Shock{{Name: "power", Mean: 3000, Targets: []int{0, 1, 2}, Kind: faults.Visible, HitProb: 0.5}}
+	cfg.AuditLatentFaultProb = 0.05
+	cfg.AuditVisibleFaultProb = 0.01
+	cfg.AccessDetect = scrub.OnAccess{RatePerHour: 0.01, Coverage: 0.5}
+	return cfg
+}
+
+// withGolden returns a goldenCase config constructor that applies edit
+// to base.
+func withGolden(base func(*testing.T) Config, edit func(*Config)) func(*testing.T) Config {
+	return func(t *testing.T) Config {
+		cfg := base(t)
+		edit(&cfg)
+		return cfg
+	}
+}
+
+// trialPathGoldenCases pin the trial paths the original corpus leaves
+// out: correlated and compounding acceleration, failure biasing, shocks,
+// audit side effects (the materialized audit schedule), access
+// detection and a Weibull profile. Captured before the trial core
+// learned to skip acceleration work for static configurations and to
+// derive the audit and shock streams on first use; both changes must
+// leave every bit below unmoved.
+func trialPathGoldenCases() []goldenCase {
+	return []goldenCase{
+		{
+			name: "alpha-0.5", cfg: withGolden(goldenWithLatent, func(c *Config) { c.Correlation = faults.AlphaCorrelation{Factor: 0.5} }),
+			opt:   Options{Trials: 300, Seed: 5, Horizon: 20000},
+			mttdl: [3]uint64{0x40a9cc5267a428d0, 0x40a713b680a3a179, 0x40ac84ee4ea4b027},
+			loss:  [3]uint64{0x3ff0000000000000, 0x3fef986dc4821f2c, 0x3feffffffffffffe},
+			cens:  0, losses: 300,
+			maxTime: 0x40d3268f4caa86aa, rm: 0x40a9cc5267a428df, surv: 0x3fa62fc962fc9638,
+		},
+		{
+			name: "compounding-0.5-3rep", cfg: withGolden(goldenWithLatent, func(c *Config) {
+				c.Replicas = 3
+				c.Correlation = faults.CompoundingAlpha{Factor: 0.5}
+			}),
+			opt:   Options{Trials: 300, Seed: 6, Horizon: 50000},
+			mttdl: [3]uint64{0x40c370ae9ff4bd0e, 0x40c17fb787b7548c, 0x40c561a5b8322590},
+			loss:  [3]uint64{0x3fefc962fc962fc9, 0x3fef3b935d034a40, 0x3feff101e694fd76},
+			cens:  2, losses: 298,
+			maxTime: 0x40e86a0000000000, rm: 0x40c370ae9ff4bd0e, surv: 0x3fb0369d0369d03c,
+		},
+		{
+			name: "alpha-1", cfg: withGolden(goldenWithLatent, func(c *Config) { c.Correlation = faults.AlphaCorrelation{Factor: 1} }),
+			opt:   Options{Trials: 300, Seed: 7, Horizon: 20000},
+			mttdl: [3]uint64{0x40b764d3754ee48a, 0x40b5519f5d7744cb, 0x40b978078d268449},
+			loss:  [3]uint64{0x3feeeeeeeeeeeeef, 0x3fee1255ca9f2dc2, 0x3fef6add7551bc24},
+			cens:  10, losses: 290,
+			maxTime: 0x40d3880000000000, rm: 0x40b764d3754ee48a, surv: 0x3fc99999999999a8,
+		},
+		{
+			name: "auto-bias", cfg: goldenMirror,
+			opt:   Options{Trials: 400, Seed: 9, Horizon: 2000, Bias: AutoBias},
+			mttdl: [3]uint64{0x409eaf1de9fe022e, 0x409d18541922d6c1, 0x40a022f3dd6c96cd},
+			loss:  [3]uint64{0x3fa2b2af037b79e4, 0x3fa027f07a40c538, 0x3fa53d6d8cb62e90},
+			cens:  258, losses: 142,
+			maxTime: 0x409f400000000000, rm: 0x40995c5652ee11af, surv: 0x3fea147ae147ae16,
+		},
+		{
+			name: "auto-bias-alpha-0.5", cfg: withGolden(goldenWithLatent, func(c *Config) { c.Correlation = faults.AlphaCorrelation{Factor: 0.5} }),
+			opt:   Options{Trials: 400, Seed: 10, Horizon: 2000, Bias: AutoBias},
+			mttdl: [3]uint64{0x409889e4c63dc344, 0x40973815b7ad291c, 0x4099dbb3d4ce5d6c},
+			loss:  [3]uint64{0x3fdb851eb851eb85, 0x3fd8693aca7390ef, 0x3fdea102a630461b},
+			cens:  228, losses: 172,
+			maxTime: 0x409f400000000000, rm: 0x409889e4c63dc349, surv: 0x3fe91eb851eb8520,
+		},
+		{
+			name: "shocks", cfg: withGolden(goldenMirror, func(c *Config) {
+				c.Shocks = []faults.Shock{{Name: "power", Mean: 5000, Targets: []int{0, 1}, Kind: faults.Visible, HitProb: 0.5}}
+			}),
+			opt:   Options{Trials: 300, Seed: 11, Horizon: 20000},
+			mttdl: [3]uint64{0x40c48c4a1020a6d2, 0x40c328116abfcfc7, 0x40c5f082b5817ddd},
+			loss:  [3]uint64{0x3fe92c5f92c5f92c, 0x3fe7942bcd0655dc, 0x3fea8931da40daba},
+			cens:  64, losses: 236,
+			maxTime: 0x40d3880000000000, rm: 0x40c48c4a1020a6d2, surv: 0x3fdf5c28f5c28f71,
+		},
+		{
+			name: "audit-wear", cfg: withGolden(goldenLatent, func(c *Config) {
+				c.AuditLatentFaultProb = 0.02
+				c.AuditVisibleFaultProb = 0.005
+			}),
+			opt:   Options{Trials: 300, Seed: 12, Horizon: 30000},
+			mttdl: [3]uint64{0x40b72e4c7072694d, 0x40b4c8eef01cc798, 0x40b993a9f0c80b02},
+			loss:  [3]uint64{0x3ff0000000000000, 0x3fef986dc4821f2c, 0x3feffffffffffffe},
+			cens:  0, losses: 300,
+			maxTime: 0x40db8a0000000000, rm: 0x40b72e4c70726954, surv: 0x3fb555555555555e,
+		},
+		{
+			name: "access-detect", cfg: withGolden(goldenLatent, func(c *Config) {
+				c.Scrub = scrub.Periodic{Interval: 500}
+				c.AccessDetect = scrub.OnAccess{RatePerHour: 0.01, Coverage: 0.5}
+			}),
+			opt:   Options{Trials: 300, Seed: 13, Horizon: 30000},
+			mttdl: [3]uint64{0x40b56345c2a6dff4, 0x40b316d831e0cc86, 0x40b7afb3536cf362},
+			loss:  [3]uint64{0x3ff0000000000000, 0x3fef986dc4821f2c, 0x3feffffffffffffe},
+			cens:  0, losses: 300,
+			maxTime: 0x40da240f493b5c04, rm: 0x40b56345c2a6dff8, surv: 0x3fb1111111111117,
+		},
+		{
+			name: "weibull", cfg: withGolden(goldenWithLatent, func(c *Config) { c.Hazard = faults.WeibullHazard{Shape: 1.5, Scale: 20000} }),
+			opt:   Options{Trials: 300, Seed: 14, Horizon: 20000},
+			mttdl: [3]uint64{0x40c1a7a79d28eebc, 0x40c0a8c30202c22d, 0x40c2a68c384f1b4b},
+			loss:  [3]uint64{0x3feed3a06d3a06d4, 0x3fedeffe7bc00309, 0x3fef574883bbfb23},
+			cens:  11, losses: 289,
+			maxTime: 0x40d3880000000000, rm: 0x40c1a7a79d28eebc, surv: 0x3fd8bf258bf258cb,
+		},
+		{
+			name: "everything", cfg: goldenEverything,
+			opt:   Options{Trials: 300, Seed: 15, Horizon: 50000},
+			mttdl: [3]uint64{0x40bbad3bec7720b3, 0x40b8d2b65e2cd271, 0x40be87c17ac16ef5},
+			loss:  [3]uint64{0x3fefe4b17e4b17e5, 0x3fef675405427206, 0x3feffb2d7ecac16c},
+			cens:  1, losses: 299,
+			maxTime: 0x40e86a0000000000, rm: 0x40bbad3bec7720b3, surv: 0x3f9b4e81b4e81b56,
+		},
+	}
+}
+
+// TestGoldenTrialPaths runs trialPathGoldenCases serially and in
+// 7-trial batches on 3 workers.
+func TestGoldenTrialPaths(t *testing.T) {
+	for _, g := range trialPathGoldenCases() {
+		t.Run(g.name, func(t *testing.T) {
+			for _, variant := range []struct {
+				label    string
+				parallel int
+				batch    int
+			}{
+				{"serial", 1, 0},
+				{"batch7-parallel3", 3, 7},
+			} {
+				r, err := NewRunner(g.cfg(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := g.opt
+				opt.Parallel = variant.parallel
+				opt.BatchSize = variant.batch
+				est, err := r.Estimate(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Run(variant.label, func(t *testing.T) { checkGolden(t, g, est) })
+			}
+		})
+	}
+}
+
+// traceDigest folds a trial's event log into one FNV-1a value over
+// every field of every event, so a golden can pin the whole timeline.
+func traceDigest(events []Event) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= 1099511628211
+			v >>= 8
+		}
+	}
+	for _, e := range events {
+		mix(math.Float64bits(e.Time))
+		mix(uint64(e.Replica))
+		mix(uint64(e.Kind))
+		mix(uint64(e.Fault))
+		if e.Planted {
+			mix(1)
+		} else {
+			mix(0)
+		}
+	}
+	return h
+}
+
+// checkTrialResult compares a trial result against its golden, with
+// float fields as bits.
+func checkTrialResult(t *testing.T, got TrialResult, lost bool, timeBits uint64, first, final faults.Type, weightBits uint64, stats TrialStats) {
+	t.Helper()
+	if got.Lost != lost || math.Float64bits(got.Time) != timeBits || math.Float64bits(got.Weight) != weightBits {
+		t.Errorf("lost %v time %#x weight %#x, want %v %#x %#x",
+			got.Lost, math.Float64bits(got.Time), math.Float64bits(got.Weight), lost, timeBits, weightBits)
+	}
+	if got.FirstFault != first || got.FinalFault != final {
+		t.Errorf("first/final fault %v/%v, want %v/%v", got.FirstFault, got.FinalFault, first, final)
+	}
+	if got.Stats != stats {
+		t.Errorf("stats %+v, want %+v", got.Stats, stats)
+	}
+}
+
+// TestGoldenRunTrial pins one RunTrial replay of goldenEverything at a
+// fixed (seed, index), run to loss.
+func TestGoldenRunTrial(t *testing.T) {
+	r, err := NewRunner(goldenEverything(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTrialResult(t, r.RunTrial(3, 7, 0), true, 0x40b5cd8109b1fcd8, faults.Latent, faults.Latent, 0x3ff0000000000000,
+		TrialStats{VisibleFaults: 20, LatentFaults: 19, Detections: 16, Repairs: 35, Audits: 81, ShockEvents: 1, AuditInduced: 8, WOVOpenedByVis: 15, WOVOpenedByLat: 13})
+}
+
+// TestGoldenTraceTrial pins one TraceTrial of goldenEverything: its
+// result and a digest of every event, audit passes included.
+func TestGoldenTraceTrial(t *testing.T) {
+	tr, err := TraceTrial(goldenEverything(t), 4, 50000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTrialResult(t, tr.Result, true, 0x409c5ced49455f8c, faults.Latent, faults.Visible, 0x3ff0000000000000,
+		TrialStats{VisibleFaults: 8, LatentFaults: 4, Detections: 2, Repairs: 9, Audits: 27, ShockEvents: 1, AuditInduced: 2, WOVOpenedByVis: 6, WOVOpenedByLat: 3})
+	if n, d := len(tr.Events), traceDigest(tr.Events); n != 60 || d != 0x3f16c370e7447c9c {
+		t.Errorf("%d events, digest %#x; want 60, 0x3f16c370e7447c9c", n, d)
+	}
+}

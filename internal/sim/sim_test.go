@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -60,6 +62,54 @@ func TestConfigValidate(t *testing.T) {
 				t.Errorf("Validate accepted %s", c.name)
 			}
 		})
+	}
+}
+
+// tableCorrelation is a custom correlation model that returns at[n],
+// or 1 past the end of the table.
+type tableCorrelation []float64
+
+func (c tableCorrelation) Acceleration(n int) float64 {
+	if n < len(c) {
+		return c[n]
+	}
+	return 1
+}
+
+func (tableCorrelation) Alpha() float64 { return 1 }
+
+// TestConfigValidateRejectsBadCorrelation: a custom model whose
+// acceleration is below 1 or not finite for some n in 0..Replicas fails
+// validation with an error naming the lowest such n and its value, so it
+// never reaches faults.Process.SetAcceleration (which panics) inside a
+// worker. Values past Replicas are never asked for.
+func TestConfigValidateRejectsBadCorrelation(t *testing.T) {
+	for _, c := range []struct {
+		model tableCorrelation
+		want  string // "" = accepted
+	}{
+		{tableCorrelation{1, 0.5}, "acceleration 0.5 at 1 faulty"},
+		{tableCorrelation{1, 2, math.NaN()}, "acceleration NaN at 2 faulty"},
+		{tableCorrelation{1, math.Inf(1), 0.5}, "acceleration +Inf at 1 faulty"},
+		{tableCorrelation{0}, "acceleration 0 at 0 faulty"},
+		{tableCorrelation{1, 2, 4}, ""},
+		{tableCorrelation{1, 2, 4, 0.5}, ""},
+	} {
+		cfg := fastMirror(t)
+		cfg.Correlation = c.model
+		err := cfg.Validate()
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%v: %v", c.model, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: Validate = %v, want ErrInvalidConfig naming %q", c.model, err, c.want)
+		}
+		if _, err := NewRunner(cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%v: NewRunner = %v, want ErrInvalidConfig", c.model, err)
+		}
 	}
 }
 

@@ -110,16 +110,38 @@ type replica struct {
 	fireRepaired des.Handler
 }
 
+// Derivation labels of the trial's side streams, hashed once.
+var (
+	auditLabel = rng.StringLabel("audit")
+	shockLabel = rng.StringLabel("shock")
+)
+
 // trial is one running simulation.
 type trial struct {
 	cfg *Config
 	// specs is the per-replica expansion of cfg: each replica draws its
 	// fault, audit, detection, and repair behaviour from its own entry.
-	specs    []ReplicaSpec
-	eng      *des.Engine
-	reps     []*replica
-	auditSrc *rng.Source
-	shockSrc *rng.Source
+	specs []ReplicaSpec
+	eng   *des.Engine
+	reps  []*replica
+
+	// src is the trial's stream. The audit and shock streams derive from
+	// it on first use (see audit and shock): many trials never audit or
+	// shock, and a stream derived late is the one derived at start,
+	// because derivation reads only src's identity and the label.
+	src        rng.Source
+	auditSrc   rng.Source
+	shockSrc   rng.Source
+	auditStale bool
+	shockStale bool
+
+	// accel[n] is cfg.Correlation.Acceleration(n), tabulated for
+	// n = 0..len(specs) at allocation (Acceleration is pure).
+	accel []float64
+	// static reports that no faulty-count transition can change a fault
+	// process's rate: every accel entry is 1 and biasing is off, so
+	// applyAcceleration has nothing to re-arm. Set by setBiasFactor.
+	static bool
 
 	// lossAt is the faulty-replica count at which the data become
 	// irrecoverable: Replicas - MinIntact + 1.
@@ -186,11 +208,14 @@ func allocTrial(cfg *Config, specs []ReplicaSpec, trace *Trace) *trial {
 		specs:     specs,
 		eng:       &des.Engine{},
 		reps:      make([]*replica, len(specs)),
-		auditSrc:  &rng.Source{},
-		shockSrc:  &rng.Source{},
+		accel:     make([]float64, len(specs)+1),
 		trace:     trace,
 		lazyAudit: cfg.AuditLatentFaultProb == 0 && cfg.AuditVisibleFaultProb == 0,
 	}
+	for n := range t.accel {
+		t.accel[n] = cfg.Correlation.Acceleration(n)
+	}
+	t.setBiasFactor(0)
 	minIntact := cfg.MinIntact
 	if minIntact < 1 {
 		minIntact = 1
@@ -255,8 +280,8 @@ func allocTrial(cfg *Config, specs []ReplicaSpec, trace *Trace) *trial {
 // freshly allocated one.
 func (t *trial) start(src *rng.Source) {
 	t.eng.Reset()
-	src.DeriveStringInto("audit", t.auditSrc)
-	src.DeriveStringInto("shock", t.shockSrc)
+	t.src = *src
+	t.auditStale, t.shockStale = true, true
 	t.faulty = 0
 	t.lost = false
 	t.lossTime = 0
@@ -337,6 +362,30 @@ func (t *trial) setBiasFactor(beta float64) {
 		t.bias = 0
 		t.logBias = 0
 	}
+	t.static = t.bias == 0
+	for _, a := range t.accel {
+		if a != 1 {
+			t.static = false
+		}
+	}
+}
+
+// audit returns the trial's audit stream, deriving it on first use.
+func (t *trial) audit() *rng.Source {
+	if t.auditStale {
+		t.src.DeriveInto(auditLabel, &t.auditSrc)
+		t.auditStale = false
+	}
+	return &t.auditSrc
+}
+
+// shock returns the trial's shock stream, deriving it on first use.
+func (t *trial) shock() *rng.Source {
+	if t.shockStale {
+		t.src.DeriveInto(shockLabel, &t.shockSrc)
+		t.shockStale = false
+	}
+	return &t.shockSrc
 }
 
 // wSync accrues likelihood-ratio exposure for the interval since the
@@ -419,7 +468,7 @@ func (t *trial) armAudit(i int) {
 	if t.lost {
 		return
 	}
-	at, ok := t.scrubFor(i).NextAudit(t.eng.Now(), t.auditSrc)
+	at, ok := t.scrubFor(i).NextAudit(t.eng.Now(), t.audit())
 	if !ok {
 		return
 	}
@@ -434,7 +483,7 @@ func (t *trial) armShock(si int) {
 		return
 	}
 	s := &t.cfg.Shocks[si]
-	delay := s.SampleNext(t.shockSrc)
+	delay := s.SampleNext(t.shock())
 	t.eng.ScheduleAfter(delay, t.shockFns[si])
 }
 
@@ -449,12 +498,12 @@ func (t *trial) armDetection(i int) {
 	r.detectEv = des.Handle{}
 	best := math.Inf(1)
 	if t.lazyAudit {
-		if at, ok := t.scrubFor(i).NextAudit(t.eng.Now(), t.auditSrc); ok && at < best {
+		if at, ok := t.scrubFor(i).NextAudit(t.eng.Now(), t.audit()); ok && at < best {
 			best = at
 		}
 	}
 	if ad := t.specs[i].AccessDetect; ad != nil {
-		if at, ok := ad.NextAudit(t.eng.Now(), t.auditSrc); ok && at < best {
+		if at, ok := ad.NextAudit(t.eng.Now(), t.audit()); ok && at < best {
 			best = at
 		}
 	}
@@ -553,12 +602,12 @@ func (t *trial) onAudit(i int) {
 	if r.state == stateRepairing || t.replay != nil {
 		return
 	}
-	if t.cfg.AuditVisibleFaultProb > 0 && t.auditSrc.Bool(t.cfg.AuditVisibleFaultProb) {
+	if t.cfg.AuditVisibleFaultProb > 0 && t.audit().Bool(t.cfg.AuditVisibleFaultProb) {
 		t.stats.AuditInduced++
 		t.onFault(i, faults.Visible, true)
 		return
 	}
-	if t.cfg.AuditLatentFaultProb > 0 && r.state == stateHealthy && t.auditSrc.Bool(t.cfg.AuditLatentFaultProb) {
+	if t.cfg.AuditLatentFaultProb > 0 && r.state == stateHealthy && t.audit().Bool(t.cfg.AuditLatentFaultProb) {
 		t.stats.AuditInduced++
 		t.onFault(i, faults.Latent, true)
 	}
@@ -591,7 +640,7 @@ func (t *trial) onShock(si int) {
 	}
 	s := &t.cfg.Shocks[si]
 	t.stats.ShockEvents++
-	for _, target := range s.Strike(t.shockSrc) {
+	for _, target := range s.Strike(t.shock()) {
 		if t.lost {
 			return
 		}
@@ -685,9 +734,15 @@ func (t *trial) setHealthy(int) {
 // term in the re-arm condition is what guarantees a pending draw always
 // matches the current boost regime (with Independent correlation it is
 // the only trigger on a faulty transition), so "fired while faulty" is
-// exactly "drawn biased".
+// exactly "drawn biased". In the static regime the re-arm condition can
+// never hold: start sets every acceleration to 1, the table only ever
+// asks for 1, and with biasing off SetBias is never called, so the loop
+// is skipped outright.
 func (t *trial) applyAcceleration() {
-	accel := t.cfg.Correlation.Acceleration(t.faulty)
+	if t.static {
+		return
+	}
+	accel := t.accel[t.faulty]
 	boost := 1.0
 	if t.bias > 1 && t.faulty > 0 {
 		boost = t.bias

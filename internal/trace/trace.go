@@ -82,7 +82,7 @@ type Header struct {
 	// under; replay runs to exactly this horizon.
 	HorizonHours float64 `json:"horizon_hours"`
 	// Source is free-form provenance ("ltsim -record", a fleet log
-	// exporter, ...).
+	// exporter, ...), at most 128 KiB.
 	Source string `json:"source,omitempty"`
 }
 
@@ -112,6 +112,12 @@ type Trace struct {
 // maxLine bounds one NDJSON line (events are tiny; this is a sanity
 // limit, not a format parameter).
 const maxLine = 1 << 20
+
+// maxSource bounds the header's free-form source, in bytes. Write's JSON
+// escaping grows a byte to at most six (`<` becomes \u003c), so a
+// written header stays inside maxLine and Parse reads back whatever
+// Write emits.
+const maxSource = maxLine / 8
 
 // Parse reads and validates an NDJSON trace. Decoding is strict:
 // unknown fields fail with the offending line number.
@@ -188,6 +194,9 @@ func (t *Trace) Validate() error {
 	}
 	if math.IsNaN(h.HorizonHours) || math.IsInf(h.HorizonHours, 0) || h.HorizonHours <= 0 {
 		return fmt.Errorf("trace: header horizon_hours %v must be positive and finite", h.HorizonHours)
+	}
+	if len(h.Source) > maxSource {
+		return fmt.Errorf("trace: header source of %d bytes exceeds the limit of %d", len(h.Source), maxSource)
 	}
 	prevTrial, prevT := 0, 0.0
 	for i, ev := range t.Events {

@@ -123,6 +123,29 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
+// TestLongSourceRoundTrips: a source at the length limit, written with
+// every byte escaped six-fold, still parses back; one byte more is
+// rejected, so Write never emits a line Parse cannot read.
+func TestLongSourceRoundTrips(t *testing.T) {
+	header := func(n int) string {
+		return `{"v":1,"kind":"ltsim-trace","replicas":1,"trials":1,"horizon_hours":10,"source":"` + strings.Repeat("<", n) + `"}`
+	}
+	tr, err := ParseString(header(maxSource))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(&buf); err != nil {
+		t.Errorf("written %d-byte source does not parse back: %v", maxSource, err)
+	}
+	if _, err := ParseString(header(maxSource + 1)); err == nil || !strings.Contains(err.Error(), "source") {
+		t.Errorf("Parse of a %d-byte source = %v, want the length limit", maxSource+1, err)
+	}
+}
+
 func TestTimesMayRepeatAcrossTrials(t *testing.T) {
 	doc := `{"v":1,"kind":"ltsim-trace","replicas":1,"trials":2,"horizon_hours":10}
 {"trial":0,"t":9,"replica":0,"event":"access"}
