@@ -24,6 +24,16 @@
 // whose generation no longer matches its slot is dropped lazily when it
 // reaches the top.
 //
+// An engine may be told its horizon (SetHorizon): the time past which
+// nothing will ever be run. Such a bounded engine parks an event
+// scheduled strictly after the horizon: the event takes a slot, so its
+// Handle is pending and can be cancelled like any other, and it takes a
+// sequence number, so every queued event keeps the (time, seq) key it
+// would have had, but it never enters the heap. RunUntil(h) fires no
+// event later than h, so for h up to the horizon a parked event could
+// not have fired: parking changes which events the heap holds, never
+// which events fire or in what order.
+//
 // Time is a float64 in hours, consistent with the rest of the repository.
 package des
 
@@ -79,6 +89,8 @@ type Engine struct {
 	seq     uint64
 	fired   uint64
 	stopped bool
+	// horizon, when positive, bounds the engine (see SetHorizon).
+	horizon Time
 }
 
 // Now returns the current simulation time.
@@ -87,8 +99,8 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events that have fired.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of scheduled (possibly cancelled but not yet
-// dropped) events.
+// Pending returns the number of queued (possibly cancelled but not yet
+// dropped) events. Events parked past the horizon are not queued.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule registers fn to run at absolute time at. It panics if at is
@@ -105,18 +117,27 @@ func (e *Engine) Schedule(at Time, fn Handler) Handle {
 	if fn == nil {
 		panic("des: Schedule with nil handler")
 	}
-	i := e.free - 1
-	if e.free == 0 {
-		i = uint32(len(e.slots))
-		e.slots = append(e.slots, slot{gen: 1})
-	} else {
-		e.free = e.slots[i].next
+	if e.horizon > 0 && at > e.horizon {
+		return e.park()
 	}
+	i := e.alloc()
 	s := &e.slots[i]
 	s.fn = fn
 	e.push(entry{at: at, seq: e.seq, slot: i, gen: s.gen})
 	e.seq++
 	return Handle{slot: i, gen: s.gen}
+}
+
+// alloc takes a slot off the free list, growing the table when none is
+// free, and returns its index.
+func (e *Engine) alloc() uint32 {
+	if e.free == 0 {
+		e.slots = append(e.slots, slot{gen: 1})
+		return uint32(len(e.slots) - 1)
+	}
+	i := e.free - 1
+	e.free = e.slots[i].next
+	return i
 }
 
 // ScheduleAfter registers fn to run delay hours from now. Negative delays
@@ -172,8 +193,12 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until the queue is empty or Stop is called.
+// Run fires events until the queue is empty or Stop is called. It
+// panics on a bounded engine, whose parked events it would skip.
 func (e *Engine) Run() {
+	if e.horizon > 0 {
+		panic("des: Run on a bounded engine (use RunUntil)")
+	}
 	e.stopped = false
 	for !e.stopped && e.Step() {
 	}
@@ -181,10 +206,13 @@ func (e *Engine) Run() {
 
 // RunUntil fires all events scheduled at or before horizon (unless Stop is
 // called), then advances the clock to horizon. It panics if horizon is in
-// the past.
+// the past, or past the bound of a bounded engine.
 func (e *Engine) RunUntil(horizon Time) {
 	if horizon < e.now {
 		panic(fmt.Sprintf("des: RunUntil horizon %v before now %v", horizon, e.now))
+	}
+	if e.horizon > 0 && horizon > e.horizon {
+		panic(fmt.Sprintf("des: RunUntil %v past the engine's horizon %v", horizon, e.horizon))
 	}
 	e.stopped = false
 	for !e.stopped && e.dropStale() && e.queue[0].at <= horizon {
@@ -198,15 +226,15 @@ func (e *Engine) RunUntil(horizon Time) {
 // Reset returns the engine to its zero state — time 0, empty queue,
 // sequence counter 0 — while keeping the queue and slot table, so a
 // worker can run millions of short simulations on one Engine without
-// allocating. Still-pending events are freed like cancelled ones, so
-// every Handle issued before the call becomes stale.
+// allocating. Every slot is released, so still-pending events, parked
+// ones included, are freed like cancelled ones and every Handle issued
+// before the call becomes stale. The horizon set by SetHorizon stays.
 func (e *Engine) Reset() {
-	for i := range e.queue {
-		if ev := &e.queue[i]; e.slots[ev.slot].gen == ev.gen {
-			e.release(ev.slot)
-		}
-	}
 	e.queue = e.queue[:0]
+	e.free = 0
+	for i := len(e.slots) - 1; i >= 0; i-- {
+		e.release(uint32(i))
+	}
 	e.now = 0
 	e.seq = 0
 	e.stopped = false
@@ -219,6 +247,22 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop was called during the last Run/RunUntil.
 func (e *Engine) Stopped() bool { return e.stopped }
+
+// SetHorizon bounds the engine at h: from now on an event scheduled
+// strictly after h is parked instead of queued (see the package
+// comment), and RunUntil past h and Run panic, because they would skip
+// parked events. h == 0 or +Inf removes the bound: nothing is scheduled
+// after +Inf. The bound survives Reset, so a worker sets it once for all
+// the trials it runs. It panics if h is negative or NaN.
+func (e *Engine) SetHorizon(h Time) {
+	if math.IsNaN(h) || h < 0 {
+		panic(fmt.Sprintf("des: SetHorizon %v must be >= 0", h))
+	}
+	if math.IsInf(h, 1) {
+		h = 0
+	}
+	e.horizon = h
+}
 
 // dropStale pops cancelled entries off the top of the heap and reports
 // whether a live event remains.
@@ -280,4 +324,13 @@ func (e *Engine) pop() entry {
 	}
 	q[i] = x
 	return top
+}
+
+// park schedules an event past the horizon: it takes a slot and a
+// sequence number like a queued one but never enters the heap. Reset
+// frees its slot with every other.
+func (e *Engine) park() Handle {
+	i := e.alloc()
+	e.seq++
+	return Handle{slot: i, gen: e.slots[i].gen}
 }

@@ -59,6 +59,8 @@ type Process struct {
 	// profile, when non-nil, makes the hazard time-varying:
 	// SampleNextAt thins candidate arrivals against it. See Hazard.
 	profile Hazard
+	// kern is profile resolved by SetProfile for SampleNextAt.
+	kern kernel
 }
 
 // NewProcess returns a Process with the given mean time between faults in

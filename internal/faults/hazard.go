@@ -70,8 +70,13 @@ type inverter interface {
 // SetProfile attaches a hazard profile to the process; nil restores the
 // time-homogeneous behaviour. The profile multiplies the base hazard
 // sampled by SampleNextAt; SampleNext ignores it (callers that sample
-// with SampleNext must not attach profiles).
-func (p *Process) SetProfile(h Hazard) { p.profile = h }
+// with SampleNext must not attach profiles). SetProfile resolves the
+// profile into the kernel SampleNextAt evaluates, so it is the place to
+// pay for that, not the sampling loop.
+func (p *Process) SetProfile(h Hazard) {
+	p.profile = h
+	p.kern = resolveKernel(h)
+}
 
 // Profile returns the attached hazard profile (nil = homogeneous).
 func (p *Process) Profile() Hazard { return p.profile }
@@ -88,22 +93,25 @@ func (p *Process) Profile() Hazard { return p.profile }
 // rejections an invertible profile finishes the wait in one draw: no
 // arrival fell in [now, t], so the next one is where the integrated
 // hazard from t reaches a fresh Exp(1) draw — exact, like thinning.
-// Returns +Inf when the process is disabled or the profile's remaining
-// mass is negligible.
+// Envelope and multiplier come from the process's kernel (see kernel);
+// only a profile type this package does not know is called through the
+// Hazard interface. Returns +Inf when the process is disabled or the
+// profile's remaining mass is negligible.
 func (p *Process) SampleNextAt(now float64, src *rng.Source) float64 {
 	if p.profile == nil {
 		return p.SampleNext(src)
 	}
+	k := &p.kern
 	if p.Disabled() {
 		return math.Inf(1)
 	}
 	base := p.accel * p.bias / p.mean
 	t := now
-	if c, ok := p.profile.(ConstantHazard); ok && c.Factor > 0 && t <= maxHazardTime {
-		// A constant profile's envelope is tight and endless, so the walk
-		// below would accept its first candidate: the same draw and the
-		// same arithmetic, without the interface calls.
-		t += -math.Log(src.Float64Open()) / (base * c.Factor)
+	if k.kind == kernelConstant && k.bound > 0 && t <= maxHazardTime {
+		// A constant envelope is tight and endless, so the walk below
+		// would accept its first candidate: the same draw and the same
+		// arithmetic, in one step.
+		t += -math.Log(src.Float64Open()) / (base * k.bound)
 		if math.IsInf(t, 1) {
 			return t
 		}
@@ -113,7 +121,23 @@ func (p *Process) SampleNextAt(now float64, src *rng.Source) float64 {
 		if t > maxHazardTime {
 			return math.Inf(1)
 		}
-		bound, dt := p.profile.Envelope(t)
+		var bound, dt float64
+		switch k.kind {
+		case kernelWeibull:
+			// WeibullHazard.Envelope: the multiplier at the window end.
+			dt = (t + k.scale) / 4
+			bound = k.weibull(t + dt)
+		case kernelPiecewise:
+			i := segment(k.bounds, t)
+			bound, dt = k.factors[i], math.Inf(1)
+			if i < len(k.bounds) {
+				dt = k.bounds[i] - t
+			}
+		case kernelConstant:
+			bound, dt = k.bound, math.Inf(1)
+		default:
+			bound, dt = p.profile.Envelope(t)
+		}
 		end := t + dt
 		if bound <= 0 {
 			if math.IsInf(end, 1) {
@@ -127,7 +151,18 @@ func (p *Process) SampleNextAt(now float64, src *rng.Source) float64 {
 			t = end
 			continue
 		}
-		if m := p.profile.Multiplier(t); m >= bound || src.Float64Open()*bound <= m {
+		var m float64
+		switch k.kind {
+		case kernelWeibull:
+			m = k.weibull(t)
+		case kernelPiecewise:
+			m = k.factors[segment(k.bounds, t)]
+		case kernelConstant:
+			m = k.bound
+		default:
+			m = p.profile.Multiplier(t)
+		}
+		if m >= bound || src.Float64Open()*bound <= m {
 			return t - now
 		}
 		if rejects++; rejects == maxThinningRejects {
@@ -206,26 +241,27 @@ func NewPiecewiseHazard(bounds, factors []float64) (PiecewiseHazard, error) {
 	return h, nil
 }
 
-// segment returns the index of the segment containing t.
-func (h PiecewiseHazard) segment(t float64) int {
-	for i, b := range h.Bounds {
+// segment returns the index of the piecewise segment containing t
+// under the ascending boundaries bounds.
+func segment(bounds []float64, t float64) int {
+	for i, b := range bounds {
 		if t < b {
 			return i
 		}
 	}
-	return len(h.Bounds)
+	return len(bounds)
 }
 
 // Multiplier returns the factor of the segment containing t.
 func (h PiecewiseHazard) Multiplier(t float64) float64 {
-	return h.Factors[h.segment(t)]
+	return h.Factors[segment(h.Bounds, t)]
 }
 
 // Envelope returns the exact segment rate and the time to its boundary
 // (+Inf in the final segment), so thinning accepts every in-window
 // candidate.
 func (h PiecewiseHazard) Envelope(t float64) (float64, float64) {
-	i := h.segment(t)
+	i := segment(h.Bounds, t)
 	if i == len(h.Bounds) {
 		return h.Factors[i], math.Inf(1)
 	}

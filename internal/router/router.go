@@ -355,9 +355,9 @@ func (r *Router) estimateOnce(ctx context.Context, key string, body []byte) (*up
 // are routed by the same key but proxied straight through — a stream
 // cannot be buffered for replay.
 func (r *Router) handleEstimate(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(req.Body)
+	body, err := service.ReadBody(w, req)
 	if err != nil {
-		service.WriteError(w, http.StatusBadRequest, err)
+		service.WriteError(w, service.RequestStatus(err), err)
 		return
 	}
 	key, progress, err := r.memo.Key(body, routingKey)

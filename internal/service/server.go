@@ -157,6 +157,33 @@ func (s *Service) cachePut(key string, val []byte) {
 	}
 }
 
+// MaxBodyBytes bounds every request body ltsimd and the ltsimr router
+// read: /estimate, /sweep and /scenarios/expand. A larger body gets 413
+// and schedules nothing. It is about 80 times the largest /estimate (a
+// scenario.MaxReplicas explicit fleet with every field and a hazard set
+// on each entry is about 0.4 MiB) and far above any scenario document.
+// It does refuse some explicit /sweep lists of legal requests: a
+// scenario.MaxPoints list has room for only about 500 bytes per
+// request, so a longer list of large requests must be split into
+// several sweeps or written as a scenario document, which the server
+// expands itself.
+const MaxBodyBytes = 32 << 20
+
+// ReadBody reads r's body, at most MaxBodyBytes of it.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+}
+
+// RequestStatus is the status of a request whose body failed to read or
+// decode: 413 when the body passed MaxBodyBytes, 400 otherwise.
+func RequestStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // WriteError emits a JSON error body with the given status; the ltsimr
 // router answers in the same shape.
 func WriteError(w http.ResponseWriter, status int, err error) {
@@ -328,9 +355,9 @@ func (s *Service) answer(ctx context.Context, key string, fn func(context.Contex
 // as an NDJSON stream (streamEstimate); both take the lookup route. The
 // body memo resolves a repeated body to its key without decoding it.
 func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, err := ReadBody(w, r)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		WriteError(w, RequestStatus(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	key, progress, err := s.memo.Key(body, s.key)
@@ -561,10 +588,10 @@ type ExpandLine struct {
 // fingerprint-identical to client-side scenario.Expand.
 func (s *Service) handleScenarioExpand(w http.ResponseWriter, r *http.Request) {
 	var doc scenario.Document
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding scenario: %w", err))
+		WriteError(w, RequestStatus(err), fmt.Errorf("decoding scenario: %w", err))
 		return
 	}
 	points, err := scenario.Expand(doc)

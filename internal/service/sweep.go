@@ -105,9 +105,13 @@ type Sweep[J any] struct {
 // ServeHTTP decodes a /sweep body and streams the sweep.
 func (sw Sweep[J]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var sreq SweepRequest
-	reqs, err := sreq.decode(r.Body)
+	reqs, err := sreq.decode(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		status := RequestStatus(err)
+		if status == http.StatusRequestEntityTooLarge {
+			err = fmt.Errorf("%w (limit %d bytes): split the sweep or send a scenario document", err, MaxBodyBytes)
+		}
+		WriteError(w, status, err)
 		return
 	}
 	start := time.Now()

@@ -33,6 +33,26 @@ func TestTrialHotPathAllocsZero(t *testing.T) {
 	}
 }
 
+// TestCensoredWeibullTrialAllocsZero is the same gate on a censored,
+// profiled trial on a bounded engine: parking events past the horizon
+// reuses the parked list as the heap reuses its array.
+func TestCensoredWeibullTrialAllocsZero(t *testing.T) {
+	tr, horizon := censoredWeibullTrial(t)
+	base := rng.New(1)
+	var src rng.Source
+	const trials = 256
+	allocs := testing.AllocsPerRun(3, func() {
+		for i := 0; i < trials; i++ {
+			base.DeriveInto(uint64(i)+trialStreamLabel, &src)
+			tr.start(&src)
+			tr.run(horizon)
+		}
+	})
+	if perTrial := allocs / trials; perTrial != 0 {
+		t.Errorf("censored Weibull trial allocates %v objects/trial, want 0", perTrial)
+	}
+}
+
 // fingerprintWeibull is a sweep-style point: the §5.4 mirror widened
 // to replicas copies, with sweep_store's Weibull wear-out profile
 // normalized over the 50-year horizon it is censored at.

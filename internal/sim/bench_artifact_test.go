@@ -131,3 +131,40 @@ func TestBenchArtifactSim(t *testing.T) {
 	t.Logf("hot path %d ns/trial, %d allocs/trial; bytes %d @%d trials vs %d @%d trials (%.2fx)",
 		hot.NsPerOp(), hot.AllocsPerOp(), bytesSmall, small, bytesLarge, large, ratio)
 }
+
+// censoredWeibullTrial allocates one worker trial of a sweep_store
+// point: four replicas at α = 0.5 under the normalized Weibull 1.5
+// profile, censored at 50 years, with the engine bounded there as
+// EstimateStream's workers bound it.
+func censoredWeibullTrial(tb testing.TB) (*trial, float64) {
+	tb.Helper()
+	cfg, opt := fingerprintWeibull(tb, 4)
+	a, err := faults.NewAlphaCorrelation(0.5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg.Correlation = a
+	r, err := NewRunner(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	t := allocTrial(&r.cfg, r.specs, nil)
+	t.eng.SetHorizon(opt.Horizon)
+	return t, opt.Horizon
+}
+
+// BenchmarkTrialCensoredWeibull measures the worker-local reuse path on
+// a censored, profiled trial: thinning against the Weibull kernel and
+// correlated re-arms whose draws mostly land past the horizon.
+func BenchmarkTrialCensoredWeibull(b *testing.B) {
+	t, horizon := censoredWeibullTrial(b)
+	base := rng.New(1)
+	var src rng.Source
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base.DeriveInto(uint64(i)+trialStreamLabel, &src)
+		t.start(&src)
+		t.run(horizon)
+	}
+}

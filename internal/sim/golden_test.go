@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/aging"
 	"repro/internal/faults"
 	"repro/internal/repair"
 	"repro/internal/scrub"
@@ -290,10 +291,137 @@ func trialPathGoldenCases() []goldenCase {
 	}
 }
 
-// TestGoldenTrialPaths runs trialPathGoldenCases serially and in
-// 7-trial batches on 3 workers.
+// goldenAged is a 3-replica fleet with both fault channels over a
+// 50-year horizon at α = 0.5, the shape of the §6.5 ageing sweeps: means
+// comparable to the profile scale, so every trial re-arms correlated
+// arrivals and many of them land past the horizon.
+func goldenAged(h func(t *testing.T) faults.Hazard) func(t *testing.T) Config {
+	return func(t *testing.T) Config {
+		t.Helper()
+		rep, err := repair.Automated(48, 48, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{
+			Replicas:    3,
+			VisibleMean: 150000,
+			LatentMean:  100000,
+			Scrub:       scrub.Periodic{Interval: 8766},
+			Repair:      rep,
+			Correlation: faults.AlphaCorrelation{Factor: 0.5},
+			Hazard:      h(t),
+		}
+	}
+}
+
+// normalizedWeibull is a Weibull profile of the given shape and a
+// 200000 h scale, normalized over 50 years.
+func normalizedWeibull(shape float64) func(t *testing.T) faults.Hazard {
+	return func(t *testing.T) faults.Hazard {
+		t.Helper()
+		h, err := faults.Normalize(faults.WeibullHazard{Shape: shape, Scale: 200000}, agedHorizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+}
+
+// agedHorizon is 50 years in hours.
+const agedHorizon = 438300
+
+// profileGoldenCases pin profiled trials, the path the profile kernels
+// and horizon-parked events serve: normalized Weibull profiles of every
+// shape whose exponent has its own arithmetic (shape 1, 1.5, 2 and 3)
+// and one that has none (2.5), a constant and a bathtub profile, all
+// censored at 50 years at α = 0.5, and one profiled run to loss, where
+// the engine has no horizon to park events behind. Captured before
+// either change; both must leave every bit below unmoved.
+func profileGoldenCases() []goldenCase {
+	return []goldenCase{
+		{
+			name: "weibull-norm-1", cfg: goldenAged(normalizedWeibull(1)),
+			opt:   Options{Trials: 200, Seed: 21, Horizon: agedHorizon},
+			mttdl: [3]uint64{0x4118a1260bcbf994, 0x4115994e7ac27dc9, 0x411ba8fd9cd5755f},
+			loss:  [3]uint64{0x3fc47ae147ae147b, 0x3fbd9cd1b3c00f2e, 0x3fcbcb443a0baef3},
+			cens:  168, losses: 32,
+			maxTime: 0x411ac07000000000, rm: 0x4118a1260bcbf994, surv: 0x3fedc28f5c28f5c2,
+		},
+		{
+			name: "weibull-norm-1.5", cfg: goldenAged(normalizedWeibull(1.5)),
+			opt:   Options{Trials: 200, Seed: 22, Horizon: agedHorizon},
+			mttdl: [3]uint64{0x411970189b65b104, 0x411734fa104b94cb, 0x411bab37267fcd3d},
+			loss:  [3]uint64{0x3fc5c28f5c28f5c3, 0x3fbfd0c0f46c2ff2, 0x3fcd344f0a1091ab},
+			cens:  166, losses: 34,
+			maxTime: 0x411ac07000000000, rm: 0x411970189b65b104, surv: 0x3fee8f5c28f5c28f,
+		},
+		{
+			name: "weibull-norm-2", cfg: goldenAged(normalizedWeibull(2)),
+			opt:   Options{Trials: 200, Seed: 23, Horizon: agedHorizon},
+			mttdl: [3]uint64{0x4118f9f74f9fe145, 0x41179de3a8a4b633, 0x411a560af69b0c57},
+			loss:  [3]uint64{0x3fd147ae147ae148, 0x3fcb4b449df5b9b4, 0x3fd577c1a4ef377c},
+			cens:  146, losses: 54,
+			maxTime: 0x411ac07000000000, rm: 0x4118f9f74f9fe145, surv: 0x3fef0a3d70a3d70a,
+		},
+		{
+			name: "weibull-norm-3", cfg: goldenAged(normalizedWeibull(3)),
+			opt:   Options{Trials: 200, Seed: 24, Horizon: agedHorizon},
+			mttdl: [3]uint64{0x411966cbe33733d0, 0x41188f6f7c8c90b6, 0x411a3e2849e1d6ea},
+			loss:  [3]uint64{0x3fd4cccccccccccd, 0x3fd0e3febda0acf5, 0x3fd921abeb4383e7},
+			cens:  135, losses: 65,
+			maxTime: 0x411ac07000000000, rm: 0x411966cbe33733d0, surv: 0x3fefd70a3d70a3d7,
+		},
+		{
+			name: "weibull-norm-2.5", cfg: goldenAged(normalizedWeibull(2.5)),
+			opt:   Options{Trials: 200, Seed: 25, Horizon: agedHorizon},
+			mttdl: [3]uint64{0x41195cbe82456194, 0x41184f3fcdcb7f03, 0x411a6a3d36bf4425},
+			loss:  [3]uint64{0x3fd199999999999a, 0x3fcbe0c5af27c046, 0x3fd5cdc1b86cf0f9},
+			cens:  145, losses: 55,
+			maxTime: 0x411ac07000000000, rm: 0x41195cbe82456194, surv: 0x3fef851eb851eb85,
+		},
+		{
+			name: "constant", cfg: goldenAged(func(*testing.T) faults.Hazard { return faults.ConstantHazard{Factor: 1.5} }),
+			opt:   Options{Trials: 200, Seed: 26, Horizon: agedHorizon},
+			mttdl: [3]uint64{0x4114241adfa5c0da, 0x41128793c680342d, 0x4115c0a1f8cb4d87},
+			loss:  [3]uint64{0x3fdf0a3d70a3d70a, 0x3fdaaac8cd8ec064, 0x3fe1b97aaf1684a4},
+			cens:  103, losses: 97,
+			maxTime: 0x411ac07000000000, rm: 0x4114241adfa5c0da, surv: 0x3fe7ae147ae147ad,
+		},
+		{
+			name: "bathtub", cfg: goldenAged(func(t *testing.T) faults.Hazard {
+				h, err := aging.Bathtub(8766, 3, 262980, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return h
+			}),
+			opt:   Options{Trials: 200, Seed: 27, Horizon: agedHorizon},
+			mttdl: [3]uint64{0x41124e47838be285, 0x411175ded13cc329, 0x411326b035db01e1},
+			loss:  [3]uint64{0x3fed99999999999a, 0x3fec289a4d7e1f7e, 0x3fee875f9c483778},
+			cens:  15, losses: 185,
+			maxTime: 0x411ac07000000000, rm: 0x41124e47838be285, surv: 0x3fec51eb851eb852,
+		},
+		{
+			name: "weibull-run-to-loss", cfg: withGolden(goldenWithLatent, func(c *Config) {
+				h, err := faults.Normalize(faults.WeibullHazard{Shape: 2, Scale: 5000}, 20000)
+				if err != nil {
+					panic(err)
+				}
+				c.Hazard = h
+			}),
+			opt:   Options{Trials: 200, Seed: 28},
+			mttdl: [3]uint64{0x40c62fde07491bfd, 0x40c51614236e90e1, 0x40c749a7eb23a719},
+			loss:  [3]uint64{0x0, 0x0, 0x0},
+			cens:  0, losses: 200,
+			maxTime: 0x40d62539b8ca5226, rm: 0x0, surv: 0x3ff0000000000000,
+		},
+	}
+}
+
+// TestGoldenTrialPaths runs trialPathGoldenCases and profileGoldenCases
+// serially and in 7-trial batches on 3 workers.
 func TestGoldenTrialPaths(t *testing.T) {
-	for _, g := range trialPathGoldenCases() {
+	for _, g := range append(trialPathGoldenCases(), profileGoldenCases()...) {
 		t.Run(g.name, func(t *testing.T) {
 			for _, variant := range []struct {
 				label    string

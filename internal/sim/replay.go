@@ -37,11 +37,11 @@ import (
 // stream-derivation and in-order merge argument as generative runs.
 // docs/MODEL.md §Trace replay specifies the full semantics.
 
-// replayData is a Runner's parsed replay source: the trace header plus
-// its events split per trial.
+// replayData is a Runner's parsed replay source: a copy of the trace's
+// header and of its event slice, which trace.TrialEvents searches per
+// trial.
 type replayData struct {
-	header     trace.Header
-	trials     [][]trace.Event
+	trace.Trace
 	pinRepairs bool
 }
 
@@ -136,7 +136,7 @@ func NewReplayRunner(cfg Config, tr *trace.Trace, pinRepairs bool) (*Runner, err
 		return nil, fmt.Errorf("%w: trace records %d replicas but the config has %d",
 			ErrInvalidConfig, tr.Header.Replicas, cfg.NumReplicas())
 	}
-	r.replay = &replayData{header: tr.Header, trials: tr.TrialEvents(), pinRepairs: pinRepairs}
+	r.replay = &replayData{Trace: *tr, pinRepairs: pinRepairs}
 	return r, nil
 }
 
@@ -155,7 +155,7 @@ func (r *Runner) validateReplay(opt Options) error {
 	if opt.Bias != 0 {
 		return fmt.Errorf("%w: trace replay is incompatible with failure biasing (recorded arrivals carry no sampling measure to re-weight)", ErrInvalidConfig)
 	}
-	h := r.replay.header
+	h := r.replay.Header
 	if opt.Trials != h.Trials {
 		return fmt.Errorf("%w: replay must run exactly the trace's %d trials, got %d (ReplayEstimate inherits them)", ErrInvalidConfig, h.Trials, opt.Trials)
 	}
@@ -175,8 +175,8 @@ func (r *Runner) ReplayEstimate(opt Options) (Estimate, error) {
 	if r.replay == nil {
 		return Estimate{}, fmt.Errorf("%w: ReplayEstimate requires a replay runner (NewReplayRunner)", ErrInvalidConfig)
 	}
-	opt.Trials = r.replay.header.Trials
-	opt.Horizon = r.replay.header.HorizonHours
+	opt.Trials = r.replay.Header.Trials
+	opt.Horizon = r.replay.Header.HorizonHours
 	opt.TargetRelWidth = 0
 	return r.Estimate(opt)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -243,4 +244,30 @@ func TestRecordTraceWithHazard(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameOutcome(t, "profiled replay", recorded, replayed)
+}
+
+// TestReplayRunnerHugeTrialClaimAllocatesNothing: a one-line trace whose
+// header claims 10^9 trials builds a replay runner without allocating
+// per claimed trial, and every trial replays as an empty history.
+func TestReplayRunnerHugeTrialClaimAllocatesNothing(t *testing.T) {
+	tr, err := trace.ParseString(`{"v":1,"kind":"ltsim-trace","replicas":2,"trials":1000000000,"horizon_hours":1000}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := recordConfig(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := NewReplayRunner(cfg, tr, true)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("NewReplayRunner allocated %d bytes for a trace of no events", grew)
+	}
+	for _, i := range []int{0, 5e8, 1e9 - 1} {
+		if evs := r.replay.TrialEvents(i); len(evs) != 0 {
+			t.Errorf("trial %d replays %d events, want none", i, len(evs))
+		}
+	}
 }

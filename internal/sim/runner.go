@@ -395,6 +395,12 @@ func (r *Runner) stream(ctx context.Context, opt Options, sink func(Progress), r
 			var trialSrc rng.Source
 			t := allocTrial(&r.cfg, r.specs, nil)
 			t.setBiasFactor(opt.Bias)
+			if opt.Horizon > 0 {
+				// Censored trials never run past the horizon, so the
+				// engine parks what is scheduled beyond it (exact; see
+				// des.Engine.SetHorizon).
+				t.eng.SetHorizon(opt.Horizon)
+			}
 			if r.replay != nil {
 				t.replay = &replaySchedule{pinRepairs: r.replay.pinRepairs}
 			}
@@ -419,7 +425,7 @@ func (r *Runner) stream(ctx context.Context, opt Options, sink func(Progress), r
 					}
 					base.DeriveInto(uint64(i)+trialStreamLabel, &trialSrc)
 					if r.replay != nil {
-						t.replay.events = r.replay.trials[i]
+						t.replay.events = r.replay.TrialEvents(i)
 					}
 					t.start(&trialSrc)
 					acc.addTrial(t.run(opt.Horizon), opt.Horizon)

@@ -459,6 +459,31 @@ func TestHorizonCensoring(t *testing.T) {
 	}
 }
 
+// TestInfiniteHorizon: a horizon that overflowed to +Inf (horizon_years
+// 1e305 converted to hours) censors nothing. Its workers leave their
+// engines unbounded instead of panicking, and every trial runs to loss,
+// as with no horizon at all.
+func TestInfiniteHorizon(t *testing.T) {
+	r, err := NewRunner(fastMirror(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf, err := r.Estimate(Options{Trials: 200, Seed: 6, Horizon: math.Inf(1), Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	toLoss, err := r.Estimate(Options{Trials: 200, Seed: 6, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inf.Trials != 200 || inf.Censored != 0 {
+		t.Errorf("trials %d, censored %d; want 200 and 0", inf.Trials, inf.Censored)
+	}
+	if inf.MTTDL.Point != toLoss.MTTDL.Point {
+		t.Errorf("MTTDL %v with an infinite horizon, %v run to loss", inf.MTTDL.Point, toLoss.MTTDL.Point)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	cfg := fastMirror(t)
 	run := func(parallel int) Estimate {

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strings"
 )
 
@@ -253,17 +254,14 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// TrialEvents splits the validated event stream into one slice per
-// trial index (sharing the underlying array). Trials with no events get
-// empty slices — a perfectly healthy recorded history.
-func (t *Trace) TrialEvents() [][]Event {
-	out := make([][]Event, t.Header.Trials)
-	start := 0
-	for i := 1; i <= len(t.Events); i++ {
-		if i == len(t.Events) || t.Events[i].Trial != t.Events[start].Trial {
-			out[t.Events[start].Trial] = t.Events[start:i]
-			start = i
-		}
-	}
-	return out
+// TrialEvents returns the events of one trial index, a subslice of the
+// validated stream found by binary search: events are grouped by
+// ascending trial, so no per-trial index is built and a header that
+// claims 10^9 trials costs nothing until they run. A trial with no
+// events gets an empty slice — a perfectly healthy recorded history.
+func (t *Trace) TrialEvents(trial int) []Event {
+	ev := t.Events
+	lo := sort.Search(len(ev), func(i int) bool { return ev[i].Trial >= trial })
+	n := sort.Search(len(ev)-lo, func(i int) bool { return ev[lo+i].Trial > trial })
+	return ev[lo : lo+n : lo+n]
 }

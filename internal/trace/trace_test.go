@@ -45,15 +45,19 @@ func TestTrialEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byTrial := tr.TrialEvents()
-	if len(byTrial) != 3 {
-		t.Fatalf("got %d trials, want 3", len(byTrial))
-	}
+	byTrial := [][]Event{tr.TrialEvents(0), tr.TrialEvents(1), tr.TrialEvents(2)}
 	if len(byTrial[0]) != 3 || len(byTrial[1]) != 0 || len(byTrial[2]) != 1 {
 		t.Fatalf("per-trial lengths = %d,%d,%d", len(byTrial[0]), len(byTrial[1]), len(byTrial[2]))
 	}
 	if byTrial[2][0].T != 5 {
 		t.Fatalf("trial 2 event = %+v", byTrial[2][0])
+	}
+	for _, evs := range byTrial {
+		for _, ev := range evs[:cap(evs)] {
+			if ev.Trial != evs[0].Trial {
+				t.Fatalf("a trial's slice reaches into trial %d", ev.Trial)
+			}
+		}
 	}
 }
 
