@@ -1,6 +1,6 @@
-// Package report renders experiment results as aligned text tables, CSV,
-// and ASCII plots — the output layer that regenerates the paper's tables
-// and figures on a terminal.
+// Package report renders experiment results as aligned text tables,
+// JSON, and ASCII plots — the output layer that regenerates the paper's
+// tables and figures on a terminal.
 package report
 
 import (
@@ -47,9 +47,6 @@ func (t *Table) MustAddRow(cells ...any) {
 		panic(err)
 	}
 }
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // formatCell renders one value compactly.
 func formatCell(c any) string {
@@ -130,29 +127,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	sb.WriteString(strings.Repeat("-", total))
 	sb.WriteByte('\n')
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// CSV writes the table as RFC-4180-ish CSV (quote only when needed).
-func (t *Table) CSV(w io.Writer) error {
-	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if strings.ContainsAny(cell, ",\"\n") {
-				cell = `"` + strings.ReplaceAll(cell, `"`, `""`) + `"`
-			}
-			sb.WriteString(cell)
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(t.Columns)
 	for _, row := range t.rows {
 		writeRow(row)
 	}

@@ -27,9 +27,6 @@ func TestTableRender(t *testing.T) {
 	if len(lines) != 5 {
 		t.Errorf("render has %d lines, want 5:\n%s", len(lines), out)
 	}
-	if tb.Rows() != 2 {
-		t.Errorf("Rows() = %d, want 2", tb.Rows())
-	}
 }
 
 func TestTableShapeError(t *testing.T) {
@@ -43,21 +40,6 @@ func TestTableShapeError(t *testing.T) {
 		}
 	}()
 	tb.MustAddRow(1, 2, 3)
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("t", "a", "b")
-	tb.MustAddRow(`quo"te`, "with,comma")
-	tb.MustAddRow("plain", 3.5)
-	var sb strings.Builder
-	if err := tb.CSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	want := "a,b\n\"quo\"\"te\",\"with,comma\"\nplain,3.50\n"
-	if got != want {
-		t.Errorf("CSV = %q, want %q", got, want)
-	}
 }
 
 func TestFormatFloat(t *testing.T) {

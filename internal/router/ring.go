@@ -32,6 +32,9 @@ type Node struct {
 
 	healthy  atomic.Bool
 	inflight atomic.Int64
+	// routed counts the requests the router has dispatched to this node,
+	// retried attempts included.
+	routed atomic.Uint64
 }
 
 // Healthy reports whether the node is currently admitted to the ring.

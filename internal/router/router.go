@@ -37,10 +37,8 @@ type Config struct {
 	// simulations take; per-probe timeouts are separate).
 	Client *http.Client
 	// Logger receives lifecycle events (ejections, re-admissions); nil
-	// discards. Metrics is the registry GET /metrics exposes; nil
-	// creates a fresh one.
-	Logger  *slog.Logger
-	Metrics *telemetry.Registry
+	// discards.
+	Logger *slog.Logger
 }
 
 // Worker names one ltsimd instance.
@@ -100,24 +98,14 @@ type Router struct {
 	// body is neither decoded nor fingerprinted again.
 	memo *service.KeyMemo
 
-	probeStop   context.CancelFunc
-	probeDone   chan struct{}
-	coalesced   atomic.Uint64
-	retries     atomic.Uint64
-	ejections   atomic.Uint64
-	readmits    atomic.Uint64
-	routedTotal atomic.Uint64
-
-	metrics *routerMetrics
-}
-
-type routerMetrics struct {
-	reg       *telemetry.Registry
-	requests  *telemetry.CounterVec // node
-	coalesced *telemetry.Counter
-	retries   *telemetry.Counter
-	ejections *telemetry.Counter
-	readmits  *telemetry.Counter
+	probeStop context.CancelFunc
+	probeDone chan struct{}
+	// The router's event counts, the only copy: /stats and /metrics
+	// both read them. Per-node dispatches live on Node.
+	coalesced atomic.Uint64
+	retries   atomic.Uint64
+	ejections atomic.Uint64
+	readmits  atomic.Uint64
 }
 
 // New builds a started router (its health prober is running).
@@ -139,10 +127,7 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	r := &Router{
 		cfg:       cfg,
 		ring:      ring,
@@ -153,19 +138,14 @@ func New(cfg Config) (*Router, error) {
 		probeDone: make(chan struct{}),
 		memo:      service.NewKeyMemo(memoBodies),
 	}
-	r.metrics = &routerMetrics{
-		reg: reg,
-		requests: reg.CounterVec("ltsimr_requests_total",
-			"Upstream requests dispatched, by worker.", "node"),
-		coalesced: reg.Counter("ltsimr_coalesced_total",
-			"Requests that joined an in-flight duplicate at the router instead of dispatching."),
-		retries: reg.Counter("ltsimr_retries_total",
-			"Dispatches retried on a successor node after a worker failed mid-request."),
-		ejections: reg.Counter("ltsimr_ejections_total",
-			"Workers ejected from the ring (probe failure or request-time death)."),
-		readmits: reg.Counter("ltsimr_readmissions_total",
-			"Ejected workers re-admitted by a succeeding health probe."),
-	}
+	reg.CounterFunc("ltsimr_coalesced_total",
+		"Requests that joined an in-flight duplicate at the router instead of dispatching.", r.coalesced.Load)
+	reg.CounterFunc("ltsimr_retries_total",
+		"Dispatches retried on a successor node after a worker failed mid-request.", r.retries.Load)
+	reg.CounterFunc("ltsimr_ejections_total",
+		"Workers ejected from the ring (probe failure or request-time death).", r.ejections.Load)
+	reg.CounterFunc("ltsimr_readmissions_total",
+		"Ejected workers re-admitted by a succeeding health probe.", r.readmits.Load)
 	reg.GaugeFunc("ltsimr_nodes_healthy", "Workers currently admitted to the ring.", func() float64 {
 		return float64(r.ring.HealthyCount())
 	})
@@ -175,10 +155,11 @@ func New(cfg Config) (*Router, error) {
 	reg.GaugeFunc("ltsimr_uptime_seconds", "Seconds since the router started.", func() float64 {
 		return time.Since(r.start).Seconds()
 	})
+	requests := reg.CounterVec("ltsimr_requests_total", "Upstream requests dispatched, by worker.", "node")
 	inflight := reg.GaugeVec("ltsimr_node_inflight", "In-flight upstream requests per worker.", "node")
 	for _, n := range ring.Nodes() {
-		node := n
-		inflight.Func(func() float64 { return float64(node.Inflight()) }, node.Name)
+		requests.Func(n.routed.Load, n.Name)
+		inflight.Func(func() float64 { return float64(n.Inflight()) }, n.Name)
 	}
 
 	r.mux.HandleFunc("POST /estimate", r.handleEstimate)
@@ -224,11 +205,9 @@ func (r *Router) probe(ctx context.Context) {
 			switch {
 			case ok && n.setHealthy(true):
 				r.readmits.Add(1)
-				r.metrics.readmits.Inc()
 				r.logger.Info("worker re-admitted", "node", n.Name, "url", n.URL)
 			case !ok && n.setHealthy(false):
 				r.ejections.Add(1)
-				r.metrics.ejections.Inc()
 				r.logger.Warn("worker ejected by health probe", "node", n.Name, "url", n.URL)
 			}
 		}
@@ -284,8 +263,7 @@ func (r *Router) forward(ctx context.Context, key string, body []byte, use func(
 			return err
 		}
 		node.acquire()
-		r.routedTotal.Add(1)
-		r.metrics.requests.With(node.Name).Inc()
+		node.routed.Add(1)
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.URL+"/estimate", bytes.NewReader(body))
 		if err != nil {
 			node.release()
@@ -310,12 +288,10 @@ func (r *Router) forward(ctx context.Context, key string, body []byte, use func(
 		// have sent.
 		if node.setHealthy(false) {
 			r.ejections.Add(1)
-			r.metrics.ejections.Inc()
 			r.logger.Warn("worker ejected on request failure", "node", node.Name, "err", err.Error())
 		}
 		exclude = append(exclude, node.Name)
 		r.retries.Add(1)
-		r.metrics.retries.Inc()
 	}
 }
 
@@ -343,7 +319,6 @@ func (r *Router) estimateOnce(ctx context.Context, key string, body []byte) (*up
 	})
 	if joined {
 		r.coalesced.Add(1)
-		r.metrics.coalesced.Inc()
 	}
 	return res, joined, err
 }
@@ -562,12 +537,14 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 		UptimeSeconds: time.Since(r.start).Seconds(),
 		Nodes:         len(nodes),
 		HealthyNodes:  r.ring.HealthyCount(),
-		Routed:        r.routedTotal.Load(),
 		Coalesced:     r.coalesced.Load(),
 		Retries:       r.retries.Load(),
 		Ejections:     r.ejections.Load(),
 		Readmissions:  r.readmits.Load(),
 		PerNode:       rows,
+	}
+	for _, n := range nodes {
+		snap.Routed += n.routed.Load()
 	}
 	for _, row := range rows {
 		if row.Stats == nil {

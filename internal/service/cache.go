@@ -18,25 +18,18 @@ type resultCache struct {
 	items map[string]*list.Element
 
 	hits, misses, evictions uint64
-	// metrics mirrors the counters above into the telemetry registry
-	// when instrument has been called; nil outside a Service.
-	metrics *cacheMetrics
 }
 
-// cacheMetrics is the cache's telemetry instrument set.
-type cacheMetrics struct {
-	hits, misses, evictions *telemetry.Counter
-}
-
-// instrument registers the cache metric families and starts mirroring
-// the internal counters into them. Called once by Service.New before
-// the cache serves traffic.
+// instrument registers the cache metric families as callbacks over the
+// cache's own counters, so /metrics and /stats read the same numbers.
+// Called once by Service.New before the cache serves traffic.
 func (c *resultCache) instrument(reg *telemetry.Registry) {
-	c.metrics = &cacheMetrics{
-		hits:      reg.Counter("ltsimd_cache_hits_total", "Result cache lookups that replayed stored bytes."),
-		misses:    reg.Counter("ltsimd_cache_misses_total", "Result cache lookups that found nothing."),
-		evictions: reg.Counter("ltsimd_cache_evictions_total", "Entries evicted by the LRU bound."),
-	}
+	reg.CounterFunc("ltsimd_cache_hits_total", "Result cache lookups that replayed stored bytes.",
+		func() uint64 { return c.Stats().Hits })
+	reg.CounterFunc("ltsimd_cache_misses_total", "Result cache lookups that found nothing.",
+		func() uint64 { return c.Stats().Misses })
+	reg.CounterFunc("ltsimd_cache_evictions_total", "Entries evicted by the LRU bound.",
+		func() uint64 { return c.Stats().Evictions })
 	reg.GaugeFunc("ltsimd_cache_entries", "Result cache size in entries.", func() float64 {
 		return float64(c.Len())
 	})
@@ -76,15 +69,9 @@ func (c *resultCache) Get(key string) ([]byte, bool) {
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		if c.metrics != nil {
-			c.metrics.misses.Inc()
-		}
 		return nil, false
 	}
 	c.hits++
-	if c.metrics != nil {
-		c.metrics.hits.Inc()
-	}
 	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).val, true
 }
@@ -105,9 +92,6 @@ func (c *resultCache) Put(key string, val []byte) {
 		c.order.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 		c.evictions++
-		if c.metrics != nil {
-			c.metrics.evictions.Inc()
-		}
 	}
 }
 

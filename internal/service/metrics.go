@@ -11,26 +11,21 @@ import (
 
 // serviceMetrics holds the HTTP-layer instrument handles. Cache and
 // scheduler instruments live on their own types (resultCache.instrument,
-// scheduler.instrument); everything registers into one shared registry
-// that GET /metrics exposes.
+// scheduler.instrument); everything registers into one registry that
+// GET /metrics exposes.
 type serviceMetrics struct {
-	reg          *telemetry.Registry
 	httpSeconds  *telemetry.HistogramVec // route, status, cache
 	httpInflight *telemetry.Gauge
-	sweepDeduped *telemetry.Counter
 }
 
 // newServiceMetrics registers the HTTP metric families.
 func newServiceMetrics(reg *telemetry.Registry) *serviceMetrics {
 	return &serviceMetrics{
-		reg: reg,
 		httpSeconds: reg.HistogramVec("ltsimd_http_request_seconds",
 			"HTTP request latency by route, status code, and cache outcome (hit, miss, dedup, none).",
 			telemetry.DurationBuckets, "route", "status", "cache"),
 		httpInflight: reg.Gauge("ltsimd_http_in_flight",
 			"HTTP requests currently being served."),
-		sweepDeduped: reg.Counter("ltsimd_sweep_deduped_total",
-			"Sweep indices absorbed by batch-wide fingerprint dedupe (duplicates replaying another index's bytes)."),
 	}
 }
 

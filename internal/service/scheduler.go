@@ -47,16 +47,14 @@ type shard struct {
 	queue   chan *job
 	mu      sync.Mutex
 	pending map[string]*job
-	// metrics is the shard's pre-resolved instrument handles; nil until
-	// scheduler.instrument runs (always before traffic in a Service).
-	metrics *shardInstruments
-}
-
-// shardInstruments is one shard's telemetry handle set, resolved once
-// at instrument time so the worker loop records with plain atomics.
-type shardInstruments struct {
-	queueWait, runDur           *telemetry.Histogram
-	completed, failed, timeouts *telemetry.Counter
+	// completed, failed and timeouts are the shard's job outcome counts,
+	// the only copy: /stats sums them across shards and /metrics reads
+	// them per shard.
+	completed, failed, timeouts atomic.Uint64
+	// queueWait and runDur are the shard's pre-resolved histogram
+	// handles; nil until scheduler.instrument runs (always before
+	// traffic in a Service).
+	queueWait, runDur *telemetry.Histogram
 }
 
 // scheduler fans jobs out across key-hashed shards with per-job
@@ -77,16 +75,13 @@ type scheduler struct {
 	jobs   sync.WaitGroup
 	closed bool
 
-	inflight  atomic.Int64
-	completed atomic.Uint64
-	failed    atomic.Uint64
-	timeouts  atomic.Uint64
+	inflight atomic.Int64
 }
 
 // instrument registers the scheduler metric families: per-shard queue
 // depth gauges, queue-wait and run-duration histograms, and
-// completed/failed/timeout counters. Called once by Service.New before
-// any Submit.
+// completed/failed/timeout counters read from the shards' own counts.
+// Called once by Service.New before any Submit.
 func (s *scheduler) instrument(reg *telemetry.Registry) {
 	queueWait := reg.HistogramVec("ltsimd_sched_queue_wait_seconds",
 		"Time jobs spend queued before a shard worker starts them.", telemetry.DurationBuckets, "shard")
@@ -105,13 +100,11 @@ func (s *scheduler) instrument(reg *telemetry.Registry) {
 	})
 	for i, sh := range s.shards {
 		label := strconv.Itoa(i)
-		sh.metrics = &shardInstruments{
-			queueWait: queueWait.With(label),
-			runDur:    runDur.With(label),
-			completed: completed.With(label),
-			failed:    failed.With(label),
-			timeouts:  timeouts.With(label),
-		}
+		sh.queueWait = queueWait.With(label)
+		sh.runDur = runDur.With(label)
+		completed.Func(sh.completed.Load, label)
+		failed.Func(sh.failed.Load, label)
+		timeouts.Func(sh.timeouts.Load, label)
 		q := sh.queue
 		depth.Func(func() float64 { return float64(len(q)) }, label)
 	}
@@ -180,26 +173,17 @@ func (s *scheduler) run(sh *shard, j *job) {
 	j.val, j.err = j.fn(telemetry.WithTrace(ctx, j.trace))
 	cancel()
 	s.inflight.Add(-1)
-	timedOut := j.err != nil && errors.Is(j.err, context.DeadlineExceeded)
 	if j.err != nil {
-		s.failed.Add(1)
-		if timedOut {
-			s.timeouts.Add(1)
+		sh.failed.Add(1)
+		if errors.Is(j.err, context.DeadlineExceeded) {
+			sh.timeouts.Add(1)
 		}
 	} else {
-		s.completed.Add(1)
+		sh.completed.Add(1)
 	}
-	if m := sh.metrics; m != nil {
-		m.queueWait.Observe(wait.Seconds())
-		m.runDur.Observe(time.Since(start).Seconds())
-		if j.err == nil {
-			m.completed.Inc()
-		} else {
-			m.failed.Inc()
-			if timedOut {
-				m.timeouts.Inc()
-			}
-		}
+	if sh.queueWait != nil {
+		sh.queueWait.Observe(wait.Seconds())
+		sh.runDur.Observe(time.Since(start).Seconds())
 	}
 
 	sh.mu.Lock()
@@ -271,18 +255,15 @@ type SchedulerStats struct {
 	Timeouts   uint64 `json:"timeouts"`
 }
 
-// Stats snapshots the scheduler counters. QueueDepth sums queued (not
-// yet running) jobs across shards.
+// Stats snapshots the scheduler counters. QueueDepth and the outcome
+// counts sum the shards' own.
 func (s *scheduler) Stats() SchedulerStats {
-	st := SchedulerStats{
-		Shards:    len(s.shards),
-		Inflight:  s.inflight.Load(),
-		Completed: s.completed.Load(),
-		Failed:    s.failed.Load(),
-		Timeouts:  s.timeouts.Load(),
-	}
+	st := SchedulerStats{Shards: len(s.shards), Inflight: s.inflight.Load()}
 	for _, sh := range s.shards {
 		st.QueueDepth += len(sh.queue)
+		st.Completed += sh.completed.Load()
+		st.Failed += sh.failed.Load()
+		st.Timeouts += sh.timeouts.Load()
 	}
 	return st
 }

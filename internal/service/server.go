@@ -43,9 +43,8 @@ type Service struct {
 	// logger receives one structured record per request (the span
 	// timeline) plus service lifecycle events; defaults to discarding.
 	logger *slog.Logger
-	// metrics is the HTTP instrument set; metrics.reg is the registry
-	// GET /metrics exposes (cache, scheduler, and sim families register
-	// into the same one).
+	// metrics is the HTTP instrument set; the cache, scheduler, store and
+	// sim families register into the same registry behind GET /metrics.
 	metrics *serviceMetrics
 	// sweepDeduped counts, across all sweeps, indices that replayed
 	// another index's bytes via batch-wide fingerprint dedupe.
@@ -71,10 +70,7 @@ func New(cfg Config) *Service {
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	s.metrics = newServiceMetrics(reg)
 	s.cache.instrument(reg)
 	if in, ok := s.diskStore.(interface {
@@ -84,6 +80,9 @@ func New(cfg Config) *Service {
 	}
 	s.sched.instrument(reg)
 	sim.EnableMetrics(reg)
+	reg.CounterFunc("ltsimd_sweep_deduped_total",
+		"Sweep indices absorbed by batch-wide fingerprint dedupe (duplicates replaying another index's bytes).",
+		s.sweepDeduped.Load)
 	reg.GaugeFunc("ltsimd_progress_inflight",
 		"Progress-streamed estimate runs currently in flight (single-flight owners).", func() float64 {
 			return float64(s.progressRuns.Load())
@@ -106,9 +105,6 @@ func New(cfg Config) *Service {
 // Handler returns the HTTP surface, wrapped in the telemetry middleware
 // (request IDs, per-route latency histograms, structured request logs).
 func (s *Service) Handler() http.Handler { return s.withTelemetry(s.mux) }
-
-// MetricsRegistry returns the registry behind GET /metrics.
-func (s *Service) MetricsRegistry() *telemetry.Registry { return s.metrics.reg }
 
 // Shutdown drains the scheduler (see scheduler.Shutdown for semantics),
 // then closes the persistent store so its directory can be reopened by
@@ -556,7 +552,6 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		},
 		Deduped: func(n int) {
 			s.sweepDeduped.Add(uint64(n))
-			s.metrics.sweepDeduped.Add(uint64(n))
 		},
 	}.ServeHTTP(w, r)
 }

@@ -78,7 +78,6 @@ import (
 	"time"
 
 	"repro/internal/store"
-	"repro/internal/telemetry"
 )
 
 // Config sizes the service.
@@ -118,10 +117,6 @@ type Config struct {
 	// library embedders stay quiet by default; the daemon passes a JSON
 	// handler so the request log is NDJSON.
 	Logger *slog.Logger
-	// Metrics is the registry GET /metrics exposes; nil creates a fresh
-	// one. Pass a shared registry to merge the service's families with
-	// an embedder's own.
-	Metrics *telemetry.Registry
 	// Store, when non-nil, is the persistent result tier layered under
 	// the in-memory LRU: reads fall through memory to the store (a store
 	// hit promotes back into memory and serves with X-Ltsimd-Cache:

@@ -49,19 +49,11 @@ type DiskStore struct {
 	closed     bool
 
 	stats Stats
-
-	// metrics mirrors the counters into the telemetry registry when
-	// Instrument has been called; nil otherwise.
-	metrics *diskMetrics
 }
 
 type diskEntry struct {
 	pathKey string
 	size    int64
-}
-
-type diskMetrics struct {
-	hits, misses, writes, corrupt, gcEvictions, errors *telemetry.Counter
 }
 
 // OpenDisk opens (creating if needed) a disk store rooted at dir,
@@ -181,26 +173,30 @@ func (s *DiskStore) Path(key string) string {
 // CorruptDir returns the quarantine directory.
 func (s *DiskStore) CorruptDir() string { return filepath.Join(s.dir, corruptDir) }
 
-// Instrument registers the store metric families and mirrors the
-// internal counters into them. Call once, before traffic.
+// Instrument registers the store metric families as callbacks over the
+// store's own counters, so /metrics and /stats read the same numbers.
+// Call once, before traffic.
 func (s *DiskStore) Instrument(reg *telemetry.Registry) {
-	s.metrics = &diskMetrics{
-		hits:        reg.Counter("ltsimd_store_hits_total", "Disk-store lookups that replayed stored bytes."),
-		misses:      reg.Counter("ltsimd_store_misses_total", "Disk-store lookups that found nothing."),
-		writes:      reg.Counter("ltsimd_store_writes_total", "Entries written to the disk store."),
-		corrupt:     reg.Counter("ltsimd_store_corrupt_total", "Entries quarantined on read: truncated, garbage, or CRC-mismatched files served as misses."),
-		gcEvictions: reg.Counter("ltsimd_store_gc_evictions_total", "Entries deleted by the size-bounded GC."),
-		errors:      reg.Counter("ltsimd_store_errors_total", "I/O failures that degraded a store read or write."),
+	counter := func(name, help string, v func(Stats) uint64) {
+		reg.CounterFunc(name, help, func() uint64 { return v(s.Stats()) })
 	}
+	counter("ltsimd_store_hits_total", "Disk-store lookups that replayed stored bytes.",
+		func(st Stats) uint64 { return st.Hits })
+	counter("ltsimd_store_misses_total", "Disk-store lookups that found nothing.",
+		func(st Stats) uint64 { return st.Misses })
+	counter("ltsimd_store_writes_total", "Entries written to the disk store.",
+		func(st Stats) uint64 { return st.Writes })
+	counter("ltsimd_store_corrupt_total", "Entries quarantined on read: truncated, garbage, or CRC-mismatched files served as misses.",
+		func(st Stats) uint64 { return st.Corrupt })
+	counter("ltsimd_store_gc_evictions_total", "Entries deleted by the size-bounded GC.",
+		func(st Stats) uint64 { return st.GCEvictions })
+	counter("ltsimd_store_errors_total", "I/O failures that degraded a store read or write.",
+		func(st Stats) uint64 { return st.Errors })
 	reg.GaugeFunc("ltsimd_store_entries", "Disk-store size in entries.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.order.Len())
+		return float64(s.Stats().Entries)
 	})
 	reg.GaugeFunc("ltsimd_store_bytes", "Disk-store size in file bytes.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.totalBytes)
+		return float64(s.Stats().Bytes)
 	})
 	reg.GaugeFunc("ltsimd_store_capacity_bytes", "Disk-store GC bound in bytes (0 = unbounded).", func() float64 {
 		return float64(s.maxBytes)
@@ -212,34 +208,40 @@ func (s *DiskStore) Instrument(reg *telemetry.Registry) {
 // determinism makes the recomputation bit-identical to what was lost.
 func (s *DiskStore) Get(key string) ([]byte, bool) {
 	pk := pathKeyFor(key)
-	path := filepath.Join(s.dir, pk[:2], pk)
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, false
 	}
+	payload, ok := s.readLocked(pk)
+	if ok {
+		s.stats.Hits++
+	} else {
+		s.stats.Misses++
+	}
+	return payload, ok
+}
+
+// readLocked returns the validated payload stored under pk, dropping an
+// entry whose file is gone and quarantining one that fails validation.
+// Callers hold s.mu.
+func (s *DiskStore) readLocked(pk string) ([]byte, bool) {
 	el, ok := s.items[pk]
 	if !ok {
-		s.miss()
 		return nil, false
 	}
+	path := filepath.Join(s.dir, pk[:2], pk)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		// The index said present but the file is gone (external
 		// interference); treat as a miss and drop the entry.
 		s.removeLocked(el)
 		s.stats.Errors++
-		if s.metrics != nil {
-			s.metrics.errors.Inc()
-		}
-		s.miss()
 		return nil, false
 	}
 	payload, ok := decodeEntry(data)
 	if !ok {
 		s.quarantineLocked(el, path, pk)
-		s.miss()
 		return nil, false
 	}
 	s.order.MoveToFront(el)
@@ -247,19 +249,7 @@ func (s *DiskStore) Get(key string) ([]byte, bool) {
 	// rebuilds matches this process's; best-effort.
 	now := time.Now()
 	os.Chtimes(path, now, now)
-	s.stats.Hits++
-	if s.metrics != nil {
-		s.metrics.hits.Inc()
-	}
 	return payload, true
-}
-
-// miss counts a miss; callers hold s.mu.
-func (s *DiskStore) miss() {
-	s.stats.Misses++
-	if s.metrics != nil {
-		s.metrics.misses.Inc()
-	}
 }
 
 // decodeEntry validates the header and CRC, returning the payload.
@@ -294,9 +284,6 @@ func (s *DiskStore) quarantineLocked(el *list.Element, path, pk string) {
 	}
 	s.removeLocked(el)
 	s.stats.Corrupt++
-	if s.metrics != nil {
-		s.metrics.corrupt.Inc()
-	}
 }
 
 // removeLocked drops an entry from the index. Callers hold s.mu.
@@ -322,9 +309,6 @@ func (s *DiskStore) Put(key string, val []byte) {
 	}
 	if err := writeAtomic(shard, pk, framed); err != nil {
 		s.stats.Errors++
-		if s.metrics != nil {
-			s.metrics.errors.Inc()
-		}
 		return
 	}
 	size := int64(len(framed))
@@ -338,9 +322,6 @@ func (s *DiskStore) Put(key string, val []byte) {
 		s.totalBytes += size
 	}
 	s.stats.Writes++
-	if s.metrics != nil {
-		s.metrics.writes.Inc()
-	}
 	s.gcLocked()
 }
 
@@ -384,9 +365,6 @@ func (s *DiskStore) gcLocked() {
 		os.Remove(filepath.Join(s.dir, e.pathKey[:2], e.pathKey))
 		s.removeLocked(el)
 		s.stats.GCEvictions++
-		if s.metrics != nil {
-			s.metrics.gcEvictions.Inc()
-		}
 	}
 }
 

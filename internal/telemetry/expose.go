@@ -66,17 +66,13 @@ func (f *family) write(b *strings.Builder) error {
 			b.WriteString(f.name)
 			writeLabels(b, f.labels, c.labelValues, "", "")
 			b.WriteByte(' ')
-			b.WriteString(strconv.FormatUint(c.bits.Load(), 10))
+			b.WriteString(strconv.FormatUint(c.load(), 10))
 			b.WriteByte('\n')
 		case KindGauge:
-			v := math.Float64frombits(c.bits.Load())
-			if c.fn != nil {
-				v = c.fn()
-			}
 			b.WriteString(f.name)
 			writeLabels(b, f.labels, c.labelValues, "", "")
 			b.WriteByte(' ')
-			b.WriteString(formatFloat(v))
+			b.WriteString(formatFloat(math.Float64frombits(c.load())))
 			b.WriteByte('\n')
 		case KindHistogram:
 			var cum uint64

@@ -173,3 +173,38 @@ func TestFormatFloat(t *testing.T) {
 		t.Errorf("formatFloat(1.0) = %q, want 1", got)
 	}
 }
+
+// TestCounterCallbacks: CounterFunc and CounterVec.Func series render
+// as counters, read their callback at every exposition, and print the
+// count as an integer at any magnitude (a float rendering would turn
+// 2^60 into 1.152921504606847e+18).
+func TestCounterCallbacks(t *testing.T) {
+	r := NewRegistry()
+	var n uint64 = 1 << 60
+	r.CounterFunc("a_total", "a callback", func() uint64 { return n })
+	v := r.CounterVec("b_total", "b callback", "node")
+	v.Func(func() uint64 { return 3 }, "w1")
+	v.Func(func() uint64 { return 0 }, "w0")
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP a_total a callback
+# TYPE a_total counter
+a_total 1152921504606846976
+# HELP b_total b callback
+# TYPE b_total counter
+b_total{node="w0"} 0
+b_total{node="w1"} 3
+`
+	if got := sb.String(); got != want {
+		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	n++
+	sb.Reset()
+	r.WritePrometheus(&sb)
+	if !strings.Contains(sb.String(), "a_total 1152921504606846977\n") {
+		t.Errorf("callback not re-read at exposition:\n%s", sb.String())
+	}
+}

@@ -93,8 +93,9 @@ type child struct {
 
 	// bits holds the counter count, or the gauge value's float64 bits.
 	bits atomic.Uint64
-	// fn, when non-nil, makes this a callback gauge read at exposition.
-	fn func() float64
+	// read, when non-nil, makes this a callback series: exposition
+	// calls it for the value in the same encoding as bits.
+	read func() uint64
 
 	// Histogram state: one count per bucket plus the overflow bucket,
 	// and the running sum/count. bucketsRef aliases the family's bounds
@@ -174,6 +175,15 @@ func (h *Histogram) Snapshot() (buckets []uint64, sum float64, count uint64) {
 	return buckets, math.Float64frombits(h.c.sumBits.Load()), h.c.count.Load()
 }
 
+// load returns the series value in bits' encoding, from the callback
+// when the series has one.
+func (c *child) load() uint64 {
+	if c.read != nil {
+		return c.read()
+	}
+	return c.bits.Load()
+}
+
 // register finds or creates the family, enforcing shape consistency.
 func (r *Registry) register(name, help string, kind Kind, labels []string, buckets []float64) *family {
 	mustValidName(name)
@@ -207,7 +217,7 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 }
 
 // childFor finds or creates the series for the given label values.
-func (f *family) childFor(values []string, fn func() float64) *child {
+func (f *family) childFor(values []string, read func() uint64) *child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("telemetry: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
@@ -223,7 +233,7 @@ func (f *family) childFor(values []string, fn func() float64) *child {
 	if c, ok = f.children[key]; ok {
 		return c
 	}
-	c = &child{labelValues: append([]string(nil), values...), fn: fn}
+	c = &child{labelValues: append([]string(nil), values...), read: read}
 	if f.kind == KindHistogram {
 		c.bucketCounts = make([]atomic.Uint64, len(f.buckets)+1)
 		c.bucketsRef = f.buckets
@@ -238,6 +248,14 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return &Counter{f.childFor(nil, nil)}
 }
 
+// CounterFunc registers a callback counter: fn is read at exposition,
+// so a component that already keeps its own count exposes it without a
+// second copy. fn must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	f := r.register(name, help, KindCounter, nil, nil)
+	f.childFor(nil, fn)
+}
+
 // Gauge registers (or finds) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	f := r.register(name, help, KindGauge, nil, nil)
@@ -247,7 +265,12 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // GaugeFunc registers a callback gauge: fn is evaluated at exposition.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f := r.register(name, help, KindGauge, nil, nil)
-	f.childFor(nil, fn)
+	f.childFor(nil, gaugeBits(fn))
+}
+
+// gaugeBits adapts a gauge callback to the float64-bits encoding.
+func gaugeBits(fn func() float64) func() uint64 {
+	return func() uint64 { return math.Float64bits(fn()) }
 }
 
 // Histogram registers (or finds) an unlabeled histogram. A nil bucket
@@ -271,6 +294,13 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return &Counter{v.f.childFor(values, nil)}
 }
 
+// Func registers a callback series under the label values: fn is read
+// at exposition and must never decrease (e.g. a per-node count the
+// component keeps itself).
+func (v *CounterVec) Func(fn func() uint64, values ...string) {
+	v.f.childFor(values, fn)
+}
+
 // GaugeVec is a labeled gauge family.
 type GaugeVec struct{ f *family }
 
@@ -287,7 +317,7 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 // Func registers a callback series under the label values: fn is
 // evaluated at exposition time (e.g. a queue-depth probe per shard).
 func (v *GaugeVec) Func(fn func() float64, values ...string) {
-	v.f.childFor(values, fn)
+	v.f.childFor(values, gaugeBits(fn))
 }
 
 // HistogramVec is a labeled histogram family.
