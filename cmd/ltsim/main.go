@@ -231,7 +231,7 @@ type config struct {
 // parseHazard decodes the -hazard value — a JSON HazardSpec object, or
 // @file naming one — strictly, so a misspelled parameter fails instead
 // of silently simulating the default profile.
-func parseHazard(v string) (*service.HazardSpec, error) {
+func parseHazard(v string) (*scenario.HazardSpec, error) {
 	data := []byte(v)
 	if strings.HasPrefix(v, "@") {
 		b, err := os.ReadFile(v[1:])
@@ -240,7 +240,7 @@ func parseHazard(v string) (*service.HazardSpec, error) {
 		}
 		data = b
 	}
-	var spec service.HazardSpec
+	var spec scenario.HazardSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
@@ -342,7 +342,7 @@ func buildRequest(c config) (service.EstimateRequest, error) {
 			if err := s.Validate(); err != nil {
 				return service.EstimateRequest{}, fmt.Errorf("replica %d: %w", i, err)
 			}
-			req.Fleet = append(req.Fleet, service.FleetEntryFromSpec(s))
+			req.Fleet = append(req.Fleet, scenario.FleetEntryFromSpec(s))
 		}
 		return req, nil
 	}
@@ -366,10 +366,10 @@ func buildRequest(c config) (service.EstimateRequest, error) {
 		}
 	}
 	req.Replicas = c.replicas
-	req.VisibleMeanHours = service.WireFloat(c.mv)
-	req.LatentMeanHours = service.WireFloat(c.ml)
-	req.RepairVisibleHours = service.WireFloat(c.mrv)
-	req.RepairLatentHours = service.WireFloat(c.mrl)
+	req.VisibleMeanHours = scenario.WireFloat(c.mv)
+	req.LatentMeanHours = scenario.WireFloat(c.ml)
+	req.RepairVisibleHours = scenario.WireFloat(c.mrv)
+	req.RepairLatentHours = scenario.WireFloat(c.mrl)
 	req.RepairBugProb = c.bug
 	return req, nil
 }

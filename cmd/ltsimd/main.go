@@ -79,15 +79,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var diskStore store.Store
+	var diskStore *store.DiskStore
 	if *cacheDir != "" {
-		ds, err := store.OpenDisk(*cacheDir, *cacheDisk)
-		if err != nil {
+		if diskStore, err = store.OpenDisk(*cacheDir, *cacheDisk); err != nil {
 			fmt.Fprintln(os.Stderr, "ltsimd:", err)
 			os.Exit(2)
 		}
-		logger.Info("disk store open", "dir", *cacheDir, "entries", ds.Len(), "max_bytes", *cacheDisk)
-		diskStore = ds
+		logger.Info("disk store open", "dir", *cacheDir, "entries", diskStore.Len(), "max_bytes", *cacheDisk)
 	}
 
 	if err := run(*addr, *debugAddr, *drain, logger, service.Config{

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -197,5 +199,58 @@ func TestHazardAxisValidation(t *testing.T) {
 	ok := Document{V: 1, Base: base, Grid: []Axis{{Param: "hazard.normalize_hours", Values: []float64{10000, 20000}}}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("normalize_hours axis over a constant base: %v", err)
+	}
+}
+
+// TestHazardAxisKindsFollowBuild: every scalar field hazardKindParams
+// lists is a hazard.<field> axis, accepted over a base of its own kind
+// and rejected over every other; normalize_hours is accepted over any
+// kind; and no other hazard.* axis exists.
+func TestHazardAxisKindsFollowBuild(t *testing.T) {
+	scalar := map[string]bool{}
+	st := reflect.TypeOf(HazardSpec{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		scalar[name] = f.Type.Kind() == reflect.Float64
+	}
+	axes := map[string]bool{"hazard.normalize_hours": true}
+	for kind, fields := range hazardKindParams {
+		for _, field := range fields {
+			if !scalar[field] {
+				continue
+			}
+			param := "hazard." + field
+			axes[param] = true
+			if _, ok := scalarParams[param]; !ok {
+				t.Errorf("%s field %q has no %q axis", kind, field, param)
+				continue
+			}
+			for other := range hazardKindParams {
+				a := Axis{Param: param, Values: []float64{1}}
+				err := a.validate("grid", EstimateRequest{Hazard: &HazardSpec{Kind: other}})
+				if other == kind {
+					if err != nil {
+						t.Errorf("%s axis over a %s base: %v", param, other, err)
+					}
+					continue
+				}
+				want := fmt.Sprintf("scenario: %q axis parameterizes a %q hazard, but the base declares kind %q", param, kind, other)
+				if err == nil || err.Error() != want {
+					t.Errorf("%s axis over a %s base: err = %v, want %q", param, other, err, want)
+				}
+			}
+		}
+	}
+	for kind := range hazardKindParams {
+		a := Axis{Param: "hazard.normalize_hours", Values: []float64{1000}}
+		if err := a.validate("grid", EstimateRequest{Hazard: &HazardSpec{Kind: kind}}); err != nil {
+			t.Errorf("normalize_hours axis over a %s base: %v", kind, err)
+		}
+	}
+	for param := range scalarParams {
+		if strings.HasPrefix(param, "hazard.") && !axes[param] {
+			t.Errorf("axis %q sweeps no scalar hazardKindParams field", param)
+		}
 	}
 }

@@ -55,8 +55,8 @@ type HazardSpec struct {
 }
 
 // hazardKindParams maps each kind to its parameter fields, as wire
-// names. The reverse index drives the wrong-kind rejection in Build and
-// the axis/kind check in scenario validation.
+// names. It drives the wrong-kind rejection in Build and, read in
+// reverse by hazardAxisKind, the axis/kind check in scenario validation.
 var hazardKindParams = map[string][]string{
 	"constant":  {"factor"},
 	"weibull":   {"shape", "scale_hours"},

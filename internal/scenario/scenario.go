@@ -79,6 +79,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -221,7 +223,7 @@ var scalarParams = map[string]func(*EstimateRequest, float64){
 
 	// Hazard-profile params mutate the base request's hazard spec; axis
 	// validation guarantees r.Hazard is non-nil and of the matching kind
-	// before any of these run (see hazardParamKind).
+	// before any of these run (see hazardAxisKind).
 	"hazard.factor":           func(r *EstimateRequest, v float64) { r.Hazard.Factor = v },
 	"hazard.shape":            func(r *EstimateRequest, v float64) { r.Hazard.Shape = v },
 	"hazard.scale_hours":      func(r *EstimateRequest, v float64) { r.Hazard.ScaleHours = v },
@@ -232,19 +234,23 @@ var scalarParams = map[string]func(*EstimateRequest, float64){
 	"hazard.normalize_hours":  func(r *EstimateRequest, v float64) { r.Hazard.NormalizeHours = v },
 }
 
-// hazardParamKind maps each hazard.* axis param to the profile kind it
-// parameterizes ("" = any kind). The base request must declare a hazard
-// of that kind, or the axis would sweep a field its Build rejects (or,
-// worse for a kind-independent field on a nil hazard, sweep nothing).
-var hazardParamKind = map[string]string{
-	"hazard.factor":           "constant",
-	"hazard.shape":            "weibull",
-	"hazard.scale_hours":      "weibull",
-	"hazard.burn_in_hours":    "bathtub",
-	"hazard.burn_in_factor":   "bathtub",
-	"hazard.wear_onset_hours": "bathtub",
-	"hazard.wear_factor":      "bathtub",
-	"hazard.normalize_hours":  "",
+// hazardAxisKind reports whether param is a hazard.* axis and, if so,
+// the profile kind whose field it sweeps, read from hazardKindParams (""
+// for normalize_hours, which every kind takes). The base request must
+// declare a hazard of that kind, or the axis would sweep a field its
+// Build rejects (or, worse for a kind-independent field on a nil hazard,
+// sweep nothing).
+func hazardAxisKind(param string) (kind string, isHazard bool) {
+	field, isHazard := strings.CutPrefix(param, "hazard.")
+	if !isHazard {
+		return "", false
+	}
+	for k, fields := range hazardKindParams {
+		if slices.Contains(fields, field) {
+			return k, true
+		}
+	}
+	return "", true
 }
 
 // integerParams must carry non-negative integral values.
@@ -326,7 +332,7 @@ func (a Axis) validate(block string, base EstimateRequest) error {
 	if len(base.Fleet) > 0 && fleetOnlyInert[a.Param] {
 		return fmt.Errorf("scenario: %q axis is inert when the base declares a fleet", a.Param)
 	}
-	if kind, isHazard := hazardParamKind[a.Param]; isHazard {
+	if kind, isHazard := hazardAxisKind(a.Param); isHazard {
 		if base.Hazard == nil {
 			return fmt.Errorf("scenario: %q axis requires the base to declare a hazard profile", a.Param)
 		}

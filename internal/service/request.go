@@ -1,32 +1,9 @@
 package service
 
-import (
-	"repro/internal/scenario"
-	"repro/internal/storage"
-)
+import "repro/internal/scenario"
 
-// The wire request vocabulary — FleetEntry, EstimateRequest, the
-// WireFloat +Inf↔−1 convention — lives in internal/scenario, where the
-// declarative scenario documents that sweep over it are defined. The
-// service re-exports it under its historical names so every frontend
-// (cmd/ltsim, the facade, embedders) keeps one import path for "talking
-// to the daemon".
-
-// EstimateRequest is one estimation query on the wire; see
-// scenario.EstimateRequest.
+// EstimateRequest is one estimation query on the wire. The request
+// vocabulary (fleet entries, hazard specs, the +Inf↔−1 WireFloat
+// convention) lives in internal/scenario, where the declarative scenario
+// documents that sweep over it are defined; see scenario.EstimateRequest.
 type EstimateRequest = scenario.EstimateRequest
-
-// FleetEntry is one replica of a heterogeneous fleet on the wire; see
-// scenario.FleetEntry.
-type FleetEntry = scenario.FleetEntry
-
-// HazardSpec is a non-stationary fault profile on the wire; see
-// scenario.HazardSpec.
-type HazardSpec = scenario.HazardSpec
-
-// WireFloat maps a fault mean onto its wire form (+Inf travels as -1).
-func WireFloat(v float64) float64 { return scenario.WireFloat(v) }
-
-// FleetEntryFromSpec converts a resolved storage spec into its wire
-// form.
-func FleetEntryFromSpec(s storage.Spec) FleetEntry { return scenario.FleetEntryFromSpec(s) }

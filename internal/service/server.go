@@ -32,7 +32,7 @@ type Service struct {
 	memo *KeyMemo
 	// diskStore is the persistent result tier under the memory LRU; nil
 	// when the service runs memory-only (Config.Store unset).
-	diskStore store.Store
+	diskStore *store.DiskStore
 	sched     *scheduler
 	mux       *http.ServeMux
 	start     time.Time
@@ -73,10 +73,8 @@ func New(cfg Config) *Service {
 	reg := telemetry.NewRegistry()
 	s.metrics = newServiceMetrics(reg)
 	s.cache.instrument(reg)
-	if in, ok := s.diskStore.(interface {
-		Instrument(*telemetry.Registry)
-	}); ok {
-		in.Instrument(reg)
+	if s.diskStore != nil {
+		s.diskStore.Instrument(reg)
 	}
 	s.sched.instrument(reg)
 	sim.EnableMetrics(reg)

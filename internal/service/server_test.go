@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/storage"
 )
 
@@ -101,7 +102,7 @@ func TestEstimateMissThenHitBitIdentical(t *testing.T) {
 func TestEstimateEquivalentRequestsShareCacheEntry(t *testing.T) {
 	_, ts := newTestService(t)
 	tiered := EstimateRequest{
-		Fleet:  []FleetEntry{{Tier: "consumer"}, {Tier: "consumer"}},
+		Fleet:  []scenario.FleetEntry{{Tier: "consumer"}, {Tier: "consumer"}},
 		Trials: 100, HorizonYears: 50,
 	}
 	// Spell out the exact numbers the tier resolves to.
@@ -109,9 +110,9 @@ func TestEstimateEquivalentRequestsShareCacheEntry(t *testing.T) {
 	if !ok {
 		t.Fatal("consumer tier missing")
 	}
-	entry := FleetEntryFromSpec(s)
+	entry := scenario.FleetEntryFromSpec(s)
 	explicit := EstimateRequest{
-		Fleet:  []FleetEntry{entry, entry},
+		Fleet:  []scenario.FleetEntry{entry, entry},
 		Trials: 100, HorizonYears: 50,
 	}
 

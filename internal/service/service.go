@@ -122,9 +122,9 @@ type Config struct {
 	// hit promotes back into memory and serves with X-Ltsimd-Cache:
 	// disk), writes go through to both, and a daemon restarted over the
 	// same store replays bit-identical bytes without re-simulating. The
-	// service closes the store on Shutdown. cmd/ltsimd opens a
-	// store.DiskStore here from -cache-dir.
-	Store store.Store
+	// service closes the store on Shutdown. cmd/ltsimd opens one here
+	// from -cache-dir.
+	Store *store.DiskStore
 }
 
 // withDefaults fills the zero values.

@@ -6,8 +6,8 @@ import (
 	"sort"
 )
 
-// ObsBuffer is a mergeable, compressed buffer of survival observations:
-// the streaming counterpart of an []Observation. Event (loss) times are
+// ObsBuffer is a mergeable, compressed buffer of survival observations,
+// one per trial: a loss time or a censoring time. Event (loss) times are
 // kept individually — Kaplan–Meier needs each one — while censored
 // observations, which in a horizon-censored Monte Carlo run all share a
 // handful of distinct times (usually exactly one, the horizon), collapse
@@ -89,9 +89,10 @@ func (b *ObsBuffer) CensoredN() int { return b.censored }
 func (b *ObsBuffer) Events() []float64 { return b.events }
 
 // KaplanMeier fits the product-limit estimator to the buffer's
-// observations. The fit is bit-identical to NewKaplanMeier over the
-// equivalent []Observation: the estimator depends only on the multiset
-// of (time, event) pairs, and this walk performs the same float
+// observations. The fit is bit-identical to the slice fit the package's
+// tests keep as an oracle (NewKaplanMeier over the equivalent
+// observations, in kmoracle_test.go): the estimator depends only on the
+// multiset of (time, event) pairs, and this walk performs the same float
 // operations in the same (ascending-time) order.
 func (b *ObsBuffer) KaplanMeier() (*KaplanMeier, error) {
 	n := b.N()

@@ -1,12 +1,14 @@
 // Package stats implements the statistical estimators the Monte Carlo
-// harness needs: streaming moments, quantiles, histograms, confidence
-// intervals (Student-t and bootstrap), and Kaplan–Meier survival estimation
-// for horizon-censored time-to-data-loss trials.
+// harness runs: streaming moments with Student-t intervals, Wilson and
+// Horvitz–Thompson intervals for (weighted) loss proportions, and
+// Kaplan–Meier survival estimation for horizon-censored time-to-data-loss
+// trials, fitted from a mergeable observation buffer.
 //
-// Everything is implemented from scratch on the standard library, because
-// the reproduction environment is offline and the paper's claims are about
-// means, tail probabilities, and survival fractions — all of which need
-// honest uncertainty estimates before "model ≈ simulation" can be asserted.
+// Everything is implemented from scratch on the standard library and the
+// package imports nothing else from this module, because the paper's
+// claims are about means, tail probabilities, and survival fractions —
+// all of which need honest uncertainty estimates before "model ≈
+// simulation" can be asserted.
 package stats
 
 import (

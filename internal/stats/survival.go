@@ -1,19 +1,9 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Observation is one trial outcome for survival analysis: the time at
-// which the trial ended and whether it ended in the event of interest
-// (data loss) or was censored (simulation horizon reached with the data
-// intact).
-type Observation struct {
-	Time  float64
-	Event bool // true = data loss observed at Time; false = censored
-}
 
 // KaplanMeier is the product-limit estimator of the survival function
 // S(t) = P(no data loss by t), built from possibly-censored trials.
@@ -22,6 +12,7 @@ type Observation struct {
 // trial to data loss (an archive with MTTDL in the thousands of years may
 // see no loss within any reasonable horizon), so the estimator must handle
 // censoring honestly rather than discarding or truncating those trials.
+// ObsBuffer.KaplanMeier builds one.
 type KaplanMeier struct {
 	times    []float64 // distinct event times, ascending
 	survival []float64 // S(t) just after each event time
@@ -29,45 +20,6 @@ type KaplanMeier struct {
 	events   []int     // events at each time
 	n        int
 	maxTime  float64
-}
-
-// NewKaplanMeier fits the estimator to the given observations.
-func NewKaplanMeier(obs []Observation) (*KaplanMeier, error) {
-	if len(obs) == 0 {
-		return nil, ErrNoData
-	}
-	sorted := make([]Observation, len(obs))
-	copy(sorted, obs)
-	for _, o := range sorted {
-		if o.Time < 0 || math.IsNaN(o.Time) {
-			return nil, fmt.Errorf("stats: survival observation time %v must be non-negative", o.Time)
-		}
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
-
-	km := &KaplanMeier{n: len(sorted), maxTime: sorted[len(sorted)-1].Time}
-	s := 1.0
-	i := 0
-	for i < len(sorted) {
-		t := sorted[i].Time
-		atRisk := len(sorted) - i
-		events := 0
-		for i < len(sorted) && sorted[i].Time == t {
-			if sorted[i].Event {
-				events++
-			}
-			i++
-		}
-		if events == 0 {
-			continue // pure censoring time: survival unchanged
-		}
-		s *= 1 - float64(events)/float64(atRisk)
-		km.times = append(km.times, t)
-		km.survival = append(km.survival, s)
-		km.atRisk = append(km.atRisk, atRisk)
-		km.events = append(km.events, events)
-	}
-	return km, nil
 }
 
 // Survival returns the estimated S(t).

@@ -32,8 +32,8 @@ const (
 // corruptDir is the quarantine subdirectory under the store root.
 const corruptDir = "corrupt"
 
-// DiskStore is the shipped Store backend: one file per key in a
-// sharded content-addressed directory. Keys that are already canonical
+// DiskStore is the persistent result store, safe for concurrent use:
+// one file per key in a sharded content-addressed directory. Keys that are already canonical
 // fingerprints (64 hex chars) name their file directly; any other key is
 // content-addressed through SHA-256 first, so arbitrary cache keys (the
 // experiment-result keys, say) store safely too.
@@ -203,7 +203,8 @@ func (s *DiskStore) Instrument(reg *telemetry.Registry) {
 	})
 }
 
-// Get returns the stored bytes for key. A file that fails validation is
+// Get returns the stored bytes for key (callers must not mutate them)
+// and whether it was present. A file that fails validation is
 // quarantined and reported as a miss; the caller recomputes, and
 // determinism makes the recomputation bit-identical to what was lost.
 func (s *DiskStore) Get(key string) ([]byte, bool) {
@@ -387,7 +388,8 @@ func (s *DiskStore) Stats() Stats {
 }
 
 // Close marks the store closed; subsequent Gets miss and Puts are
-// dropped. The files stay — that is the point.
+// dropped. The files stay — that is the point. Close the store before
+// another DiskStore opens the same directory.
 func (s *DiskStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

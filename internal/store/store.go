@@ -1,30 +1,17 @@
 // Package store is the persistent result-store layer under the ltsimd
-// service's in-memory LRU: a pluggable, content-addressed byte store
-// keyed by the same canonical fingerprints the cache uses, so a daemon
-// restarted on a warm directory replays bit-identical answers instead of
-// re-simulating them.
+// service's in-memory LRU: a content-addressed byte store keyed by the
+// same canonical fingerprints the cache uses, so a daemon restarted on a
+// warm directory replays bit-identical answers instead of re-simulating
+// them.
 //
-// The one shipped backend, DiskStore, keeps one file per key in a
-// sharded directory tree with atomic temp+rename writes, CRC-checked
-// reads, a startup scan, and size-bounded garbage collection ordered by
-// LRU mtime. Corrupt entries (truncated, garbage, CRC mismatch) are
-// never served: they read as a miss, are quarantined under
-// <dir>/corrupt/, and are counted — the layer above re-simulates, which
-// the simulator's determinism guarantees reproduces the original bytes.
+// DiskStore keeps one file per key in a sharded directory tree with
+// atomic temp+rename writes, CRC-checked reads, a startup scan, and
+// size-bounded garbage collection ordered by LRU mtime. Corrupt entries
+// (truncated, garbage, CRC mismatch) are never served: they read as a
+// miss, are quarantined under <dir>/corrupt/, and are counted — the layer
+// above re-simulates, which the simulator's determinism guarantees
+// reproduces the original bytes.
 package store
-
-// Store is a persistent result store. Implementations must be safe for
-// concurrent use. Get returns the stored bytes (callers must not mutate
-// them) and whether the key was present; Put stores val under key,
-// overwriting any previous value; Close releases resources and must be
-// called before the directory is handed to another Store instance.
-type Store interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, val []byte)
-	Len() int
-	Stats() Stats
-	Close() error
-}
 
 // Stats is a point-in-time snapshot of a store's counters, shaped for
 // the service's /stats payload.

@@ -17,15 +17,15 @@ func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "b counter").Add(7)
 	v := r.CounterVec("a_total", "a counter", "route", "status")
-	v.With("/estimate", "200").Add(3)
-	v.With("/sweep", "400").Inc()
+	v.Func(func() uint64 { return 3 }, "/estimate", "200")
+	v.Func(func() uint64 { return 1 }, "/sweep", "400")
 	r.Gauge("c_depth", "depth").Set(2.5)
 	r.GaugeFunc("d_fn", "callback", func() float64 { return 9 })
 	h := r.Histogram("e_seconds", "latency", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(3)
-	r.CounterVec("f_total", `esc "quoted"\n`, "k").With("va\"l\\ue\n").Inc()
+	r.CounterVec("f_total", `esc "quoted"\n`, "k").Func(func() uint64 { return 1 }, "va\"l\\ue\n")
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -75,7 +75,7 @@ func TestExpositionParses(t *testing.T) {
 	}
 	cv := r.CounterVec("y_total", "y", "shard")
 	for i := 0; i < 4; i++ {
-		cv.With(strconv.Itoa(i)).Add(uint64(i))
+		cv.Func(func() uint64 { return uint64(i) }, strconv.Itoa(i))
 	}
 	r.Gauge("z", "z").Set(1)
 

@@ -6,10 +6,12 @@
 // records).
 //
 // The design optimizes for the recording path: handles resolved once
-// (Registry.Counter, CounterVec.With, ...) record with a single atomic
-// operation and zero allocations, so instruments can sit on hot paths —
+// (Registry.Counter, HistogramVec.With, ...) record with atomic
+// operations and zero allocations, so instruments can sit on hot paths —
 // the simulator records only at batch boundaries, and even the HTTP
-// middleware's per-request cost is a handful of atomics. Registration
+// middleware's per-request cost is a handful of atomics. Labeled
+// counters and gauges are callbacks (CounterVec.Func, GaugeVec.Func)
+// over counts a component already keeps, read at exposition. Registration
 // is idempotent: re-registering the same name with the same shape
 // returns the existing family, so independently initialized subsystems
 // can share a registry safely.
@@ -288,15 +290,10 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{r.register(name, help, KindCounter, labels, nil)}
 }
 
-// With resolves (creating if needed) the series for the label values.
-// Resolve once and keep the handle on hot paths.
-func (v *CounterVec) With(values ...string) *Counter {
-	return &Counter{v.f.childFor(values, nil)}
-}
-
 // Func registers a callback series under the label values: fn is read
 // at exposition and must never decrease (e.g. a per-node count the
-// component keeps itself).
+// component keeps itself). Registering the same label values again
+// keeps the first callback.
 func (v *CounterVec) Func(fn func() uint64, values ...string) {
 	v.f.childFor(values, fn)
 }
@@ -309,13 +306,9 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{r.register(name, help, KindGauge, labels, nil)}
 }
 
-// With resolves the settable series for the label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return &Gauge{v.f.childFor(values, nil)}
-}
-
 // Func registers a callback series under the label values: fn is
 // evaluated at exposition time (e.g. a queue-depth probe per shard).
+// Registering the same label values again keeps the first callback.
 func (v *GaugeVec) Func(fn func() float64, values ...string) {
 	v.f.childFor(values, gaugeBits(fn))
 }
@@ -329,7 +322,8 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	return &HistogramVec{r.register(name, help, KindHistogram, labels, buckets)}
 }
 
-// With resolves the series for the label values.
+// With resolves (creating if needed) the series for the label values.
+// Resolve once and keep the handle on hot paths.
 func (v *HistogramVec) With(values ...string) *Histogram {
 	return &Histogram{v.f.childFor(values, nil)}
 }

@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -47,18 +49,39 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestVecChildrenAreStable: the same label values resolve to one shared
+// series — HistogramVec handles record into it, and a second Func
+// registration keeps the first callback — and other values get their own.
 func TestVecChildrenAreStable(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("hits_total", "hits", "route")
-	a := v.With("/estimate")
-	b := v.With("/estimate")
-	a.Inc()
-	b.Inc()
-	if got := v.With("/estimate").Value(); got != 2 {
-		t.Fatalf("shared child = %d, want 2", got)
+	hv := r.HistogramVec("lat_seconds", "latency", []float64{1}, "route")
+	a := hv.With("/estimate")
+	b := hv.With("/estimate")
+	a.Observe(0.5)
+	b.Observe(0.5)
+	if _, _, n := hv.With("/estimate").Snapshot(); n != 2 {
+		t.Fatalf("shared child count = %d, want 2", n)
 	}
-	if got := v.With("/sweep").Value(); got != 0 {
-		t.Fatalf("distinct child = %d, want 0", got)
+	if _, _, n := hv.With("/sweep").Snapshot(); n != 0 {
+		t.Fatalf("distinct child count = %d, want 0", n)
+	}
+
+	cv := r.CounterVec("hits_total", "hits", "route")
+	cv.Func(func() uint64 { return 2 }, "/estimate")
+	cv.Func(func() uint64 { return 5 }, "/estimate")
+	cv.Func(func() uint64 { return 0 }, "/sweep")
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	got := sb.String()
+	if n := strings.Count(got, `hits_total{route="/estimate"}`); n != 1 {
+		t.Fatalf("shared callback child exposed %d times, want 1:\n%s", n, got)
+	}
+	for _, want := range []string{"hits_total{route=\"/estimate\"} 2\n", "hits_total{route=\"/sweep\"} 0\n"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, got)
+		}
 	}
 }
 
@@ -94,7 +117,8 @@ func TestInvalidNamePanics(t *testing.T) {
 }
 
 // TestConcurrentRegistry hammers every instrument type from many
-// goroutines while exposition runs, for the race detector.
+// goroutines, creating labeled children concurrently while exposition
+// runs, for the race detector.
 func TestConcurrentRegistry(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
@@ -102,19 +126,21 @@ func TestConcurrentRegistry(t *testing.T) {
 	hv := r.HistogramVec("h_seconds", "", []float64{0.1, 1}, "route")
 	cv := r.CounterVec("cv_total", "", "k")
 	r.GaugeFunc("gf", "", func() float64 { return 42 })
+	var cvCount atomic.Uint64
 
 	const workers, iters = 8, 2000
+	routes := []string{"/estimate", "/sweep"}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := hv.With("/estimate")
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				g.Add(1)
-				h.Observe(float64(i%3) / 2)
-				cv.With([]string{"a", "b"}[i%2]).Inc()
+				hv.With(routes[i%2]).Observe(float64(i%3) / 2)
+				cvCount.Add(1)
+				cv.Func(cvCount.Load, []string{"a", "b"}[i%2])
 			}
 		}(w)
 	}
@@ -138,8 +164,19 @@ func TestConcurrentRegistry(t *testing.T) {
 	if got := g.Value(); got != workers*iters {
 		t.Errorf("gauge = %v, want %d", got, workers*iters)
 	}
-	_, _, count := hv.With("/estimate").Snapshot()
-	if count != workers*iters {
-		t.Errorf("histogram count = %d, want %d", count, workers*iters)
+	for _, route := range routes {
+		if _, _, count := hv.With(route).Snapshot(); count != workers*iters/2 {
+			t.Errorf("histogram %s count = %d, want %d", route, count, workers*iters/2)
+		}
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b"} {
+		want := fmt.Sprintf("cv_total{k=%q} %d\n", k, workers*iters)
+		if n := strings.Count(sb.String(), want); n != 1 {
+			t.Errorf("exposition has %q %d times, want once:\n%s", want, n, sb.String())
+		}
 	}
 }
