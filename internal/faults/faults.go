@@ -56,10 +56,9 @@ type Process struct {
 	mean  float64
 	accel float64
 	bias  float64
-	// profile, when non-nil, makes the hazard time-varying:
-	// SampleNextAt thins candidate arrivals against it. See Hazard.
-	profile Hazard
-	// kern is profile resolved by SetProfile for SampleNextAt.
+	// kern is the hazard profile SetProfile attached, resolved for
+	// SampleNextAt, which thins candidate arrivals against it; the zero
+	// kernel (kernelNone) is no profile. See Hazard.
 	kern kernel
 }
 

@@ -21,9 +21,13 @@ import (
 // only on the profile and the candidate times, never on wall state, so
 // profiled trials keep the per-trial determinism contract.
 //
-// Implementations shipped here: ConstantHazard, PiecewiseHazard,
-// WeibullHazard, and the ScaledHazard combinator. internal/aging builds
-// the paper's §6.5 bathtub curves on top of PiecewiseHazard.
+// The four types here — ConstantHazard, PiecewiseHazard, WeibullHazard
+// and the ScaledHazard combinator — are the only implementations: the
+// unexported kernel method seals the interface. SetProfile resolves each
+// into a kernel that SampleNextAt evaluates without calling Envelope or
+// Multiplier; those methods define the profile and serve as the test
+// oracle for the kernels. internal/aging builds the paper's §6.5 bathtub
+// curves on top of PiecewiseHazard.
 type Hazard interface {
 	// Multiplier returns φ(t) >= 0, the hazard multiplier at time t
 	// (hours since the start of the trial).
@@ -41,6 +45,8 @@ type Hazard interface {
 	MeanMultiplier(horizon float64) float64
 	// Validate reports whether the profile's parameters are in domain.
 	Validate() error
+	// kernel resolves the profile into the form SampleNextAt evaluates.
+	kernel() kernel
 }
 
 // maxHazardTime bounds the thinning walk: a candidate pushed beyond this
@@ -51,21 +57,13 @@ const maxHazardTime = 1e18
 
 // maxThinningRejects bounds the candidates one SampleNextAt call rejects
 // before it samples the rest of the wait by inverting the profile's
-// integrated multiplier, for profiles that can (see inverter). Realistic
-// profiles reject a few candidates per arrival, so they never reach the
-// cap and keep their exact draw sequence; a steep one (a Weibull shape of
-// 100, or a scale far beyond the channel's mean) would otherwise reject
-// for hours per arrival.
+// integrated multiplier (see kernel.advance). Only a Weibull kernel can
+// reject: the others' envelopes are tight. Realistic profiles reject a
+// few candidates per arrival, so they never reach the cap and keep their
+// exact draw sequence; a steep one (a Weibull shape of 100, or a scale
+// far beyond the channel's mean) would otherwise reject for hours per
+// arrival.
 const maxThinningRejects = 1 << 16
-
-// inverter is implemented by profiles whose integrated multiplier has a
-// closed-form inverse.
-type inverter interface {
-	// advance returns the time u >= t at which ∫_t^u φ reaches mass, or
-	// +Inf if it never does within float range; ok is false if the
-	// profile cannot invert.
-	advance(t, mass float64) (u float64, ok bool)
-}
 
 // SetProfile attaches a hazard profile to the process; nil restores the
 // time-homogeneous behaviour. The profile multiplies the base hazard
@@ -74,12 +72,12 @@ type inverter interface {
 // profile into the kernel SampleNextAt evaluates, so it is the place to
 // pay for that, not the sampling loop.
 func (p *Process) SetProfile(h Hazard) {
-	p.profile = h
-	p.kern = resolveKernel(h)
+	if h == nil {
+		p.kern = kernel{}
+		return
+	}
+	p.kern = h.kernel()
 }
-
-// Profile returns the attached hazard profile (nil = homogeneous).
-func (p *Process) Profile() Hazard { return p.profile }
 
 // SampleNextAt draws the time from `now` until the next fault. With no
 // profile attached it delegates to SampleNext — one draw, bit-identical
@@ -90,18 +88,17 @@ func (p *Process) Profile() Hazard { return p.profile }
 // φ(candidate)/bound — outright when the envelope is tight (φ = bound,
 // as for constant and piecewise profiles), so the acceptance draw is
 // only spent where rejection is possible. After maxThinningRejects
-// rejections an invertible profile finishes the wait in one draw: no
-// arrival fell in [now, t], so the next one is where the integrated
-// hazard from t reaches a fresh Exp(1) draw — exact, like thinning.
-// Envelope and multiplier come from the process's kernel (see kernel);
-// only a profile type this package does not know is called through the
-// Hazard interface. Returns +Inf when the process is disabled or the
-// profile's remaining mass is negligible.
+// rejections a Weibull kernel finishes the wait in one draw: no arrival
+// fell in [now, t], so the next one is where the integrated hazard from
+// t reaches a fresh Exp(1) draw — exact, like thinning. Envelope and
+// multiplier come from the process's kernel (see kernel), never from a
+// call through the Hazard interface. Returns +Inf when the process is
+// disabled or the profile's remaining mass is negligible.
 func (p *Process) SampleNextAt(now float64, src *rng.Source) float64 {
-	if p.profile == nil {
+	k := &p.kern
+	if k.kind == kernelNone {
 		return p.SampleNext(src)
 	}
-	k := &p.kern
 	if p.Disabled() {
 		return math.Inf(1)
 	}
@@ -135,8 +132,6 @@ func (p *Process) SampleNextAt(now float64, src *rng.Source) float64 {
 			}
 		case kernelConstant:
 			bound, dt = k.bound, math.Inf(1)
-		default:
-			bound, dt = p.profile.Envelope(t)
 		}
 		end := t + dt
 		if bound <= 0 {
@@ -159,21 +154,16 @@ func (p *Process) SampleNextAt(now float64, src *rng.Source) float64 {
 			m = k.factors[segment(k.bounds, t)]
 		case kernelConstant:
 			m = k.bound
-		default:
-			m = p.profile.Multiplier(t)
 		}
 		if m >= bound || src.Float64Open()*bound <= m {
 			return t - now
 		}
-		if rejects++; rejects == maxThinningRejects {
-			if inv, ok := p.profile.(inverter); ok {
-				if u, ok := inv.advance(t, -math.Log(src.Float64Open())/base); ok {
-					if u > maxHazardTime {
-						return math.Inf(1)
-					}
-					return u - now
-				}
+		if rejects++; rejects == maxThinningRejects && k.kind == kernelWeibull {
+			u := k.advance(t, -math.Log(src.Float64Open())/base)
+			if u > maxHazardTime {
+				return math.Inf(1)
 			}
+			return u - now
 		}
 	}
 }
@@ -366,34 +356,6 @@ func (h WeibullHazard) MeanMultiplier(horizon float64) float64 {
 	return math.Pow(horizon/h.Scale, h.Shape-1)
 }
 
-// advance inverts the integrated multiplier Scale·(t/Scale)^Shape in
-// log space, so extreme shapes and scales neither overflow nor lose the
-// starting time: with a = ln((t/Scale)^Shape) and b = ln(mass/Scale),
-// u = Scale·exp(ln(e^a + e^b)/Shape).
-func (h WeibullHazard) advance(t, mass float64) (float64, bool) {
-	switch {
-	case mass <= 0:
-		return t, true
-	case math.IsInf(mass, 1):
-		return mass, true
-	}
-	lnScale := math.Log(h.Scale)
-	b := math.Log(mass) - lnScale
-	if t <= 0 {
-		return math.Exp(lnScale + b/h.Shape), true
-	}
-	a := h.Shape * (math.Log(t) - lnScale)
-	var u float64
-	if a >= b {
-		// u = t·(1 + e^(b−a))^(1/Shape): exactly t when the mass is
-		// negligible, even where a itself overflows.
-		u = t * math.Exp(math.Log1p(math.Exp(b-a))/h.Shape)
-	} else {
-		u = math.Exp(lnScale + (b+math.Log1p(math.Exp(a-b)))/h.Shape)
-	}
-	return math.Max(t, u), true
-}
-
 // Validate reports whether shape and scale are in domain.
 func (h WeibullHazard) Validate() error {
 	if math.IsNaN(h.Shape) || math.IsInf(h.Shape, 0) || h.Shape < 1 {
@@ -452,14 +414,6 @@ func (h ScaledHazard) Envelope(t float64) (float64, float64) {
 // MeanMultiplier scales the base average.
 func (h ScaledHazard) MeanMultiplier(horizon float64) float64 {
 	return h.Factor * h.Base.MeanMultiplier(horizon)
-}
-
-// advance scales the mass into the base profile's units.
-func (h ScaledHazard) advance(t, mass float64) (float64, bool) {
-	if inv, ok := h.Base.(inverter); ok {
-		return inv.advance(t, mass/h.Factor)
-	}
-	return 0, false
 }
 
 // Validate checks the factor and the base profile.

@@ -19,17 +19,22 @@ func mustProcess(t *testing.T, mean float64) *Process {
 // TestSampleNextAtNilProfileBitIdentical pins the constant-path contract:
 // with no profile attached, SampleNextAt consumes exactly the one draw
 // SampleNext does and returns the identical value, so switching call
-// sites to SampleNextAt cannot perturb any historical result.
+// sites to SampleNextAt cannot perturb any historical result. A profile
+// detached with SetProfile(nil) counts as never attached.
 func TestSampleNextAtNilProfileBitIdentical(t *testing.T) {
-	a := mustProcess(t, 1234.5)
-	b := mustProcess(t, 1234.5)
-	srcA, srcB := rng.New(7), rng.New(7)
-	for i := 0; i < 1000; i++ {
-		now := float64(i) * 17.25
-		va := a.SampleNextAt(now, srcA)
-		vb := b.SampleNext(srcB)
-		if va != vb {
-			t.Fatalf("draw %d: SampleNextAt %v != SampleNext %v", i, va, vb)
+	detached := mustProcess(t, 1234.5)
+	detached.SetProfile(WeibullHazard{Shape: 2, Scale: 5000})
+	detached.SetProfile(nil)
+	for _, a := range []*Process{mustProcess(t, 1234.5), detached} {
+		b := mustProcess(t, 1234.5)
+		srcA, srcB := rng.New(7), rng.New(7)
+		for i := 0; i < 1000; i++ {
+			now := float64(i) * 17.25
+			va := a.SampleNextAt(now, srcA)
+			vb := b.SampleNext(srcB)
+			if va != vb {
+				t.Fatalf("detached %v, draw %d: SampleNextAt %v != SampleNext %v", a == detached, i, va, vb)
+			}
 		}
 	}
 }
@@ -126,9 +131,9 @@ func TestSteepWeibullFallsBackToInversion(t *testing.T) {
 	}
 }
 
-// TestWeibullAdvanceInvertsIntegral: advance(t, mass) lands where the
-// integrated multiplier Scale·(u/Scale)^Shape has grown by mass, never
-// before t, and without overflow at extreme shapes.
+// TestWeibullAdvanceInvertsIntegral: the Weibull kernel's advance(t,
+// mass) lands where the integrated multiplier Scale·(u/Scale)^Shape has
+// grown by mass, never before t, and without overflow at extreme shapes.
 func TestWeibullAdvanceInvertsIntegral(t *testing.T) {
 	integral := func(h WeibullHazard, u float64) float64 { return h.Scale * math.Pow(u/h.Scale, h.Shape) }
 	for _, c := range []struct {
@@ -141,9 +146,9 @@ func TestWeibullAdvanceInvertsIntegral(t *testing.T) {
 		{WeibullHazard{Shape: 100, Scale: 100}, 95, 0.01},
 		{WeibullHazard{Shape: 1, Scale: 10}, 3, 4},
 	} {
-		u, ok := c.h.advance(c.t, c.mass)
-		if !ok || u < c.t {
-			t.Fatalf("%+v from %v: advance = %v, %v", c.h, c.t, u, ok)
+		u := weibullKernel(c.h).advance(c.t, c.mass)
+		if u < c.t {
+			t.Fatalf("%+v from %v: advance = %v", c.h, c.t, u)
 		}
 		if got := integral(c.h, u) - integral(c.h, c.t); math.Abs(got-c.mass) > 1e-9*math.Max(1, integral(c.h, u)) {
 			t.Errorf("%+v from %v: integral grew by %v, want %v", c.h, c.t, got, c.mass)
@@ -159,10 +164,17 @@ func TestWeibullAdvanceInvertsIntegral(t *testing.T) {
 		{WeibullHazard{Shape: 2, Scale: 1}, 1e200, 1e-300, 1e200}, // negligible mass
 		{WeibullHazard{Shape: 2, Scale: 5}, 3, math.Inf(1), math.Inf(1)},
 	} {
-		if u, _ := c.h.advance(c.t, c.mass); !(u == c.want || math.Abs(u-c.want) <= 1e-12*c.want) {
+		if u := weibullKernel(c.h).advance(c.t, c.mass); !(u == c.want || math.Abs(u-c.want) <= 1e-12*c.want) {
 			t.Errorf("%+v from %v with mass %v: advance = %v, want %v", c.h, c.t, c.mass, u, c.want)
 		}
 	}
+}
+
+// weibullKernel returns h's Weibull kernel with no ScaledHazard factors,
+// for any shape: h.kernel() resolves Shape 1 into a constant kernel,
+// which has no advance.
+func weibullKernel(h WeibullHazard) *kernel {
+	return &kernel{kind: kernelWeibull, shape: h.Shape, scale: h.Scale}
 }
 
 // TestPiecewiseThinningClosedFormSurvival checks the piecewise sampler

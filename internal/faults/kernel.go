@@ -9,10 +9,8 @@ import (
 type kernelKind uint8
 
 const (
-	// kernelOpaque: a Hazard this package does not know, evaluated
-	// through its interface methods (or no profile at all, which
-	// SampleNextAt handles before it looks at the kernel).
-	kernelOpaque kernelKind = iota
+	// kernelNone: no profile, so SampleNextAt draws as SampleNext does.
+	kernelNone kernelKind = iota
 	kernelConstant
 	kernelPiecewise
 	kernelWeibull
@@ -28,12 +26,14 @@ const (
 	powSquare                 // exponent 2: x*x where the result is normal
 )
 
-// kernel is a profile resolved once, by SetProfile, into the concrete
-// form SampleNextAt evaluates inline instead of calling Envelope and
-// Multiplier through the Hazard interface. Every kernel computes
-// exactly the values the interface methods return — the same float
-// operations in the same order — so a draw cannot tell the two apart
-// (TestKernelMatchesInterfaceWalk pins this bit for bit).
+// kernel is a profile resolved once, by SetProfile through
+// Hazard.kernel, into the concrete form SampleNextAt evaluates inline.
+// Every kernel computes exactly the values the profile's Envelope and
+// Multiplier methods return — the same float operations in the same
+// order — so a draw cannot tell the two apart
+// (TestKernelMatchesInterfaceWalk pins this bit for bit against a walk
+// that calls those methods). A kernel copies what it keeps: it is a
+// snapshot of the profile SetProfile was given.
 type kernel struct {
 	kind kernelKind
 	// bound is a constant kernel's multiplier, ScaledHazard factors
@@ -50,50 +50,49 @@ type kernel struct {
 	scales       []float64
 }
 
-// resolveKernel unwraps ScaledHazard layers off h and resolves the
-// profile inside into a kernel, copying what it keeps: a kernel is a
-// snapshot of the profile SetProfile was given. Shape-1 Weibull
-// profiles are constant ones: their envelope is (1, +Inf) and their
-// multiplier 1.
-func resolveKernel(h Hazard) kernel {
-	var scales []float64 // outermost first until the reverse below
-	base := h
-	for s, ok := base.(ScaledHazard); ok; s, ok = base.(ScaledHazard) {
-		scales = append(scales, s.Factor)
-		base = s.Base
+// kernel returns the constant kernel of multiplier Factor.
+func (h ConstantHazard) kernel() kernel {
+	return kernel{kind: kernelConstant, bound: h.Factor}
+}
+
+// kernel returns the piecewise kernel of a copy of the segments.
+func (h PiecewiseHazard) kernel() kernel {
+	return kernel{kind: kernelPiecewise, bounds: slices.Clone(h.Bounds), factors: slices.Clone(h.Factors)}
+}
+
+// kernel returns the Weibull kernel, or for Shape 1 the constant kernel
+// it is: its envelope is (1, +Inf) and its multiplier 1.
+func (h WeibullHazard) kernel() kernel {
+	if h.Shape == 1 {
+		return kernel{kind: kernelConstant, bound: 1}
 	}
-	slices.Reverse(scales)
-	scale := func(v float64) float64 {
-		for _, f := range scales {
-			v = f * v
-		}
-		return v
+	k := kernel{kind: kernelWeibull, shape: h.Shape, scale: h.Scale}
+	switch h.Shape - 1 {
+	case 0.5:
+		k.pow = powSqrt
+	case 1:
+		k.pow = powOne
+	case 2:
+		k.pow = powSquare
 	}
-	switch b := base.(type) {
-	case ConstantHazard:
-		return kernel{kind: kernelConstant, bound: scale(b.Factor)}
-	case PiecewiseHazard:
-		factors := make([]float64, len(b.Factors))
-		for i, f := range b.Factors {
-			factors[i] = scale(f)
+	return k
+}
+
+// kernel applies Factor to the base's kernel after the base's own
+// factors, as Multiplier applies it to the base's multiplier.
+func (h ScaledHazard) kernel() kernel {
+	k := h.Base.kernel()
+	switch k.kind {
+	case kernelConstant:
+		k.bound = h.Factor * k.bound
+	case kernelPiecewise:
+		for i, f := range k.factors {
+			k.factors[i] = h.Factor * f
 		}
-		return kernel{kind: kernelPiecewise, bounds: slices.Clone(b.Bounds), factors: factors}
-	case WeibullHazard:
-		if b.Shape == 1 {
-			return kernel{kind: kernelConstant, bound: scale(1)}
-		}
-		k := kernel{kind: kernelWeibull, shape: b.Shape, scale: b.Scale, scales: scales}
-		switch b.Shape - 1 {
-		case 0.5:
-			k.pow = powSqrt
-		case 1:
-			k.pow = powOne
-		case 2:
-			k.pow = powSquare
-		}
-		return k
+	case kernelWeibull:
+		k.scales = append(k.scales, h.Factor)
 	}
-	return kernel{kind: kernelOpaque}
+	return k
 }
 
 // weibull returns the Weibull kernel's multiplier at t, as
@@ -130,3 +129,38 @@ func (k *kernel) weibull(t float64) float64 {
 
 // minNormal is the smallest positive normal float64.
 const minNormal = 0x1p-1022
+
+// advance returns the time u >= t at which the Weibull kernel's
+// integrated multiplier from t reaches mass, or +Inf if it never does
+// within float range. It divides mass by the ScaledHazard factors,
+// outermost first, into the bare profile's units, then inverts the
+// integrated multiplier Scale·(t/Scale)^Shape in log space, so extreme
+// shapes and scales neither overflow nor lose the starting time: with
+// a = ln((t/Scale)^Shape) and b = ln(mass/Scale),
+// u = Scale·exp(ln(e^a + e^b)/Shape).
+func (k *kernel) advance(t, mass float64) float64 {
+	for i := len(k.scales) - 1; i >= 0; i-- {
+		mass /= k.scales[i]
+	}
+	switch {
+	case mass <= 0:
+		return t
+	case math.IsInf(mass, 1):
+		return mass
+	}
+	lnScale := math.Log(k.scale)
+	b := math.Log(mass) - lnScale
+	if t <= 0 {
+		return math.Exp(lnScale + b/k.shape)
+	}
+	a := k.shape * (math.Log(t) - lnScale)
+	var u float64
+	if a >= b {
+		// u = t·(1 + e^(b−a))^(1/Shape): exactly t when the mass is
+		// negligible, even where a itself overflows.
+		u = t * math.Exp(math.Log1p(math.Exp(b-a))/k.shape)
+	} else {
+		u = math.Exp(lnScale + (b+math.Log1p(math.Exp(a-b)))/k.shape)
+	}
+	return math.Max(t, u)
+}

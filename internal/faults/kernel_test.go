@@ -7,26 +7,72 @@ import (
 	"repro/internal/rng"
 )
 
-// opaque hides a profile's concrete type from SetProfile, so the process
-// walks it through the Hazard interface, but forwards advance so the
-// walk keeps the inversion fallback.
-type opaque struct{ Hazard }
+// walkNextAt is the oracle for SampleNextAt: the same thinning walk
+// with every envelope and multiplier called through the Hazard
+// interface instead of read from a kernel. p supplies the mean,
+// acceleration and bias; its own profile is not read.
+func walkNextAt(p *Process, h Hazard, now float64, src *rng.Source) float64 {
+	if p.Disabled() {
+		return math.Inf(1)
+	}
+	base := p.accel * p.bias / p.mean
+	t := now
+	for rejects := 0; ; {
+		if t > maxHazardTime {
+			return math.Inf(1)
+		}
+		bound, dt := h.Envelope(t)
+		end := t + dt
+		if bound <= 0 {
+			if math.IsInf(end, 1) {
+				return math.Inf(1)
+			}
+			t = end
+			continue
+		}
+		t += -math.Log(src.Float64Open()) / (base * bound)
+		if t >= end {
+			t = end
+			continue
+		}
+		m := h.Multiplier(t)
+		if m >= bound || src.Float64Open()*bound <= m {
+			return t - now
+		}
+		if rejects++; rejects == maxThinningRejects {
+			if u, ok := walkAdvance(h, t, -math.Log(src.Float64Open())/base); ok {
+				if u > maxHazardTime {
+					return math.Inf(1)
+				}
+				return u - now
+			}
+		}
+	}
+}
 
-func (o opaque) advance(t, mass float64) (float64, bool) {
-	if inv, ok := o.Hazard.(inverter); ok {
-		return inv.advance(t, mass)
+// walkAdvance is the inversion walkNextAt falls back on: it unwraps
+// ScaledHazard layers outermost first, dividing the mass by each
+// factor, and inverts the bare Weibull profile inside; ok is false for
+// a profile with no inverse.
+func walkAdvance(h Hazard, t, mass float64) (u float64, ok bool) {
+	switch h := h.(type) {
+	case ScaledHazard:
+		return walkAdvance(h.Base, t, mass/h.Factor)
+	case WeibullHazard:
+		return weibullKernel(h).advance(t, mass), true
 	}
 	return 0, false
 }
 
 // TestKernelMatchesInterfaceWalk draws from every kernel kind and from
-// the interface walk of the same profile, with the same stream, and
-// requires every draw to match bit for bit. Draws cycle through
-// accelerations 1, 2 and 7.5 and biases 1 and 3, with now spread over
-// [0, 5e6]. Two cases aim at edges: a scale so long that candidates
-// land where (t/Scale)² is subnormal, and a steep shape whose every
-// draw reaches the inversion fallback (fewer draws there, since each
-// rejects 2^16 candidates first).
+// the interface walk (walkNextAt) of the same profile, with the same
+// stream, and requires every draw to match bit for bit. Draws cycle
+// through accelerations 1, 2 and 7.5 and biases 1 and 3, with now
+// spread over [0, 5e6]. Three cases aim at edges: a scale so long that
+// candidates land where (t/Scale)² is subnormal, and a steep shape,
+// bare and under two factors, whose every draw reaches the inversion
+// fallback (fewer draws there, since each rejects 2^16 candidates
+// first).
 func TestKernelMatchesInterfaceWalk(t *testing.T) {
 	norm := func(shape float64) Hazard {
 		h, err := Normalize(WeibullHazard{Shape: shape, Scale: 200000}, 438300)
@@ -57,24 +103,22 @@ func TestKernelMatchesInterfaceWalk(t *testing.T) {
 		{"weibull-3-nested", ScaledHazard{Base: ScaledHazard{Base: WeibullHazard{Shape: 3, Scale: 5e4}, Factor: 0.7}, Factor: 1.3}, 1e5, 5e6, 1e5, kernelWeibull},
 		{"weibull-3-subnormal-square", WeibullHazard{Shape: 3, Scale: 1e172}, 5e17, 5e6, 1e5, kernelWeibull},
 		{"weibull-100-inversion", WeibullHazard{Shape: 100, Scale: 100}, 100, 5e6, 32, kernelWeibull},
+		{"weibull-100-inversion-nested", ScaledHazard{Base: ScaledHazard{Base: WeibullHazard{Shape: 100, Scale: 100}, Factor: 0.7}, Factor: 1.3}, 100, 5e6, 32, kernelWeibull},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			kern, walk := mustProcess(t, c.mean), mustProcess(t, c.mean)
-			kern.SetProfile(c.h)
-			walk.SetProfile(opaque{c.h})
-			if kern.kern.kind != c.kind || walk.kern.kind != kernelOpaque {
-				t.Fatalf("kernel kinds %v and %v, want %v and %v", kern.kern.kind, walk.kern.kind, c.kind, kernelOpaque)
+			p := mustProcess(t, c.mean)
+			p.SetProfile(c.h)
+			if p.kern.kind != c.kind {
+				t.Fatalf("kernel kind %v, want %v", p.kern.kind, c.kind)
 			}
 			srcK, srcW := rng.New(11), rng.New(11)
 			accels := []float64{1, 2, 7.5}
 			for i := 0; i < c.n; i++ {
 				a, b := accels[i%3], 1+2*float64(i/3%2)
-				for _, p := range []*Process{kern, walk} {
-					p.SetAcceleration(a)
-					p.SetBias(b)
-				}
+				p.SetAcceleration(a)
+				p.SetBias(b)
 				now := c.span * float64(i%1001) / 1000
-				got, want := kern.SampleNextAt(now, srcK), walk.SampleNextAt(now, srcW)
+				got, want := p.SampleNextAt(now, srcK), walkNextAt(p, c.h, now, srcW)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("draw %d (now %v, accel %v, bias %v): kernel %v, interface walk %v", i, now, a, b, got, want)
 				}
@@ -95,7 +139,7 @@ func TestWeibullKernelMultiplier(t *testing.T) {
 	src := rng.New(3)
 	for _, shape := range []float64{1.5, 2, 2.5, 3} {
 		h := WeibullHazard{Shape: shape, Scale: 1}
-		k := resolveKernel(h)
+		k := h.kernel()
 		for i := 0; i < 200000; i++ {
 			x := math.Ldexp(1+src.Float64(), int(src.Float64()*2100)-1075)
 			if got, want := k.weibull(x), h.Multiplier(x); math.Float64bits(got) != math.Float64bits(want) {

@@ -101,27 +101,6 @@ func (s *Source) normal() float64 {
 	}
 }
 
-// Uniform is the continuous uniform distribution on [Lo, Hi).
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// NewUniform returns a Uniform on [lo, hi).
-func NewUniform(lo, hi float64) (Uniform, error) {
-	if !(lo < hi) {
-		return Uniform{}, fmt.Errorf("%w: uniform bounds [%v, %v) are empty", ErrInvalidParam, lo, hi)
-	}
-	return Uniform{Lo: lo, Hi: hi}, nil
-}
-
-// Sample draws uniformly from [Lo, Hi).
-func (u Uniform) Sample(src *Source) float64 {
-	return u.Lo + (u.Hi-u.Lo)*src.Float64()
-}
-
-// Mean returns the midpoint.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
 // Deterministic always returns Value. Repair-time models frequently use it
 // (the paper's MRV for a Cheetah rebuild is the fixed 20-minute full-disk
 // transfer time).
@@ -134,19 +113,6 @@ func (d Deterministic) Sample(*Source) float64 { return d.Value }
 
 // Mean returns Value.
 func (d Deterministic) Mean() float64 { return d.Value }
-
-// Shifted adds a fixed offset to another Sampler, e.g. operator dispatch
-// latency before an exponential repair.
-type Shifted struct {
-	Offset float64
-	Base   Sampler
-}
-
-// Sample returns Offset + Base.Sample.
-func (s Shifted) Sample(src *Source) float64 { return s.Offset + s.Base.Sample(src) }
-
-// Mean returns Offset + Base.Mean.
-func (s Shifted) Mean() float64 { return s.Offset + s.Base.Mean() }
 
 // Scaled multiplies another Sampler by a fixed factor. The correlation
 // model uses it to contract inter-fault times by α.
