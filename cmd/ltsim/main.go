@@ -138,94 +138,138 @@ import (
 )
 
 func main() {
-	var replicaFlags []string
-	var (
-		mv        = flag.Float64("mv", model.PaperMV, "per-replica mean time to visible fault, hours")
-		ml        = flag.Float64("ml", model.PaperML, "per-replica mean time to latent fault, hours (inf = none)")
-		mrv       = flag.Float64("mrv", model.PaperMRV, "visible repair time, hours")
-		mrl       = flag.Float64("mrl", model.PaperMRL, "latent repair time, hours")
-		scrubs    = flag.Float64("scrubs-per-year", 3, "periodic audit frequency (0 = never)")
-		alpha     = flag.Float64("alpha", 1, "correlation factor in (0,1]")
-		reps      = flag.Int("replicas", 2, "replica count (uniform fleet)")
-		trials    = flag.Int("trials", 1000, "Monte Carlo trials")
-		horizon   = flag.Float64("horizon", 0, "censoring horizon in years (0 = run every trial to loss)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		bug       = flag.Float64("repair-bug", 0, "probability a repair plants a latent fault (§6.6)")
-		wear      = flag.Float64("audit-wear", 0, "probability an audit pass plants a latent fault (§6.6)")
-		asJSON    = flag.Bool("json", false, "emit the machine-readable estimate JSON instead of tables")
-		server    = flag.String("server", "", "base URL of a running ltsimd (e.g. http://localhost:8356); query it instead of simulating locally")
-		targetRel = flag.Float64("target-rel", 0, "adaptive mode: stop when the CI relative half-width reaches this target (0 = fixed -trials budget)")
-		maxTrials = flag.Int("max-trials", 0, "adaptive trial cap (0 = the simulator's default); only with -target-rel")
-		progress  = flag.Bool("progress", false, "report live progress on stderr while the run executes")
-		biasMode  = flag.String("bias", "off", "rare-event importance sampling: off, auto (model-chosen boost), or an explicit factor >= 1; requires -horizon")
-		scenPath  = flag.String("scenario", "", "path to a scenario document (JSON); expand and run the sweep locally, or relay it to -server (single-run flags are ignored)")
-		retries   = flag.Int("retries", 3, "with -server: retry attempts after a connection failure or 503 (jittered exponential backoff; 0 = fail fast)")
-		hazard    = flag.String("hazard", "", "non-stationary fault profile: a JSON HazardSpec object, or @file to read one")
-		record    = flag.String("record", "", "record every trial's fault/repair events to this NDJSON trace file (requires -horizon; local only)")
-		tracePath = flag.String("trace", "", "replay a recorded NDJSON trace through the configured system instead of sampling faults (local only)")
-		rePolicy  = flag.Bool("replay-policy", false, "with -trace: re-decide detection and repair from the flags instead of pinning recorded repairs (counterfactual replay)")
-	)
-	flag.Func("replica", "add one replica to a heterogeneous fleet: a named tier (consumer, enterprise, tape) or key=value pairs (mv, ml, scrubs, offset, repair, label, access-rate, access-coverage); repeatable", func(v string) error {
-		replicaFlags = append(replicaFlags, v)
-		return nil
-	})
+	rf := bindRunFlags(flag.CommandLine)
+	var m modes
+	flag.BoolVar(&m.asJSON, "json", false, "emit the machine-readable estimate JSON instead of tables")
+	flag.StringVar(&m.server, "server", "", "base URL of a running ltsimd (e.g. http://localhost:8356); query it instead of simulating locally")
+	flag.StringVar(&m.scenario, "scenario", "", "path to a scenario document (JSON); expand and run the sweep locally, or relay it to -server (single-run flags are ignored)")
+	flag.IntVar(&m.retries, "retries", 3, "with -server: retry attempts after a connection failure or 503 (jittered exponential backoff; 0 = fail fast)")
+	flag.StringVar(&m.record, "record", "", "record every trial's fault/repair events to this NDJSON trace file (requires -horizon; local only)")
+	flag.StringVar(&m.trace, "trace", "", "replay a recorded NDJSON trace through the configured system instead of sampling faults (local only)")
+	flag.BoolVar(&m.replayPolicy, "replay-policy", false, "with -trace: re-decide detection and repair from the flags instead of pinning recorded repairs (counterfactual replay)")
 	flag.Parse()
 
-	// In adaptive mode an untouched -trials default must not become a
-	// 1000-trial floor: only an explicit -trials sets the minimum.
-	trialsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "trials" {
-			trialsSet = true
-		}
-	})
-	effTrials := *trials
-	if *targetRel > 0 && !trialsSet {
-		effTrials = 0
-	}
-
-	bias, err := parseBias(*biasMode)
-	if err != nil {
+	// A bad -bias fails before anything else, even in -scenario mode.
+	var err error
+	if rf.req.Bias, err = sim.ParseBias(rf.bias); err != nil {
 		fmt.Fprintln(os.Stderr, "ltsim:", err)
 		os.Exit(2)
 	}
-
-	if err := run(config{
-		mv: *mv, ml: *ml, mrv: *mrv, mrl: *mrl,
-		scrubs: *scrubs, alpha: *alpha, replicas: *reps,
-		trials: effTrials, horizonYears: *horizon, seed: *seed,
-		bug: *bug, wear: *wear, replicaSpecs: replicaFlags,
-		asJSON: *asJSON, server: *server,
-		targetRel: *targetRel, maxTrials: *maxTrials, progress: *progress,
-		bias: bias, scenarioPath: *scenPath, retries: *retries,
-		hazard: *hazard, recordPath: *record, tracePath: *tracePath,
-		replayPolicy: *rePolicy,
-	}); err != nil {
+	if err := run(m, rf); err != nil {
 		fmt.Fprintln(os.Stderr, "ltsim:", err)
 		os.Exit(1)
 	}
 }
 
-type config struct {
+// modes are the flags that choose where a run goes and how it is
+// reported, rather than what it simulates.
+type modes struct {
+	asJSON, replayPolicy            bool
+	server, scenario, record, trace string
+	retries                         int
+}
+
+// runFlags is the flag set's description of one run. Every flag the
+// wire request holds as-is is bound straight to its field of req; the
+// rest wait here until finish folds them in.
+type runFlags struct {
+	fs               *flag.FlagSet
+	req              service.EstimateRequest
 	mv, ml, mrv, mrl float64
-	scrubs, alpha    float64
-	replicas, trials int
-	horizonYears     float64
-	seed             uint64
-	bug, wear        float64
-	replicaSpecs     []string
-	asJSON           bool
-	server           string
-	targetRel        float64
-	maxTrials        int
-	progress         bool
-	bias             float64
-	scenarioPath     string
-	retries          int
-	hazard           string
-	recordPath       string
-	tracePath        string
-	replayPolicy     bool
+	bias, hazard     string
+	replicas         []string
+}
+
+// bindRunFlags declares the run-describing flags on fs.
+func bindRunFlags(fs *flag.FlagSet) *runFlags {
+	f := &runFlags{fs: fs}
+	r := &f.req
+	fs.Float64Var(&f.mv, "mv", model.PaperMV, "per-replica mean time to visible fault, hours")
+	fs.Float64Var(&f.ml, "ml", model.PaperML, "per-replica mean time to latent fault, hours (inf = none)")
+	fs.Float64Var(&f.mrv, "mrv", model.PaperMRV, "visible repair time, hours")
+	fs.Float64Var(&f.mrl, "mrl", model.PaperMRL, "latent repair time, hours")
+	r.ScrubsPerYear = fs.Float64("scrubs-per-year", 3, "periodic audit frequency (0 = never)")
+	fs.Float64Var(&r.Alpha, "alpha", 1, "correlation factor in (0,1]")
+	fs.IntVar(&r.Replicas, "replicas", 2, "replica count (uniform fleet)")
+	fs.IntVar(&r.Trials, "trials", 1000, "Monte Carlo trials")
+	fs.Float64Var(&r.HorizonYears, "horizon", 0, "censoring horizon in years (0 = run every trial to loss)")
+	r.Seed = fs.Uint64("seed", 1, "random seed")
+	fs.Float64Var(&r.RepairBugProb, "repair-bug", 0, "probability a repair plants a latent fault (§6.6)")
+	fs.Float64Var(&r.AuditWearProb, "audit-wear", 0, "probability an audit pass plants a latent fault (§6.6)")
+	fs.Float64Var(&r.TargetRelWidth, "target-rel", 0, "adaptive mode: stop when the CI relative half-width reaches this target (0 = fixed -trials budget)")
+	fs.IntVar(&r.MaxTrials, "max-trials", 0, "adaptive trial cap (0 = the simulator's default); only with -target-rel")
+	fs.BoolVar(&r.Progress, "progress", false, "report live progress on stderr while the run executes")
+	fs.StringVar(&f.bias, "bias", "off", "rare-event importance sampling: off, auto (model-chosen boost), or an explicit factor >= 1; requires -horizon")
+	fs.StringVar(&f.hazard, "hazard", "", "non-stationary fault profile: a JSON HazardSpec object, or @file to read one")
+	fs.Func("replica", "add one replica to a heterogeneous fleet: a named tier (consumer, enterprise, tape) or key=value pairs (mv, ml, scrubs, offset, repair, label, access-rate, access-coverage); repeatable", func(v string) error {
+		f.replicas = append(f.replicas, v)
+		return nil
+	})
+	return f
+}
+
+// finish completes req once the flags are parsed, with what a plain
+// binding cannot express: the adaptive -trials default, the -hazard
+// spec, the -replica fleet (resolved against the final
+// -scrubs-per-year), and the uniform fault and repair means. req is
+// then the single description that local runs, -json output and
+// -server client mode all use, so the three agree on the configuration
+// (and the daemon's cache key).
+func (f *runFlags) finish() error {
+	r := &f.req
+	// In adaptive mode an untouched -trials default must not become a
+	// 1000-trial floor: only an explicit -trials sets the minimum.
+	if r.TargetRelWidth > 0 {
+		trialsSet := false
+		f.fs.Visit(func(fl *flag.Flag) { trialsSet = trialsSet || fl.Name == "trials" })
+		if !trialsSet {
+			r.Trials = 0
+		}
+	}
+	if f.hazard != "" {
+		h, err := parseHazard(f.hazard)
+		if err != nil {
+			return err
+		}
+		r.Hazard = h
+	}
+	if len(f.replicas) > 0 {
+		for i, v := range f.replicas {
+			s, err := parseReplica(v, *r.ScrubsPerYear)
+			if err != nil {
+				return err
+			}
+			if err := s.Validate(); err != nil {
+				return fmt.Errorf("replica %d: %w", i, err)
+			}
+			r.Fleet = append(r.Fleet, scenario.FleetEntryFromSpec(s))
+		}
+		// A fleet replaces the uniform shorthand; none of it goes on the wire.
+		r.Replicas, r.RepairBugProb = 0, 0
+		return nil
+	}
+	// On the wire, zero means "use the default" — reject it here so an
+	// explicit -mv 0 errors instead of silently becoming the paper value.
+	// Flags are checked in a fixed order (a slice, not a map), so several
+	// zero flags always report the same one.
+	const channel = " (or inf to disable the channel)"
+	for _, m := range []struct {
+		name string
+		v    float64
+		hint string
+		dst  *float64
+	}{
+		{"-mv", f.mv, channel, &r.VisibleMeanHours},
+		{"-ml", f.ml, channel, &r.LatentMeanHours},
+		{"-mrv", f.mrv, "", &r.RepairVisibleHours},
+		{"-mrl", f.mrl, "", &r.RepairLatentHours},
+	} {
+		if m.v == 0 {
+			return fmt.Errorf("%s must be positive%s", m.name, m.hint)
+		}
+		*m.dst = scenario.WireFloat(m.v)
+	}
+	return nil
 }
 
 // parseHazard decodes the -hazard value — a JSON HazardSpec object, or
@@ -250,22 +294,6 @@ func parseHazard(v string) (*scenario.HazardSpec, error) {
 		return nil, fmt.Errorf("-hazard: %v", err)
 	}
 	return &spec, nil
-}
-
-// parseBias maps the -bias flag onto the wire value: 0 off, sim.AutoBias
-// for the model-chosen factor, an explicit β >= 1 otherwise.
-func parseBias(v string) (float64, error) {
-	switch v {
-	case "", "off":
-		return 0, nil
-	case "auto":
-		return sim.AutoBias, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 1 {
-		return 0, fmt.Errorf("-bias %q must be off, auto, or a factor >= 1", v)
-	}
-	return f, nil
 }
 
 // parseReplica resolves one -replica flag value into a storage spec.
@@ -309,107 +337,42 @@ func parseReplica(v string, defaultScrubs float64) (storage.Spec, error) {
 	return s, nil
 }
 
-// buildRequest assembles the service request the flags describe — the
-// single construction path shared by local one-shot runs, -json output,
-// and -server client mode, so all three agree on the configuration (and
-// the daemon's cache key).
-func buildRequest(c config) (service.EstimateRequest, error) {
-	req := service.EstimateRequest{
-		Alpha:          c.alpha,
-		AuditWearProb:  c.wear,
-		ScrubsPerYear:  &c.scrubs,
-		Trials:         c.trials,
-		HorizonYears:   c.horizonYears,
-		Seed:           &c.seed,
-		TargetRelWidth: c.targetRel,
-		MaxTrials:      c.maxTrials,
-		Bias:           c.bias,
-		Progress:       c.progress,
-	}
-	if c.hazard != "" {
-		h, err := parseHazard(c.hazard)
-		if err != nil {
-			return service.EstimateRequest{}, err
-		}
-		req.Hazard = h
-	}
-	if len(c.replicaSpecs) > 0 {
-		for i, v := range c.replicaSpecs {
-			s, err := parseReplica(v, c.scrubs)
-			if err != nil {
-				return service.EstimateRequest{}, err
-			}
-			if err := s.Validate(); err != nil {
-				return service.EstimateRequest{}, fmt.Errorf("replica %d: %w", i, err)
-			}
-			req.Fleet = append(req.Fleet, scenario.FleetEntryFromSpec(s))
-		}
-		return req, nil
-	}
-	// On the wire, zero means "use the default" — reject it here so an
-	// explicit -mv 0 errors instead of silently becoming the paper value.
-	// Flags are checked in a fixed order (a slice, not a map), so several
-	// zero flags always report the same one.
-	const channel = " (or inf to disable the channel)"
-	for _, f := range []struct {
-		name string
-		v    float64
-		hint string
-	}{
-		{"-mv", c.mv, channel},
-		{"-ml", c.ml, channel},
-		{"-mrv", c.mrv, ""},
-		{"-mrl", c.mrl, ""},
-	} {
-		if f.v == 0 {
-			return service.EstimateRequest{}, fmt.Errorf("%s must be positive%s", f.name, f.hint)
-		}
-	}
-	req.Replicas = c.replicas
-	req.VisibleMeanHours = scenario.WireFloat(c.mv)
-	req.LatentMeanHours = scenario.WireFloat(c.ml)
-	req.RepairVisibleHours = scenario.WireFloat(c.mrv)
-	req.RepairLatentHours = scenario.WireFloat(c.mrl)
-	req.RepairBugProb = c.bug
-	return req, nil
-}
-
-func run(c config) error {
-	if c.recordPath != "" || c.tracePath != "" {
-		if c.server != "" || c.scenarioPath != "" {
+func run(m modes, rf *runFlags) error {
+	if m.record != "" || m.trace != "" {
+		if m.server != "" || m.scenario != "" {
 			return errors.New("-record and -trace are local single-run modes; they cannot be combined with -server or -scenario")
 		}
-		if c.recordPath != "" && c.tracePath != "" {
+		if m.record != "" && m.trace != "" {
 			return errors.New("-record and -trace are mutually exclusive")
 		}
 	}
-	if c.scenarioPath != "" {
-		return runScenario(c.scenarioPath, c.server, c.retries)
+	if m.scenario != "" {
+		return runScenario(m.scenario, m.server, m.retries)
 	}
-	req, err := buildRequest(c)
-	if err != nil {
+	if err := rf.finish(); err != nil {
 		return err
 	}
-	if c.server != "" {
-		return runRemote(c.server, req, c.retries)
+	req := rf.req
+	if m.server != "" {
+		return runRemote(m.server, req, m.retries)
 	}
 
 	cfg, opt, err := req.Build()
 	if err != nil {
 		return err
 	}
-	if c.recordPath != "" {
-		return runRecord(c, cfg, opt)
+	if m.record != "" {
+		return runRecord(m, cfg, opt, req.HorizonYears)
 	}
-	if c.tracePath != "" {
-		return runReplay(c, cfg, opt)
+	if m.trace != "" {
+		return runReplay(m, cfg, opt)
 	}
 	runner, err := sim.NewRunner(cfg)
 	if err != nil {
 		return err
 	}
 	var sink func(sim.Progress)
-	if c.progress {
+	if req.Progress {
 		var last time.Time
 		sink = func(p sim.Progress) {
 			if !p.Final && !last.IsZero() && time.Since(last) < 250*time.Millisecond {
@@ -424,13 +387,13 @@ func run(c config) error {
 		return err
 	}
 
-	return emit(c, cfg, est, opt.Horizon)
+	return emit(m.asJSON, cfg, est, req.HorizonYears, opt.Horizon)
 }
 
 // emit renders a local run's estimate: the daemon's JSON encoding with
 // -json, human-readable tables otherwise.
-func emit(c config, cfg sim.Config, est sim.Estimate, horizonHours float64) error {
-	if c.asJSON {
+func emit(asJSON bool, cfg sim.Config, est sim.Estimate, horizonYears, horizonHours float64) error {
+	if asJSON {
 		body, err := json.Marshal(report.NewEstimateJSON(est, horizonHours))
 		if err != nil {
 			return err
@@ -438,14 +401,14 @@ func emit(c config, cfg sim.Config, est sim.Estimate, horizonHours float64) erro
 		_, err = fmt.Println(string(body))
 		return err
 	}
-	return renderTables(os.Stdout, c, cfg, est)
+	return renderTables(os.Stdout, horizonYears, cfg, est)
 }
 
 // runRecord simulates the configured system while recording every
 // trial's fault/detection/repair events, writes the NDJSON trace, and
 // reports the run's own estimate — a pinned replay of the written trace
 // reproduces exactly these outcomes.
-func runRecord(c config, cfg sim.Config, opt sim.Options) error {
+func runRecord(m modes, cfg sim.Config, opt sim.Options, horizonYears float64) error {
 	runner, err := sim.NewRunner(cfg)
 	if err != nil {
 		return err
@@ -454,7 +417,7 @@ func runRecord(c config, cfg sim.Config, opt sim.Options) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(c.recordPath)
+	f, err := os.Create(m.record)
 	if err != nil {
 		return err
 	}
@@ -466,25 +429,25 @@ func runRecord(c config, cfg sim.Config, opt sim.Options) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "ltsim: recorded %d events over %d trials (horizon %v h) to %s\n",
-		len(tr.Events), tr.Header.Trials, tr.Header.HorizonHours, c.recordPath)
-	return emit(c, cfg, est, opt.Horizon)
+		len(tr.Events), tr.Header.Trials, tr.Header.HorizonHours, m.record)
+	return emit(m.asJSON, cfg, est, horizonYears, opt.Horizon)
 }
 
 // runReplay drives a recorded trace through the configured system:
 // pinned to the recorded repairs by default, re-deciding them from the
 // flags with -replay-policy. Trial count and horizon come from the
 // trace header, overriding -trials and -horizon.
-func runReplay(c config, cfg sim.Config, opt sim.Options) error {
-	f, err := os.Open(c.tracePath)
+func runReplay(m modes, cfg sim.Config, opt sim.Options) error {
+	f, err := os.Open(m.trace)
 	if err != nil {
 		return err
 	}
 	tr, err := trace.Parse(f)
 	f.Close()
 	if err != nil {
-		return fmt.Errorf("%s: %w", c.tracePath, err)
+		return fmt.Errorf("%s: %w", m.trace, err)
 	}
-	runner, err := sim.NewReplayRunner(cfg, tr, !c.replayPolicy)
+	runner, err := sim.NewReplayRunner(cfg, tr, !m.replayPolicy)
 	if err != nil {
 		return err
 	}
@@ -493,14 +456,13 @@ func runReplay(c config, cfg sim.Config, opt sim.Options) error {
 		return err
 	}
 	mode := "pinned"
-	if c.replayPolicy {
+	if m.replayPolicy {
 		mode = "policy"
 	}
-	fmt.Fprintf(os.Stderr, "ltsim: replayed %d trials from %s (%s mode)\n", tr.Header.Trials, c.tracePath, mode)
+	fmt.Fprintf(os.Stderr, "ltsim: replayed %d trials from %s (%s mode)\n", tr.Header.Trials, m.trace, mode)
 	// The replay's censoring horizon is the trace's, not the flag's; the
 	// loss-probability table row should follow it.
-	c.horizonYears = model.Years(tr.Header.HorizonHours)
-	return emit(c, cfg, est, tr.Header.HorizonHours)
+	return emit(m.asJSON, cfg, est, model.Years(tr.Header.HorizonHours), tr.Header.HorizonHours)
 }
 
 // runScenario executes a scenario document: relayed to a daemon's
@@ -606,30 +568,49 @@ func postWithRetry(url string, body []byte, retries int) (*http.Response, error)
 	}
 }
 
+// post marshals v and posts it to url through postWithRetry. A reply
+// other than 200 becomes an error carrying its status, body and the
+// daemon's request ID; a 200 is handed back open, with the request ID
+// rendered as a note for the caller's stderr line (empty from a daemon
+// that sends none). The daemon tags every response with that ID; surfacing it lets
+// a user line their invocation up with the daemon's request log.
+func post(url string, v any, retries int) (*http.Response, string, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, "", err
+	}
+	resp, err := postWithRetry(url, body, retries)
+	if err != nil {
+		return nil, "", err
+	}
+	idNote := ""
+	if id := resp.Header.Get("X-Ltsimd-Request"); id != "" {
+		idNote = ", request " + id
+	}
+	if resp.StatusCode != http.StatusOK {
+		payload, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return nil, "", fmt.Errorf("server returned %s%s: %s", resp.Status, idNote, strings.TrimSpace(string(payload)))
+	}
+	return resp, idNote, nil
+}
+
 // relayScenario posts the document to a running ltsimd for server-side
 // expansion and streams the NDJSON sweep back verbatim.
 func relayScenario(base string, doc scenario.Document, retries int) error {
-	body, err := json.Marshal(service.SweepRequest{Scenario: &doc})
-	if err != nil {
-		return err
-	}
 	url := strings.TrimSuffix(base, "/") + "/sweep"
-	resp, err := postWithRetry(url, body, retries)
+	resp, idNote, err := post(url, service.SweepRequest{Scenario: &doc}, retries)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	reqID := resp.Header.Get("X-Ltsimd-Request")
-	if resp.StatusCode != http.StatusOK {
-		payload, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("server returned %s%s: %s", resp.Status, requestIDSuffix(reqID), strings.TrimSpace(string(payload)))
-	}
-	fmt.Fprintf(os.Stderr, "ltsim: scenario expanded and swept by %s%s\n", url, requestIDSuffix(reqID))
+	fmt.Fprintf(os.Stderr, "ltsim: scenario expanded and swept by %s%s\n", url, idNote)
 	_, err = io.Copy(os.Stdout, resp.Body)
 	return err
 }
 
-// printProgress renders one live snapshot on stderr.
+// printProgress renders one live snapshot on stderr: local runs hand
+// their own, -server runs the daemon's frames (which never end " — done").
 func printProgress(p sim.Progress) {
 	line := fmt.Sprintf("ltsim: %d/%d trials, %d losses, %d censored", p.Trials, p.Budget, p.Losses, p.Censored)
 	if p.EffectiveSamples > 0 {
@@ -653,47 +634,28 @@ func printProgress(p sim.Progress) {
 // on stderr and the final frame's result — the same bytes a plain
 // request serves — lands on stdout.
 func runRemote(base string, req service.EstimateRequest, retries int) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
 	url := strings.TrimSuffix(base, "/") + "/estimate"
-	resp, err := postWithRetry(url, body, retries)
+	resp, idNote, err := post(url, req, retries)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	// The daemon tags every response with a request ID; surfacing it lets
-	// a user line their invocation up with the daemon's request log.
-	reqID := resp.Header.Get("X-Ltsimd-Request")
-	if req.Progress && resp.StatusCode == http.StatusOK {
-		return relayProgressStream(url, reqID, resp)
+	if req.Progress {
+		return relayProgressStream(url, idNote, resp)
 	}
 	payload, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("server returned %s%s: %s", resp.Status, requestIDSuffix(reqID), strings.TrimSpace(string(payload)))
-	}
 	if disp := resp.Header.Get("X-Ltsimd-Cache"); disp != "" {
-		fmt.Fprintf(os.Stderr, "ltsim: served from %s (%s%s)\n", url, disp, requestIDSuffix(reqID))
+		fmt.Fprintf(os.Stderr, "ltsim: served from %s (%s%s)\n", url, disp, idNote)
 	}
 	_, err = os.Stdout.Write(payload)
 	return err
 }
 
-// requestIDSuffix renders a daemon request ID for a stderr annotation or
-// error message; empty in, empty out (pre-telemetry daemons).
-func requestIDSuffix(id string) string {
-	if id == "" {
-		return ""
-	}
-	return ", request " + id
-}
-
 // relayProgressStream consumes an NDJSON /estimate progress stream.
-func relayProgressStream(url, reqID string, resp *http.Response) error {
+func relayProgressStream(url, idNote string, resp *http.Response) error {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	sawFinal := false
@@ -706,24 +668,24 @@ func relayProgressStream(url, reqID string, resp *http.Response) error {
 		case f.Error != "":
 			return fmt.Errorf("server error: %s", f.Error)
 		case f.Final:
-			fmt.Fprintf(os.Stderr, "ltsim: served from %s (%s%s)\n", url, f.Cache, requestIDSuffix(reqID))
+			fmt.Fprintf(os.Stderr, "ltsim: served from %s (%s%s)\n", url, f.Cache, idNote)
 			if _, err := os.Stdout.Write(append(f.Result, '\n')); err != nil {
 				return err
 			}
 			sawFinal = true
 		case f.Progress != nil:
+			// The frame omits what the snapshot leaves unset: no ESS in an
+			// unbiased run, no width while it is not yet estimable.
 			p := f.Progress
-			line := fmt.Sprintf("ltsim: %d/%d trials, %d losses, %d censored", p.Trials, p.Budget, p.Losses, p.Censored)
+			s := sim.Progress{Trials: p.Trials, Budget: p.Budget, Losses: p.Losses, Censored: p.Censored,
+				RelWidth: math.Inf(1), TargetRelWidth: p.Target}
 			if p.EffectiveSamples != nil {
-				line += fmt.Sprintf(", ESS %.1f", *p.EffectiveSamples)
+				s.EffectiveSamples = *p.EffectiveSamples
 			}
 			if p.RelWidth != nil {
-				line += fmt.Sprintf(", rel width %.3f", *p.RelWidth)
+				s.RelWidth = *p.RelWidth
 			}
-			if p.Target > 0 {
-				line += fmt.Sprintf(" (target %g)", p.Target)
-			}
-			fmt.Fprintln(os.Stderr, line)
+			printProgress(s)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -735,8 +697,9 @@ func relayProgressStream(url, reqID string, resp *http.Response) error {
 	return nil
 }
 
-// renderTables draws the human-readable report of a local run.
-func renderTables(out io.Writer, c config, cfg sim.Config, est sim.Estimate) error {
+// renderTables draws the human-readable report of a local run; a
+// positive horizonYears adds the loss-probability row.
+func renderTables(out io.Writer, horizonYears float64, cfg sim.Config, est sim.Estimate) error {
 	if len(cfg.Specs) > 0 {
 		fleet := report.NewTable("Heterogeneous fleet",
 			"replica", "label", "MV (h)", "ML (h)", "audit", "repair MRV (h)")
@@ -752,8 +715,8 @@ func renderTables(out io.Writer, c config, cfg sim.Config, est sim.Estimate) err
 		"quantity", "point", "95% CI low", "95% CI high")
 	tbl.MustAddRow("MTTDL (years)",
 		model.Years(est.MTTDL.Point), model.Years(est.MTTDL.Lo), model.Years(est.MTTDL.Hi))
-	if c.horizonYears > 0 {
-		tbl.MustAddRow(fmt.Sprintf("P(loss in %.0fy)", c.horizonYears),
+	if horizonYears > 0 {
+		tbl.MustAddRow(fmt.Sprintf("P(loss in %.0fy)", horizonYears),
 			est.LossProb.Point, est.LossProb.Lo, est.LossProb.Hi)
 	}
 	if est.Bias != 0 {

@@ -33,12 +33,10 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -73,7 +71,7 @@ func main() {
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	bias, err := parseBias(*biasMode)
+	bias, err := sim.ParseBias(*biasMode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ltsimd:", err)
 		os.Exit(2)
@@ -103,23 +101,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ltsimd:", err)
 		os.Exit(1)
 	}
-}
-
-// parseBias maps the -bias policy flag onto service.Config.DefaultBias:
-// 0 off, sim.AutoBias for the model-chosen factor, an explicit β >= 1
-// otherwise.
-func parseBias(v string) (float64, error) {
-	switch v {
-	case "", "off":
-		return 0, nil
-	case "auto":
-		return sim.AutoBias, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 1 {
-		return 0, fmt.Errorf("-bias %q must be off, auto, or a factor >= 1", v)
-	}
-	return f, nil
 }
 
 // debugMux returns a mux serving only the pprof surface. Handlers are

@@ -183,7 +183,7 @@ func TestSchedulerHardShutdownAborts(t *testing.T) {
 	go func() {
 		_, err := s.Submit(context.Background(), "stuck", func(ctx context.Context) ([]byte, error) {
 			close(started)
-			<-ctx.Done() // simulates EstimateContext noticing cancellation
+			<-ctx.Done() // simulates EstimateStream noticing cancellation
 			return nil, ctx.Err()
 		})
 		done <- err

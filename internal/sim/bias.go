@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/model"
 )
@@ -14,6 +16,22 @@ import (
 // (and cache) identically to the same run with the resolved β spelled
 // out.
 const AutoBias = -1
+
+// ParseBias maps a -bias flag value onto Options.Bias: 0 for off (or
+// empty), AutoBias for auto, an explicit finite β >= 1 otherwise.
+func ParseBias(v string) (float64, error) {
+	switch v {
+	case "", "off":
+		return 0, nil
+	case "auto":
+		return AutoBias, nil
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 1 {
+		return 0, fmt.Errorf("-bias %q must be off, auto, or a factor >= 1", v)
+	}
+	return f, nil
+}
 
 // maxAutoBias caps the automatic boost: beyond ~1e6 the per-horizon
 // loss probability is so small that pushing β further only inflates

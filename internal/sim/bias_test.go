@@ -307,3 +307,36 @@ func TestAutoBiasResolution(t *testing.T) {
 		t.Fatalf("autoBias at long horizon %v not below short-horizon %v", bLong, b1)
 	}
 }
+
+// TestParseBias pins the -bias vocabulary both commands share: off or
+// empty is plain Monte Carlo, auto the model-chosen factor, and any
+// other value must be a finite factor >= 1.
+func TestParseBias(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want float64
+		ok   bool
+	}{
+		{"off", 0, true},
+		{"", 0, true},
+		{"auto", AutoBias, true},
+		{"1", 1, true},
+		{"250", 250, true},
+		{"0.5", 0, false},
+		{"NaN", 0, false},
+		{"Inf", 0, false},
+		{"x", 0, false},
+	} {
+		got, err := ParseBias(tc.in)
+		if !tc.ok {
+			want := `-bias "` + tc.in + `" must be off, auto, or a factor >= 1`
+			if err == nil || err.Error() != want {
+				t.Errorf("ParseBias(%q) = %v, %v; want error %q", tc.in, got, err, want)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseBias(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}

@@ -251,9 +251,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	return &Runner{cfg: cfg, specs: cfg.ReplicaSpecs()}, nil
 }
 
-// Config returns the runner's configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
 // trialStreamLabel offsets trial indices into the derivation label
 // space, keeping trial streams disjoint from other derived subsystems.
 const trialStreamLabel = 0x517cc1b727220a95
@@ -268,17 +265,7 @@ func (r *Runner) RunTrial(seed, index uint64, horizon float64) TrialResult {
 
 // Estimate runs opt.Trials independent trials and aggregates them.
 func (r *Runner) Estimate(opt Options) (Estimate, error) {
-	return r.EstimateContext(context.Background(), opt)
-}
-
-// EstimateContext is Estimate with cooperative cancellation: workers
-// check ctx between trials, so a cancelled or timed-out run returns
-// ctx's error promptly instead of completing the full trial budget.
-// Results are identical to Estimate's for any run that completes —
-// cancellation never changes the trial-to-stream mapping, only whether
-// the run finishes.
-func (r *Runner) EstimateContext(ctx context.Context, opt Options) (Estimate, error) {
-	return r.EstimateStream(ctx, opt, nil)
+	return r.EstimateStream(context.Background(), opt, nil)
 }
 
 // batchState is the shared coordination state of one streaming run.
@@ -314,7 +301,10 @@ func (s *batchState) bounds(b int) (lo, hi int) {
 // batch and a Final snapshot on completion, synchronously from the
 // calling goroutine. When opt.TargetRelWidth is set the sequential
 // stopping rule runs at each boundary (see Options.TargetRelWidth for
-// the determinism contract).
+// the determinism contract). Workers check ctx between trials, so a
+// cancelled or timed-out run returns ctx's error promptly; cancellation
+// never changes the trial-to-stream mapping, only whether the run
+// finishes.
 func (r *Runner) EstimateStream(ctx context.Context, opt Options, sink func(Progress)) (Estimate, error) {
 	return r.stream(ctx, opt, sink, nil)
 }

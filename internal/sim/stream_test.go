@@ -181,7 +181,7 @@ func TestEstimateContextCancellation(t *testing.T) {
 	start := time.Now()
 	// A budget far beyond what 20ms allows: promptness means the abort
 	// happened mid-run, not after the budget drained.
-	_, err = r.EstimateContext(ctx, Options{Trials: 50_000_000, Seed: 1})
+	_, err = r.EstimateStream(ctx, Options{Trials: 50_000_000, Seed: 1}, nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
@@ -194,7 +194,7 @@ func TestEstimateContextCancellation(t *testing.T) {
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel2()
 	opt := Options{Trials: 400, Seed: 17, Parallel: 4}
-	viaCtx, err := r.EstimateContext(ctx2, opt)
+	viaCtx, err := r.EstimateStream(ctx2, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestEstimateContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(viaCtx, plain) {
-		t.Fatal("completed EstimateContext differs from Estimate")
+		t.Fatal("completed context run differs from Estimate")
 	}
 }
 

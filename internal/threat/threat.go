@@ -7,6 +7,8 @@ package threat
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/replica"
@@ -165,10 +167,14 @@ func CorrelatedThreats(d replica.Dimension) []Threat {
 // a topology: each threat contributes shocks along its correlation
 // dimensions, with the given mean time between occurrences per shared
 // component. Threats with no correlation dimension are per-replica
-// hazards and belong in the fault-process means instead.
+// hazards and belong in the fault-process means instead. Threats sharing
+// a dimension fold in ascending Threat order (the §3 catalogue order),
+// never map order: the floating-point fold is not associative, and the
+// same input must compile to the same bits.
 func ScenarioShocks(top replica.Topology, threatMeans map[Threat]float64) ([]faults.Shock, error) {
 	rates := replica.ShockRates{}
-	for t, mean := range threatMeans {
+	for _, t := range slices.Sorted(maps.Keys(threatMeans)) {
+		mean := threatMeans[t]
 		info := t.Info()
 		for _, d := range info.CorrelatesOver {
 			spec, exists := rates[d]

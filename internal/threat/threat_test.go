@@ -1,6 +1,7 @@
 package threat
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -128,5 +129,32 @@ func TestScenarioShocksCombinesThreatsOnOneDimension(t *testing.T) {
 	}
 	if adminShock == nil {
 		t.Errorf("no combined admin shock with mean 500 found in %+v", shocks)
+	}
+}
+
+// TestScenarioShocksFoldOrder: three threats on one dimension fold in
+// ascending Threat order on every call. The competing-exponential fold
+// 1/(1/m+1/x) is not associative in floating point, so a map-order fold
+// gives one input two different shock means across calls.
+func TestScenarioShocksFoldOrder(t *testing.T) {
+	means := map[Threat]float64{LossOfContext: 20000, OrganizationalFault: 30000, EconomicFault: 70000}
+	want := 1 / (1/(1/(1/means[LossOfContext]+1/means[OrganizationalFault])) + 1/means[EconomicFault])
+	for i := 0; i < 64; i++ {
+		shocks, err := ScenarioShocks(replica.Colocated(2), means)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, s := range shocks {
+			if strings.HasPrefix(s.Name, "organization") {
+				found = true
+				if s.Mean != want {
+					t.Fatalf("call %d: organization shock mean = %v, want the catalogue-order fold %v", i, s.Mean, want)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("no organization shock in %+v", shocks)
+		}
 	}
 }
