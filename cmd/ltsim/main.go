@@ -250,22 +250,28 @@ func (f *runFlags) finish() error {
 	}
 	// On the wire, zero means "use the default" — reject it here so an
 	// explicit -mv 0 errors instead of silently becoming the paper value.
-	// Flags are checked in a fixed order (a slice, not a map), so several
-	// zero flags always report the same one.
+	// A repair cannot be disabled, so a repair time must also be finite
+	// (the wire would read inf as a negative time and name its own
+	// field). Flags are checked in a fixed order (a slice, not a map), so
+	// several bad flags always report the same one.
 	const channel = " (or inf to disable the channel)"
 	for _, m := range []struct {
-		name string
-		v    float64
-		hint string
-		dst  *float64
+		name   string
+		v      float64
+		hint   string
+		repair bool
+		dst    *float64
 	}{
-		{"-mv", f.mv, channel, &r.VisibleMeanHours},
-		{"-ml", f.ml, channel, &r.LatentMeanHours},
-		{"-mrv", f.mrv, "", &r.RepairVisibleHours},
-		{"-mrl", f.mrl, "", &r.RepairLatentHours},
+		{"-mv", f.mv, channel, false, &r.VisibleMeanHours},
+		{"-ml", f.ml, channel, false, &r.LatentMeanHours},
+		{"-mrv", f.mrv, "", true, &r.RepairVisibleHours},
+		{"-mrl", f.mrl, "", true, &r.RepairLatentHours},
 	} {
 		if m.v == 0 {
 			return fmt.Errorf("%s must be positive%s", m.name, m.hint)
+		}
+		if m.repair && !(m.v > 0 && !math.IsInf(m.v, 1)) {
+			return fmt.Errorf("%s must be positive and finite", m.name)
 		}
 		*m.dst = scenario.WireFloat(m.v)
 	}

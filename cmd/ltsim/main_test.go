@@ -80,9 +80,10 @@ func TestFlagsToRequest(t *testing.T) {
 	}
 }
 
-// TestBuildRequestZeroFlagOrder: with two zero flags of one pair,
-// finish reports the first in declaration order every time, not
-// whichever a map iteration happens to visit first.
+// TestBuildRequestZeroFlagOrder: with two bad flags of one pair, finish
+// reports the first in declaration order every time, not whichever a
+// map iteration happens to visit first. An infinite repair time is
+// refused by its flag's name, not by the wire field it would become.
 func TestBuildRequestZeroFlagOrder(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -90,6 +91,8 @@ func TestBuildRequestZeroFlagOrder(t *testing.T) {
 	}{
 		{[]string{"-mv", "0", "-ml", "0", "-mrv", "1", "-mrl", "1"}, "-mv must be positive (or inf to disable the channel)"},
 		{[]string{"-mv", "1", "-ml", "1", "-mrv", "0", "-mrl", "0"}, "-mrv must be positive"},
+		{[]string{"-mrv", "inf", "-mrl", "inf"}, "-mrv must be positive and finite"},
+		{[]string{"-mrl", "inf"}, "-mrl must be positive and finite"},
 	} {
 		for i := 0; i < 100; i++ {
 			_, err := parseRun(t, tc.args...)

@@ -3,6 +3,10 @@
 // N workers (bounded-load ring, virtual nodes), and coalesces duplicate
 // in-flight keys cluster-wide before dispatch — so the cluster behaves
 // like one big daemon whose cache warmth is the sum of its workers'.
+// Coalescing follows the workers' rule: a dispatch belongs to its key,
+// not to the request that started it, and a caller that leaves ends
+// only its own wait, so the requests that joined it still get the
+// answer.
 //
 //	ltsimd -addr :8361 -cache-dir /var/cache/ltsimd-a &
 //	ltsimd -addr :8362 -cache-dir /var/cache/ltsimd-b &
@@ -13,11 +17,14 @@
 //	curl -s localhost:8355/stats     # per-node cache warmth + router counters
 //	curl -s localhost:8355/metrics
 //
-// A worker that stops answering is ejected from the ring (its in-flight
-// requests retry on the ring successor) and re-admitted automatically
-// when its /healthz recovers; because ejected nodes keep their ring
-// positions, recovery restores the exact key ownership — and the warm
-// disk store behind it.
+// A worker that stops answering is ejected from the ring and re-admitted
+// automatically when its /healthz recovers; because ejected nodes keep
+// their ring positions, recovery restores the exact key ownership — and
+// the warm disk store behind it. Only a transport failure (the
+// connection drops or the body cannot be read) retries a request on
+// the ring successor; requests already sent to a worker the health
+// probe ejects stay with it, and a progress stream that has begun just
+// ends.
 package main
 
 import (

@@ -170,13 +170,9 @@ func (s System) SimConfig() (sim.Config, error) {
 		}
 		strat = per
 	}
-	var corr faults.Correlation = faults.Independent{}
-	if s.Alpha < 1 {
-		a, err := faults.NewAlphaCorrelation(s.Alpha)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		corr = a
+	corr, err := faults.NewCorrelation(s.Alpha)
+	if err != nil {
+		return sim.Config{}, err
 	}
 	cfg := sim.Config{
 		Replicas:    s.Replicas,

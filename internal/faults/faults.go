@@ -162,6 +162,15 @@ func NewAlphaCorrelation(alpha float64) (AlphaCorrelation, error) {
 	return AlphaCorrelation{Factor: alpha}, nil
 }
 
+// NewCorrelation returns the correlation model for α: Independent at
+// α = 1, else NewAlphaCorrelation's, which requires α in (0, 1].
+func NewCorrelation(alpha float64) (Correlation, error) {
+	if alpha == 1 {
+		return Independent{}, nil
+	}
+	return NewAlphaCorrelation(alpha)
+}
+
 // Acceleration returns 1/α while any fault is outstanding.
 func (c AlphaCorrelation) Acceleration(nFaulty int) float64 {
 	if nFaulty <= 0 {

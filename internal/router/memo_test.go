@@ -11,7 +11,7 @@ import (
 )
 
 // A repeated /estimate body routes from the body memo: same node, same
-// bytes, and the memo's key is routingKey's. A progress body still
+// bytes, and the memo's key is the request's Fingerprint. A progress body still
 // streams NDJSON from the memo, and a body that fails stays a 400 the
 // memo never remembers.
 func TestRouterBodyMemo(t *testing.T) {
@@ -38,8 +38,8 @@ func TestRouterBodyMemo(t *testing.T) {
 		t.Fatal("a routed body was not memoized")
 	}
 	seed := uint64(5)
-	if want, err := routingKey(service.EstimateRequest{Trials: 100, HorizonYears: 50, Seed: &seed}); err != nil || key != want {
-		t.Fatalf("memoized key %q, routingKey %q (%v)", key, want, err)
+	if want, err := (service.EstimateRequest{Trials: 100, HorizonYears: 50, Seed: &seed}).Fingerprint(); err != nil || key != want {
+		t.Fatalf("memoized key %q, Fingerprint %q (%v)", key, want, err)
 	}
 	resp, warm := send(plain)
 	if resp.Header.Get("X-Ltsimr-Node") != first.Header.Get("X-Ltsimr-Node") || !bytes.Equal(warm, cold) {

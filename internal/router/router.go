@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -93,9 +92,10 @@ type Router struct {
 	// router half of cluster-wide single-flight (the worker's shard
 	// scheduler is the other half, for duplicates that slip past the
 	// router, e.g. from clients hitting workers directly).
-	flights flight[*upstream]
+	flights service.Flight[*upstream]
 	// memo maps /estimate bodies to their routing keys, so a repeated
-	// body is neither decoded nor fingerprinted again.
+	// body is neither decoded nor fingerprinted again. A routing key is
+	// the request's own Fingerprint, with no worker policy folded in.
 	memo *service.KeyMemo
 
 	probeStop context.CancelFunc
@@ -235,20 +235,6 @@ func (r *Router) probeOnce(ctx context.Context, n *Node) bool {
 // default result cache size.
 const memoBodies = 1024
 
-// routingKey fingerprints a request for ring placement and coalescing.
-// The router applies no request policy (workers fold their own
-// -target-rel/-max-trials/-bias defaults in before caching), so this key
-// can differ from the worker's cache key — it only needs to be
-// consistent: identical requests hash identically, so they land on the
-// same worker and coalesce with each other.
-func routingKey(req service.EstimateRequest) (string, error) {
-	cfg, opt, err := req.Build()
-	if err != nil {
-		return "", err
-	}
-	return sim.Fingerprint(cfg, opt)
-}
-
 // forward posts body to the worker owning key and hands the response
 // to use, retrying on the ring successor when a worker dies mid-request
 // (transport error, or use failing to read the body ⇒ immediate
@@ -296,30 +282,39 @@ func (r *Router) forward(ctx context.Context, key string, body []byte, use func(
 }
 
 // estimateOnce runs one non-progress estimate through the cluster-wide
-// single-flight table: the first holder of a key dispatches and buffers
-// the worker's response, duplicates wait and replay it.
+// flight table: the first caller for a key starts a dispatch that
+// buffers the worker's response, and duplicates join it and replay it.
+// The dispatch belongs to the key: it runs detached from the starting
+// caller's cancellation, so a caller that leaves ends only its own wait.
 func (r *Router) estimateOnce(ctx context.Context, key string, body []byte) (*upstream, bool, error) {
-	res, joined, err := r.flights.Do(ctx, key, func() (*upstream, error) {
-		var res *upstream
-		err := r.forward(ctx, key, body, func(node *Node, resp *http.Response) error {
-			payload, err := io.ReadAll(resp.Body)
-			if err != nil {
-				return err
-			}
-			res = &upstream{
-				node:   node.Name,
-				status: resp.StatusCode,
-				cache:  resp.Header.Get("X-Ltsimd-Cache"),
-				key:    resp.Header.Get("X-Ltsimd-Key"),
-				body:   payload,
-			}
-			return nil
-		})
-		return res, err
+	c, joined, err := r.flights.Join(ctx, key, func(c *service.Call[*upstream]) error {
+		go func() {
+			var res *upstream
+			err := r.forward(context.WithoutCancel(ctx), key, body, func(node *Node, resp *http.Response) error {
+				payload, err := io.ReadAll(resp.Body)
+				if err != nil {
+					return err
+				}
+				res = &upstream{
+					node:   node.Name,
+					status: resp.StatusCode,
+					cache:  resp.Header.Get("X-Ltsimd-Cache"),
+					key:    resp.Header.Get("X-Ltsimd-Key"),
+					body:   payload,
+				}
+				return nil
+			})
+			r.flights.Finish(c, res, err)
+		}()
+		return nil
 	})
+	if err != nil {
+		return nil, false, err
+	}
 	if joined {
 		r.coalesced.Add(1)
 	}
+	res, err := c.Wait(ctx)
 	return res, joined, err
 }
 
@@ -335,7 +330,7 @@ func (r *Router) handleEstimate(w http.ResponseWriter, req *http.Request) {
 		service.WriteError(w, service.RequestStatus(err), err)
 		return
 	}
-	key, progress, err := r.memo.Key(body, routingKey)
+	key, progress, err := r.memo.Key(body, service.EstimateRequest.Fingerprint)
 	if err != nil {
 		service.WriteError(w, http.StatusBadRequest, err)
 		return
@@ -408,7 +403,7 @@ func (r *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
 	service.Sweep[[]byte]{
 		Pool: loadFloor * len(r.ring.Nodes()),
 		Resolve: func(er service.EstimateRequest) (string, []byte, error) {
-			key, err := routingKey(er)
+			key, err := er.Fingerprint()
 			if err != nil {
 				return "", nil, err
 			}

@@ -215,6 +215,96 @@ func TestRouterClusterSingleFlight(t *testing.T) {
 	}
 }
 
+// TestRouterOwnerLeaves: a dispatch belongs to its key, not to the
+// caller that started it. While the worker is stalled, the first
+// caller's client disconnects; a caller that joined the flight still
+// gets the worker's answer, marked dedup, with the same bytes a later
+// request replays from the worker's cache.
+func TestRouterOwnerLeaves(t *testing.T) {
+	ws := startWorkers(t, 2, nil)
+	for _, w := range ws {
+		w.delay.Store(int64(600 * time.Millisecond))
+	}
+	rt, ts := startRouter(t, ws)
+	body, err := json.Marshal(estReq{Trials: 120, HorizonYears: 50, Alpha: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	owner := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/estimate", bytes.NewReader(body))
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}
+		owner <- err
+	}()
+	dispatched := func() bool {
+		for _, n := range rt.Ring().Nodes() {
+			if n.Inflight() > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); !dispatched(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the owner's request never reached a worker")
+		}
+	}
+	type answer struct {
+		resp *http.Response
+		body []byte
+		err  error
+	}
+	joined := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			joined <- answer{err: err}
+			return
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		joined <- answer{resp, b, err}
+	}()
+	// Give the second caller time to reach the router's flight table
+	// while the worker is still stalled.
+	time.Sleep(150 * time.Millisecond)
+	cancel()
+	if err := <-owner; err == nil {
+		t.Fatal("the owner's request finished before its client left; the worker stall is too short")
+	}
+
+	got := <-joined
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.resp.StatusCode != http.StatusOK {
+		t.Fatalf("joined caller: status %d (%s), want 200", got.resp.StatusCode, got.body)
+	}
+	if disp := got.resp.Header.Get("X-Ltsimd-Cache"); disp != "dedup" {
+		t.Errorf("joined caller: X-Ltsimd-Cache %q, want dedup", disp)
+	}
+	later := post(t, ts.URL+"/estimate", estReq{Trials: 120, HorizonYears: 50, Alpha: 0.3})
+	if disp := later.Header.Get("X-Ltsimd-Cache"); disp != "hit" {
+		t.Errorf("later caller: X-Ltsimd-Cache %q, want hit", disp)
+	}
+	if replay := slurp(t, later); !bytes.Equal(replay, got.body) {
+		t.Error("the joined caller's bytes differ from the cached answer")
+	}
+	if n := rt.coalesced.Load(); n != 1 {
+		t.Errorf("router coalesced %d requests, want 1", n)
+	}
+	if n := completedAcross(ws); n != 1 {
+		t.Errorf("cluster ran %d simulations for one key, want 1", n)
+	}
+}
+
 // decodeSweep splits an NDJSON sweep body into point lines + summary.
 func decodeSweep(t *testing.T, body []byte) ([]service.SweepLine, service.SweepLine) {
 	t.Helper()

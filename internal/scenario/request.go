@@ -375,13 +375,9 @@ func (r EstimateRequest) Build() (sim.Config, sim.Options, error) {
 	if alpha == 0 {
 		alpha = 1
 	}
-	var corr faults.Correlation = faults.Independent{}
-	if alpha != 1 {
-		a, err := faults.NewAlphaCorrelation(alpha)
-		if err != nil {
-			return sim.Config{}, sim.Options{}, err
-		}
-		corr = a
+	corr, err := faults.NewCorrelation(alpha)
+	if err != nil {
+		return sim.Config{}, sim.Options{}, err
 	}
 
 	var hazard faults.Hazard

@@ -156,6 +156,11 @@ func TestBodyMemoSkipsBadRequests(t *testing.T) {
 		`{"trials":100,"alpha":2}`,
 		`{"trials":100,"replicas":100000000000}`,
 		`{"trials":100,"horizon_years":50,"bias":-1,"hazard":{"kind":"weibull","shape":2,"scale_hours":1e5}}`,
+		`{"trials":1}`,
+		`{"trials":100,"level":1.5}`,
+		`{"trials":100,"bias":-1}`,
+		`{"target_rel_width":-0.1}`,
+		`{"target_rel_width":0.1,"max_trials":1}`,
 	} {
 		var first string
 		for i := range 2 {
@@ -178,6 +183,10 @@ func TestBodyMemoSkipsBadRequests(t *testing.T) {
 	}
 	if n := memoLen(svc.memo); n != 0 {
 		t.Errorf("memo holds %d bodies after only bad requests", n)
+	}
+	// A body that cannot run is refused before it is scheduled.
+	if st := svc.sched.Stats(); st.Completed+st.Failed != 0 {
+		t.Errorf("bad requests ran %d scheduler jobs (%d failed), want none", st.Completed+st.Failed, st.Failed)
 	}
 }
 

@@ -322,7 +322,7 @@ func TestSubmitReportsJoined(t *testing.T) {
 		if err != nil {
 			return res{nil, joined, err}
 		}
-		v, err := j.wait(context.Background())
+		v, err := j.Wait(context.Background())
 		return res{v, joined, err}
 	}
 	owner := make(chan res, 1)

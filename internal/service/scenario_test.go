@@ -94,6 +94,44 @@ func TestScenarioExpandEndpoint(t *testing.T) {
 	}
 }
 
+// TestScenarioExpandUnrunnablePoints: a point the simulator would refuse
+// gets no key. The dry run reports it as an error line, and the summary
+// counts it as an error, not as ok.
+func TestScenarioExpandUnrunnablePoints(t *testing.T) {
+	svc, ts := newTestService(t)
+	resp, err := http.Post(ts.URL+"/scenarios/expand", "application/json",
+		strings.NewReader(`{"v":1,"base":{"trials":1},"grid":[{"param":"replicas","values":[2,3]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("expand: %s: %s", resp.Status, body)
+	}
+	var lines []ExpandLine
+	for _, raw := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		var l ExpandLine
+		if err := json.Unmarshal([]byte(raw), &l); err != nil {
+			t.Fatalf("bad line %q: %v", raw, err)
+		}
+		lines = append(lines, l)
+	}
+	if len(lines) != 3 {
+		t.Fatalf("expand streamed %d lines, want 2 points and a summary", len(lines))
+	}
+	for _, l := range lines[:2] {
+		if l.Key != "" || l.Request != nil || !strings.Contains(l.Error, "1 trials, need >= 2") {
+			t.Errorf("point %d = %+v, want an error line without a key", l.Index, l)
+		}
+	}
+	if sum := lines[2]; !sum.Summary || sum.Points != 2 || sum.OK != 0 || sum.Errors != 2 {
+		t.Errorf("summary = %+v, want 2 points, 0 ok, 2 errors", sum)
+	}
+	if st := svc.sched.Stats(); st.Completed+st.Failed != 0 {
+		t.Errorf("a dry run ran %d scheduler jobs", st.Completed+st.Failed)
+	}
+}
+
 // TestScenarioSweepMatchesClientExpansion is the acceptance criterion:
 // the same document expanded server-side ({"scenario": doc} to /sweep)
 // and client-side (scenario.Expand then {"requests": [...]}) yields

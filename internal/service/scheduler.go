@@ -21,15 +21,12 @@ var (
 	ErrShuttingDown = errors.New("service: scheduler shutting down")
 )
 
-// job is one unit of scheduled work: compute bytes for a key. Waiters
-// block on done; duplicate submissions of an in-flight key join the
-// existing job instead of queueing a second computation.
+// job is one unit of scheduled work: compute bytes for a key. It is
+// the queued half of a flight call; duplicate submissions of an
+// in-flight key join the call instead of queueing a second job.
 type job struct {
-	key  string
+	call *Call[[]byte]
 	fn   func(context.Context) ([]byte, error)
-	done chan struct{}
-	val  []byte
-	err  error
 	// enqueued timestamps admission, for the queue-wait histogram.
 	enqueued time.Time
 	// trace is the submitting request's span timeline (nil when the
@@ -40,13 +37,12 @@ type job struct {
 }
 
 // shard is one scheduler partition: a bounded queue, one worker, and the
-// single-flight table for keys currently queued or running here. Keys
-// hash to shards, so all duplicates of a key meet in the same table and
-// the per-shard mutex never contends across shards.
+// flight table for keys currently queued or running here. Keys hash to
+// shards, so all duplicates of a key meet in the same table and its lock
+// never contends across shards.
 type shard struct {
-	queue   chan *job
-	mu      sync.Mutex
-	pending map[string]*job
+	queue  chan *job
+	flight Flight[[]byte]
 	// completed, failed and timeouts are the shard's job outcome counts,
 	// the only copy: /stats sums them across shards and /metrics reads
 	// them per shard.
@@ -121,10 +117,7 @@ func newScheduler(nShards, queueDepth int, timeout time.Duration) *scheduler {
 		quit:    make(chan struct{}),
 	}
 	for i := range s.shards {
-		sh := &shard{
-			queue:   make(chan *job, queueDepth),
-			pending: make(map[string]*job),
-		}
+		sh := &shard{queue: make(chan *job, queueDepth)}
 		s.shards[i] = sh
 		s.workers.Add(1)
 		go s.work(sh)
@@ -170,12 +163,12 @@ func (s *scheduler) run(sh *shard, j *job) {
 	s.inflight.Add(1)
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.timeout)
-	j.val, j.err = j.fn(telemetry.WithTrace(ctx, j.trace))
+	val, err := j.fn(telemetry.WithTrace(ctx, j.trace))
 	cancel()
 	s.inflight.Add(-1)
-	if j.err != nil {
+	if err != nil {
 		sh.failed.Add(1)
-		if errors.Is(j.err, context.DeadlineExceeded) {
+		if errors.Is(err, context.DeadlineExceeded) {
 			sh.timeouts.Add(1)
 		}
 	} else {
@@ -185,11 +178,7 @@ func (s *scheduler) run(sh *shard, j *job) {
 		sh.queueWait.Observe(wait.Seconds())
 		sh.runDur.Observe(time.Since(start).Seconds())
 	}
-
-	sh.mu.Lock()
-	delete(sh.pending, j.key)
-	sh.mu.Unlock()
-	close(j.done)
+	sh.flight.Finish(j.call, val, err)
 	s.jobs.Done()
 }
 
@@ -198,11 +187,11 @@ func (s *scheduler) run(sh *shard, j *job) {
 // ctx cancels the *wait*, not the job: an abandoned job still completes
 // and can populate the cache.
 func (s *scheduler) Submit(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) ([]byte, error) {
-	j, _, err := s.enqueue(ctx, key, fn)
+	c, _, err := s.enqueue(ctx, key, fn)
 	if err != nil {
 		return nil, err
 	}
-	return j.wait(ctx)
+	return c.Wait(ctx)
 }
 
 // enqueue admits fn under key without waiting for it, reporting whether
@@ -211,37 +200,22 @@ func (s *scheduler) Submit(ctx context.Context, key string, fn func(context.Cont
 // context trace rides into the job, so the worker's "running" and the
 // compute path's later marks land on the originating request's
 // timeline.
-func (s *scheduler) enqueue(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) (*job, bool, error) {
+func (s *scheduler) enqueue(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) (*Call[[]byte], bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, false, ErrShuttingDown
 	}
 	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if j, ok := sh.pending[key]; ok {
-		return j, true, nil
-	}
-	j := &job{key: key, fn: fn, done: make(chan struct{}), enqueued: time.Now(), trace: telemetry.TraceFrom(ctx)}
-	select {
-	case sh.queue <- j:
-		sh.pending[key] = j
-		s.jobs.Add(1)
-		return j, false, nil
-	default:
-		return nil, false, ErrQueueFull
-	}
-}
-
-// wait blocks until the job publishes its outcome or ctx ends.
-func (j *job) wait(ctx context.Context) ([]byte, error) {
-	select {
-	case <-j.done:
-		return j.val, j.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return sh.flight.Join(ctx, key, func(c *Call[[]byte]) error {
+		select {
+		case sh.queue <- &job{call: c, fn: fn, enqueued: time.Now(), trace: telemetry.TraceFrom(ctx)}:
+			s.jobs.Add(1)
+			return nil
+		default:
+			return ErrQueueFull
+		}
+	})
 }
 
 // SchedulerStats is a point-in-time scheduler snapshot. Timeouts is

@@ -300,11 +300,11 @@ func (s *Service) resolve(req EstimateRequest, progress func(sim.Progress)) (key
 // cache probe (memory, then disk), else a scheduler job that runs fn and
 // writes its bytes through both tiers. disp is the X-Ltsimd-Cache value:
 // the answering tier ("hit" or "disk", with body set), or "miss" or
-// "dedup" with the job to wait on — "dedup" when a job for key was
-// already queued or running and this request joined it. With retry a
+// "dedup" with the job's call to wait on — "dedup" when a job for key
+// was already queued or running and this request joined it. With retry a
 // full shard queue is waited out rather than returned, so a sweep paces
 // itself instead of failing points; a lone request gets the 503.
-func (s *Service) lookup(ctx context.Context, key string, fn func(context.Context) ([]byte, error), retry bool) (body []byte, disp string, j *job, err error) {
+func (s *Service) lookup(ctx context.Context, key string, fn func(context.Context) ([]byte, error), retry bool) (body []byte, disp string, c *Call[[]byte], err error) {
 	if body, tier, ok := s.cacheGet(key); ok {
 		return body, tier, nil, nil
 	}
@@ -318,12 +318,12 @@ func (s *Service) lookup(ctx context.Context, key string, fn func(context.Contex
 	}
 	backoff := 5 * time.Millisecond
 	for {
-		j, joined, err := s.sched.enqueue(ctx, key, run)
+		c, joined, err := s.sched.enqueue(ctx, key, run)
 		switch {
 		case err == nil && joined:
-			return nil, "dedup", j, nil
+			return nil, "dedup", c, nil
 		case err == nil:
-			return nil, "miss", j, nil
+			return nil, "miss", c, nil
 		case !retry || !errors.Is(err, ErrQueueFull):
 			return nil, "", nil, err
 		}
@@ -338,9 +338,9 @@ func (s *Service) lookup(ctx context.Context, key string, fn func(context.Contex
 
 // answer is lookup followed by the wait for the job's bytes.
 func (s *Service) answer(ctx context.Context, key string, fn func(context.Context) ([]byte, error), retry bool) ([]byte, string, error) {
-	body, disp, j, err := s.lookup(ctx, key, fn, retry)
-	if j != nil {
-		body, err = j.wait(ctx)
+	body, disp, c, err := s.lookup(ctx, key, fn, retry)
+	if c != nil {
+		body, err = c.Wait(ctx)
 	}
 	return body, disp, err
 }
@@ -487,7 +487,7 @@ type EstimateFrame struct {
 // completes and fills the cache.
 func (s *Service) streamEstimate(w http.ResponseWriter, r *http.Request, key string, compute func(context.Context) ([]byte, error), frames <-chan sim.Progress) {
 	ctx := r.Context()
-	body, disp, j, err := s.lookup(ctx, key, compute, false)
+	body, disp, c, err := s.lookup(ctx, key, compute, false)
 	if err != nil {
 		WriteError(w, submitStatus(err), err)
 		return
@@ -512,17 +512,18 @@ func (s *Service) streamEstimate(w http.ResponseWriter, r *http.Request, key str
 		lastEmit = time.Now()
 		emit(EstimateFrame{Progress: newProgressJSON(p), Key: key})
 	}
-	for j != nil {
+	for c != nil {
 		select {
 		case p := <-frames:
 			relay(p)
-		case <-j.done:
+		case <-c.Done():
 			// Snapshots buffered before the job finished go out ahead
 			// of the final frame.
 			for len(frames) > 0 {
 				relay(<-frames)
 			}
-			body, err, j = j.val, j.err, nil
+			body, err = c.Wait(ctx)
+			c = nil
 		case <-ctx.Done():
 			return
 		}

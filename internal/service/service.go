@@ -24,9 +24,9 @@
 //
 //   - A sharded worker-pool scheduler. Cache misses become jobs hashed
 //     onto shards, each with its own bounded queue and worker; duplicate
-//     in-flight keys coalesce (single-flight) on their shard, jobs run
-//     under per-job contexts with a timeout, and shutdown drains queued
-//     work before cancelling anything.
+//     in-flight keys coalesce (single-flight) in their shard's Flight,
+//     jobs run under per-job contexts with a timeout, and shutdown
+//     drains queued work before cancelling anything.
 //
 // The scheduler is the only place the service runs work. Every keyed
 // answer — a plain or progress-streamed /estimate, a /sweep point, an
@@ -37,9 +37,13 @@
 // that joined a job already queued or running for its key. A progress
 // request therefore shares the shard queue's admission and its 503
 // backpressure, and coalesces with plain requests for the same key;
-// only the job's owner streams progress frames. A job outlives the
-// request that queued it: an abandoned run still completes and fills
-// the cache.
+// only the job's owner streams progress frames. Coalescing has one
+// rule, kept by Flight for the scheduler shards and the ltsimr router
+// alike: a call belongs to its key, and a caller that leaves ends only
+// its own wait, so an abandoned run still completes, fills the cache
+// and answers the requests that joined it. A request the simulator
+// would refuse gets no key (sim.Fingerprint checks what a run checks),
+// so it is a 400 before anything is memoized or queued.
 //
 // HTTP surface (all JSON):
 //
@@ -58,7 +62,9 @@
 //	                      this scheduler, and internal/router's ring
 //	POST /scenarios/expand dry-run a scenario document: NDJSON of
 //	                      expanded points with policy-effective requests
-//	                      and the fingerprints a sweep would cache under
+//	                      and the fingerprints a sweep would cache under;
+//	                      a point the simulator would refuse is an error
+//	                      line
 //	GET  /experiments     the registered experiment index
 //	POST /experiments/run run one experiment by id (?id=E2&quick=1&seed=1)
 //	GET  /healthz         liveness

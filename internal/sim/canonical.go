@@ -31,6 +31,9 @@ import (
 // reflection, so any two distinct parameterizations differ and equal ones
 // collide, without each implementation opting in. Function-valued state
 // cannot be canonicalized and returns an error.
+//
+// A configuration and options that EstimateStream would reject get no
+// key: both check them through admit, so the error is the same text.
 func Canonical(cfg Config, opt Options) (string, error) {
 	var stack [canonStackBytes]byte
 	b, err := appendCanonical(stack[:0], &cfg, opt)
@@ -65,8 +68,9 @@ func appendCanonical(b []byte, cfg *Config, opt Options) ([]byte, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.Bias != 0 && cfg.HasHazard() {
-		return nil, fmt.Errorf("%w: failure biasing is incompatible with hazard profiles (likelihood-ratio exposure assumes constant armed rates)", ErrInvalidConfig)
+	opt, err := admit(cfg, opt)
+	if err != nil {
+		return nil, err
 	}
 	n := cfg.NumReplicas()
 	minIntact := cfg.MinIntact
@@ -78,7 +82,6 @@ func appendCanonical(b []byte, cfg *Config, opt Options) ([]byte, error) {
 	b = append(b, ",minIntact:"...)
 	b = strconv.AppendInt(b, int64(minIntact), 10)
 	b = append(b, ",specs:["...)
-	var err error
 	if len(cfg.Specs) == 0 {
 		// A uniform fleet resolves every replica to the same spec
 		// (ReplicaSpecs' contract), so its bytes are encoded once and
@@ -120,7 +123,6 @@ func appendCanonical(b []byte, cfg *Config, opt Options) ([]byte, error) {
 	b = append(b, ",auditVisible:"...)
 	b = appendFloat(b, cfg.AuditVisibleFaultProb)
 
-	opt = opt.withDefaults()
 	b = append(b, "}sim.Options/v1{trials:"...)
 	b = strconv.AppendInt(b, int64(opt.Trials), 10)
 	b = append(b, ",horizon:"...)

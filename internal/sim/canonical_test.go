@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -353,4 +354,72 @@ func TestCanonicalConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestKeyedRequestsCanRun: a request gets a key exactly when a run
+// would accept it. Each row is refused by Canonical, Fingerprint and
+// EstimateStream alike, with the same error text.
+func TestKeyedRequestsCanRun(t *testing.T) {
+	paper, _ := canonPaperConfig(t)
+	weibull, err := faults.NewWeibullHazard(2, 1e5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiled := hazardMirror(t, weibull)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		opt  Options
+	}{
+		{"one trial", paper, Options{Trials: 1}},
+		{"level 1.5", paper, Options{Trials: 100, Level: 1.5}},
+		{"bias without horizon", paper, Options{Trials: 100, Bias: AutoBias}},
+		{"negative target", paper, Options{TargetRelWidth: -0.1}},
+		{"adaptive max trials 1", paper, Options{TargetRelWidth: 0.1, MaxTrials: 1}},
+		{"bias with hazard", profiled, Options{Trials: 100, Horizon: 1000, Bias: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewRunner(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, runErr := r.EstimateStream(context.Background(), tc.opt, nil)
+			if runErr == nil {
+				t.Fatal("EstimateStream accepted the request")
+			}
+			if _, err := Fingerprint(tc.cfg, tc.opt); err == nil || err.Error() != runErr.Error() {
+				t.Errorf("Fingerprint error %v, want %q", err, runErr)
+			}
+			if _, err := Canonical(tc.cfg, tc.opt); err == nil || err.Error() != runErr.Error() {
+				t.Errorf("Canonical error %v, want %q", err, runErr)
+			}
+		})
+	}
+}
+
+// TestPaperConfigAlpha: PaperConfig reads α as the wire does — 1 is
+// independent replicas, anything else must be a correlation factor in
+// (0, 1].
+func TestPaperConfigAlpha(t *testing.T) {
+	for _, tc := range []struct {
+		alpha float64
+		want  faults.Correlation
+	}{
+		{1, faults.Independent{}},
+		{0.5, faults.AlphaCorrelation{Factor: 0.5}},
+		{1.5, nil},
+		{math.NaN(), nil},
+		{0, nil},
+		{-1, nil},
+	} {
+		cfg, err := PaperConfig(3, tc.alpha)
+		switch {
+		case tc.want == nil && err == nil:
+			t.Errorf("alpha %v: accepted with correlation %#v, want an error", tc.alpha, cfg.Correlation)
+		case tc.want != nil && err != nil:
+			t.Errorf("alpha %v: %v", tc.alpha, err)
+		case tc.want != nil && cfg.Correlation != tc.want:
+			t.Errorf("alpha %v: correlation %#v, want %#v", tc.alpha, cfg.Correlation, tc.want)
+		}
+	}
 }

@@ -416,6 +416,8 @@ func (c Config) ModelParams() model.Params {
 // PaperConfig returns the simulator configuration matching the paper's
 // §5.4 worked scenario: mirrored replicas with the Cheetah parameters,
 // the given audits per year (0 = never), and correlation factor alpha.
+// As on the wire, alpha 1 means independent replicas and any other value
+// must lie in (0, 1].
 func PaperConfig(scrubsPerYear, alpha float64) (Config, error) {
 	rep, err := repair.Automated(model.PaperMRV, model.PaperMRL, 0)
 	if err != nil {
@@ -429,13 +431,9 @@ func PaperConfig(scrubsPerYear, alpha float64) (Config, error) {
 		}
 		strat = p
 	}
-	var corr faults.Correlation = faults.Independent{}
-	if alpha < 1 {
-		a, err := faults.NewAlphaCorrelation(alpha)
-		if err != nil {
-			return Config{}, err
-		}
-		corr = a
+	corr, err := faults.NewCorrelation(alpha)
+	if err != nil {
+		return Config{}, err
 	}
 	return Config{
 		Replicas:    2,

@@ -105,36 +105,42 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// validate checks the result-shaping options after withDefaults.
-func (o Options) validate() error {
+// admit is the rule a run must pass: the options with their defaults
+// filled in, each in range, and no failure biasing over a hazard
+// profile. EstimateStream and the canonical key both apply it, so a
+// request that gets a key can run, and one that cannot gets the same
+// error from either. cfg must already be valid.
+func admit(cfg *Config, o Options) (Options, error) {
+	o = o.withDefaults()
 	if o.Horizon < 0 || math.IsNaN(o.Horizon) {
-		return fmt.Errorf("%w: horizon %v must be >= 0", ErrInvalidConfig, o.Horizon)
+		return o, fmt.Errorf("%w: horizon %v must be >= 0", ErrInvalidConfig, o.Horizon)
 	}
 	if math.IsNaN(o.Level) || o.Level <= 0 || o.Level >= 1 {
-		return fmt.Errorf("%w: confidence level %v must be in (0,1)", ErrInvalidConfig, o.Level)
+		return o, fmt.Errorf("%w: confidence level %v must be in (0,1)", ErrInvalidConfig, o.Level)
 	}
 	if math.IsNaN(o.TargetRelWidth) || o.TargetRelWidth < 0 || math.IsInf(o.TargetRelWidth, 1) {
-		return fmt.Errorf("%w: target relative width %v must be a finite value >= 0", ErrInvalidConfig, o.TargetRelWidth)
+		return o, fmt.Errorf("%w: target relative width %v must be a finite value >= 0", ErrInvalidConfig, o.TargetRelWidth)
 	}
 	if math.IsNaN(o.Bias) || math.IsInf(o.Bias, 0) || (o.Bias != 0 && o.Bias != AutoBias && o.Bias < 1) {
-		return fmt.Errorf("%w: bias %v must be 0 (off), AutoBias, or a finite factor >= 1", ErrInvalidConfig, o.Bias)
+		return o, fmt.Errorf("%w: bias %v must be 0 (off), AutoBias, or a finite factor >= 1", ErrInvalidConfig, o.Bias)
 	}
 	if o.Bias != 0 && o.Horizon <= 0 {
-		return fmt.Errorf("%w: bias requires a censoring horizon", ErrInvalidConfig)
+		return o, fmt.Errorf("%w: bias requires a censoring horizon", ErrInvalidConfig)
 	}
 	if o.adaptive() {
 		if o.MaxTrials < 2 {
-			return fmt.Errorf("%w: %d max trials, need >= 2", ErrInvalidConfig, o.MaxTrials)
+			return o, fmt.Errorf("%w: %d max trials, need >= 2", ErrInvalidConfig, o.MaxTrials)
 		}
 		if o.Trials < 0 || o.Trials > o.MaxTrials {
-			return fmt.Errorf("%w: minimum trials %d must be in [0, max trials %d]", ErrInvalidConfig, o.Trials, o.MaxTrials)
+			return o, fmt.Errorf("%w: minimum trials %d must be in [0, max trials %d]", ErrInvalidConfig, o.Trials, o.MaxTrials)
 		}
-		return nil
+	} else if o.Trials < 2 {
+		return o, fmt.Errorf("%w: %d trials, need >= 2", ErrInvalidConfig, o.Trials)
 	}
-	if o.Trials < 2 {
-		return fmt.Errorf("%w: %d trials, need >= 2", ErrInvalidConfig, o.Trials)
+	if o.Bias != 0 && cfg.HasHazard() {
+		return o, fmt.Errorf("%w: failure biasing is incompatible with hazard profiles (likelihood-ratio exposure assumes constant armed rates)", ErrInvalidConfig)
 	}
-	return nil
+	return o, nil
 }
 
 // DoubleFaultMatrix counts loss events by (first fault, final fault)
@@ -316,12 +322,9 @@ func (r *Runner) EstimateStream(ctx context.Context, opt Options, sink func(Prog
 // only observes the trials; it never changes what they draw.
 func (r *Runner) stream(ctx context.Context, opt Options, sink func(Progress), rec *[]trace.Event) (Estimate, error) {
 	batchSet := opt.BatchSize > 0
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
+	opt, err := admit(&r.cfg, opt)
+	if err != nil {
 		return Estimate{}, err
-	}
-	if opt.Bias != 0 && r.cfg.HasHazard() {
-		return Estimate{}, fmt.Errorf("%w: failure biasing is incompatible with hazard profiles (likelihood-ratio exposure assumes constant armed rates)", ErrInvalidConfig)
 	}
 	if err := r.validateReplay(opt); err != nil {
 		return Estimate{}, err

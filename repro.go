@@ -208,7 +208,8 @@ func TraceTrial(cfg SimConfig, seed uint64, horizon float64) (*Trace, error) {
 }
 
 // PaperSimConfig returns the simulator configuration for the §5.4 worked
-// scenario with the given audits per year (0 = never) and correlation α.
+// scenario with the given audits per year (0 = never) and correlation α
+// (1 = independent, otherwise in (0, 1]).
 func PaperSimConfig(scrubsPerYear, alpha float64) (SimConfig, error) {
 	return sim.PaperConfig(scrubsPerYear, alpha)
 }
