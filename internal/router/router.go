@@ -410,7 +410,11 @@ func (r *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
 			body, err := json.Marshal(er)
 			return key, body, err
 		},
-		Run: func(ctx context.Context, key string, body []byte) (service.SweepLine, string, error) {
+		Run: func(ctx context.Context, key string, job func() ([]byte, error)) (service.SweepLine, string, error) {
+			body, err := job()
+			if err != nil {
+				return service.SweepLine{}, "", err
+			}
 			res, _, err := r.estimateOnce(ctx, key, body)
 			if err == nil && res.status != http.StatusOK {
 				err = fmt.Errorf("worker %s returned %d: %s", res.node, res.status, strings.TrimSpace(string(res.body)))
@@ -418,7 +422,14 @@ func (r *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
 			if err != nil {
 				return service.SweepLine{}, "", err
 			}
-			return service.SweepLine{Key: res.key, Result: res.body, Node: res.node}, res.cache, nil
+			// Worker bytes are the one result that enters from outside the
+			// process: compact them as Sweep requires, and refuse a body
+			// that is not JSON.
+			result, err := json.Marshal(json.RawMessage(res.body))
+			if err != nil {
+				return service.SweepLine{}, "", fmt.Errorf("worker %s returned a body that is not JSON: %w", res.node, err)
+			}
+			return service.SweepLine{Key: res.key, Result: result, Node: res.node}, res.cache, nil
 		},
 	}.ServeHTTP(w, req)
 }

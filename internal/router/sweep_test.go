@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -98,5 +100,38 @@ func TestRouterRoutedCountsProgressStreams(t *testing.T) {
 	}
 	if float64(snap.Routed) != requests {
 		t.Fatalf("/stats routed = %d, want %g (the ltsimr_requests_total sum)", snap.Routed, requests)
+	}
+}
+
+// TestRouterSweepRefusesNonJSONWorkerBody: a worker that answers 200
+// with bytes that are not JSON gives each of its points an error line,
+// counted under "errors", not an "ok" with no line.
+func TestRouterSweepRefusesNonJSONWorkerBody(t *testing.T) {
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if r.URL.Path == "/estimate" {
+			w.Write([]byte("not json\n"))
+		}
+	}))
+	t.Cleanup(fake.Close)
+	rt, err := New(Config{Workers: []Worker{{Name: "fake", URL: fake.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		rt.Close()
+	})
+
+	sweep := map[string][]estReq{"requests": {{Trials: 50, HorizonYears: 50}, {Trials: 60, HorizonYears: 50}}}
+	lines, sum := decodeSweep(t, slurp(t, post(t, ts.URL+"/sweep", sweep)))
+	if sum.OK != 0 || sum.Errors != 2 || len(lines) != 2 {
+		t.Fatalf("summary %+v with %d lines, want 2 errors and 2 lines", sum, len(lines))
+	}
+	for _, l := range lines {
+		if !strings.Contains(l.Error, "not JSON") || l.Result != nil {
+			t.Errorf("line %+v, want an error naming the non-JSON body", l)
+		}
 	}
 }

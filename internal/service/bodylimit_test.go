@@ -2,11 +2,15 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 )
@@ -100,6 +104,25 @@ func TestRequestBodyLimit(t *testing.T) {
 		payload = readAll(t, resp)
 		if resp.StatusCode != http.StatusOK || strings.Contains(string(payload), `"error"`) {
 			t.Errorf("%s at the limit: status %d, body %.200q; want 200 without errors", c.path, resp.StatusCode, payload)
+		}
+	}
+}
+
+// TestDeclaredLengthNotTrusted: a request declaring the largest
+// Content-Length net/http accepts, over a short body, is answered from
+// the bytes that arrive; the declared length sizes nothing it cannot.
+func TestDeclaredLengthNotTrusted(t *testing.T) {
+	svc := New(Config{CacheSize: 16, Shards: 1, QueueDepth: 8, JobTimeout: time.Minute, SimParallel: 2})
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
+	h := svc.Handler()
+	est := `{"trials":50,"horizon_years":1,"seed":5}`
+	for path, body := range map[string]string{"/estimate": est, "/sweep": `{"requests":[` + est + `]}`} {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		req.ContentLength = math.MaxInt64
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), `"error"`) {
+			t.Errorf("%s declaring %d bytes: status %d, body %.200q; want 200 without errors", path, req.ContentLength, rec.Code, rec.Body)
 		}
 	}
 }

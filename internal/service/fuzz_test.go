@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -31,6 +33,35 @@ func FuzzEstimateKey(f *testing.F) {
 			if key != want || err == nil && progress != req.Progress {
 				t.Fatalf("pass %d: key %q progress %t, resolving from scratch gives %q %t", pass, key, progress, want, req.Progress)
 			}
+		}
+	})
+}
+
+// FuzzSweepLine checks appendSweepLine against the json.Encoder it
+// replaces: for arbitrary strings, counts and flags, and a Result that is
+// json.Marshal output (the contract Sweep's Run keeps), the bytes must be
+// identical, newline included.
+func FuzzSweepLine(f *testing.F) {
+	f.Add(3, "5f2a", "", "", false, 0, 0, 0, 0, 0, 0, int64(0), []byte(`{"mttdl_hours":1.5e6,"losses":2}`))
+	f.Add(0, "", "", "", true, 192, 190, 2, 96, 96, 40, int64(17), []byte(nil))
+	f.Add(-7, "k<&>", "bad \"alpha\"\n\t\b\f\r\x01\x7f", "w  \xff\xfe", false, -1, 0, 0, 0, 0, 0, int64(-3), []byte(`["<b>&amp;</b>"," ",null,true]`))
+	f.Fuzz(func(t *testing.T, index int, key, errMsg, node string, summary bool,
+		requested, ok, errs, hits, deduped, disk int, elapsed int64, result []byte) {
+		line := SweepLine{Index: index, Key: key, Error: errMsg, Node: node, Summary: summary,
+			Requested: requested, OK: ok, Errors: errs, CacheHits: hits, Deduped: deduped, DiskHits: disk, ElapsedMS: elapsed}
+		var v any
+		if json.Unmarshal(result, &v) == nil {
+			var err error
+			if line.Result, err = json.Marshal(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(line); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendSweepLine(nil, &line); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendSweepLine wrote\n%s\njson.Encoder writes\n%s", got, want.Bytes())
 		}
 	})
 }

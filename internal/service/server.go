@@ -1,11 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -28,8 +28,10 @@ import (
 type Service struct {
 	cfg   Config
 	cache *resultCache
-	// memo maps /estimate bodies to the keys they resolved to.
-	memo *KeyMemo
+	// memo maps /estimate bodies to the keys they resolved to, and
+	// sweepMemo /sweep bodies to the keys of their points.
+	memo      *KeyMemo
+	sweepMemo *SweepMemo
 	// diskStore is the persistent result tier under the memory LRU; nil
 	// when the service runs memory-only (Config.Store unset).
 	diskStore *store.DiskStore
@@ -61,6 +63,7 @@ func New(cfg Config) *Service {
 		cfg:       cfg,
 		cache:     newResultCache(cfg.CacheSize),
 		memo:      NewKeyMemo(cfg.CacheSize),
+		sweepMemo: NewSweepMemo(cfg.CacheSize),
 		diskStore: cfg.Store,
 		sched:     newScheduler(cfg.Shards, cfg.QueueDepth, cfg.JobTimeout),
 		mux:       http.NewServeMux(),
@@ -163,9 +166,20 @@ func (s *Service) cachePut(key string, val []byte) {
 // expands itself.
 const MaxBodyBytes = 32 << 20
 
-// ReadBody reads r's body, at most MaxBodyBytes of it.
+// ReadBody reads r's body, at most MaxBodyBytes of it. The buffer is
+// sized from the declared Content-Length, so a body that declares its
+// length is read without regrowing; the size is capped at 64 KiB, so a
+// declared length that is a lie allocates little ahead of the bytes
+// that actually arrive.
 func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	var buf bytes.Buffer
+	if cl := r.ContentLength; cl > 0 {
+		// ReadFrom keeps bytes.MinRead free for each read, the last of
+		// which finds the EOF.
+		buf.Grow(int(min(cl, 64<<10)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	return buf.Bytes(), err
 }
 
 // RequestStatus is the status of a request whose body failed to read or
@@ -540,13 +554,24 @@ func (s *Service) streamEstimate(w http.ResponseWriter, r *http.Request, key str
 // The pool is sized below total queue capacity so a large sweep applies
 // backpressure to itself instead of tripping 503s.
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
-	Sweep[func(context.Context) ([]byte, error)]{
+	type compute = func(context.Context) ([]byte, error)
+	Sweep[compute]{
 		Pool: max(1, s.cfg.Shards*s.cfg.QueueDepth/2),
-		Resolve: func(req EstimateRequest) (string, func(context.Context) ([]byte, error), error) {
+		Memo: s.sweepMemo,
+		Resolve: func(req EstimateRequest) (string, compute, error) {
 			return s.resolve(req, nil)
 		},
-		Run: func(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) (SweepLine, string, error) {
-			body, disp, err := s.answer(ctx, key, compute, true)
+		// A remembered body's job is derived only on a cache miss, by the
+		// scheduler job itself: the first such job decodes the body, as
+		// handleEstimate's does.
+		Run: func(ctx context.Context, key string, job func() (compute, error)) (SweepLine, string, error) {
+			body, disp, err := s.answer(ctx, key, func(ctx context.Context) ([]byte, error) {
+				run, err := job()
+				if err != nil {
+					return nil, err
+				}
+				return run(ctx)
+			}, true)
 			return SweepLine{Key: key, Result: body}, disp, err
 		},
 		Deduped: func(n int) {

@@ -58,8 +58,12 @@
 //	                      {"scenario": {...}} document (internal/scenario)
 //	                      expanded server-side; identical fingerprints
 //	                      within one batch run once ("deduped" in the
-//	                      summary). One fan-out (Sweep), two backends:
-//	                      this scheduler, and internal/router's ring
+//	                      summary). A repeated body skips expansion and
+//	                      fingerprinting (the keys of its points are
+//	                      remembered), and result bytes are replayed
+//	                      into the lines verbatim. One fan-out (Sweep),
+//	                      two backends: this scheduler, and
+//	                      internal/router's ring
 //	POST /scenarios/expand dry-run a scenario document: NDJSON of
 //	                      expanded points with policy-effective requests
 //	                      and the fingerprints a sweep would cache under;

@@ -1,16 +1,20 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/scenario"
 )
@@ -91,21 +95,108 @@ type SweepLine struct {
 // Identical keys dedupe batch-wide, so N identical requests run once and
 // every duplicate index replays the same bytes. Unique keys run on Pool
 // goroutines and stream back as NDJSON lines as each finishes, so a
-// sweep takes as long as its slowest key, not the sum. Run returns the
-// line's Key, Result and Node and the X-Ltsimd-Cache tier that answered
-// ("hit" and "disk" count as cache hits); a summary line ends the
-// stream. Deduped, when set, gets the dedupe count before any key runs.
+// sweep takes as long as its slowest key, not the sum. Run gets its job
+// through a function it calls only when it needs the job, and returns
+// the line's Key, Result and Node and the X-Ltsimd-Cache tier that
+// answered ("hit" and "disk" count as cache hits); a summary line ends
+// the stream. Result must be compact JSON as json.Marshal writes it: it
+// is copied into the line verbatim. Deduped, when set, gets the dedupe
+// count before any key runs.
+//
+// Memo, when set, remembers the keys of every body whose points all
+// resolved. A repeated body takes its keys from there and skips the
+// decode, the scenario expansion and Resolve; only when Run asks for a
+// job is the body decoded, once per request, and that one point resolved
+// again.
 type Sweep[J any] struct {
 	Pool    int
+	Memo    *SweepMemo
 	Resolve func(EstimateRequest) (key string, job J, err error)
-	Run     func(ctx context.Context, key string, job J) (line SweepLine, tier string, err error)
+	Run     func(ctx context.Context, key string, job func() (J, error)) (line SweepLine, tier string, err error)
 	Deduped func(n int)
 }
 
-// ServeHTTP decodes a /sweep body and streams the sweep.
+// sweepPoint is one index of a sweep, or, once grouped, the first index
+// of a key and the indices sharing it.
+type sweepPoint[J any] struct {
+	key     string
+	job     J
+	err     error
+	indices []int
+	line    SweepLine
+	tier    string
+}
+
+// points resolves body to one point per request, and job returns the job
+// of index i. A body the memo remembers takes its keys from there (see
+// remembered). Any other body is decoded and every request resolved
+// across cores, and its keys are remembered if every request resolved.
+func (sw Sweep[J]) points(body []byte) (points []sweepPoint[J], job func(i int) (J, error), err error) {
+	var sum [sha256.Size]byte
+	if sw.Memo != nil {
+		sum = sha256.Sum256(body)
+		if keys, ok := sw.Memo.get(sum); ok {
+			points, job = sw.remembered(body, keys)
+			return points, job, nil
+		}
+	}
+	reqs, err := new(SweepRequest).decode(bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	points = make([]sweepPoint[J], len(reqs))
+	parallelFor(len(reqs), func(i int) {
+		p := &points[i]
+		p.key, p.job, p.err = sw.Resolve(reqs[i])
+	})
+	job = func(i int) (J, error) { return points[i].job, nil }
+	if sw.Memo == nil {
+		return points, job, nil
+	}
+	keys := make([]string, len(points))
+	for i := range points {
+		if points[i].err != nil {
+			return points, job, nil
+		}
+		keys[i] = points[i].key
+	}
+	sw.Memo.put(sum, keys, len(keys))
+	return points, job, nil
+}
+
+// remembered makes the points of a body the memo remembers from its
+// keys. job resolves point i again when Run asks for it, decoding the
+// body the first time.
+func (sw Sweep[J]) remembered(body []byte, keys []string) ([]sweepPoint[J], func(i int) (J, error)) {
+	points := make([]sweepPoint[J], len(keys))
+	for i, key := range keys {
+		points[i].key = key
+	}
+	var once sync.Once
+	var reqs []EstimateRequest
+	var decodeErr error
+	return points, func(i int) (J, error) {
+		once.Do(func() { reqs, decodeErr = new(SweepRequest).decode(bytes.NewReader(body)) })
+		if decodeErr != nil {
+			var zero J
+			return zero, decodeErr
+		}
+		_, j, err := sw.Resolve(reqs[i])
+		return j, err
+	}
+}
+
+// ServeHTTP reads a /sweep body and streams the sweep.
 func (sw Sweep[J]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	var sreq SweepRequest
-	reqs, err := sreq.decode(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	body, err := ReadBody(w, r)
+	start := time.Now()
+	var points []sweepPoint[J]
+	var job func(int) (J, error)
+	if err != nil {
+		err = fmt.Errorf("decoding request: %w", err)
+	} else {
+		points, job, err = sw.points(body)
+	}
 	if err != nil {
 		status := RequestStatus(err)
 		if status == http.StatusRequestEntityTooLarge {
@@ -114,35 +205,26 @@ func (sw Sweep[J]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, status, err)
 		return
 	}
-	start := time.Now()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	emit := json.NewEncoder(FlushWriter{w}).Encode
-	summary := SweepLine{Summary: true, Requested: len(reqs)}
-
-	// Resolve across cores, then group serially: the first point with a
-	// key stands for its group and collects the indices sharing it.
-	type point struct {
-		key     string
-		job     J
-		err     error
-		indices []int
-		line    SweepLine
-		tier    string
+	out := FlushWriter{w}
+	var buf []byte
+	emit := func(line *SweepLine) {
+		buf = appendSweepLine(buf[:0], line)
+		out.Write(buf)
 	}
-	points := make([]point, len(reqs))
-	parallelFor(len(reqs), func(i int) {
-		p := &points[i]
-		p.key, p.job, p.err = sw.Resolve(reqs[i])
-	})
-	groups := make(map[string]*point)
-	var order []*point
+	summary := SweepLine{Summary: true, Requested: len(points)}
+
+	// Group serially: the first point with a key stands for its group
+	// and collects the indices sharing it.
+	groups := make(map[string]*sweepPoint[J])
+	var order []*sweepPoint[J]
 	for i := range points {
 		p := &points[i]
 		if p.err != nil {
 			// Invalid requests answer immediately, in index order, ahead
 			// of any simulation output.
 			summary.Errors++
-			emit(SweepLine{Index: i, Error: p.err.Error()})
+			emit(&SweepLine{Index: i, Error: p.err.Error()})
 			continue
 		}
 		if g, ok := groups[p.key]; ok {
@@ -158,13 +240,13 @@ func (sw Sweep[J]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sw.Deduped(summary.Deduped)
 	}
 
-	done := make(chan *point)
+	done := make(chan *sweepPoint[J])
 	var next atomic.Int64
 	for range min(len(order), sw.Pool) {
 		go func() {
 			for gi := int(next.Add(1)) - 1; gi < len(order); gi = int(next.Add(1)) - 1 {
 				g := order[gi]
-				g.line, g.tier, g.err = sw.Run(r.Context(), g.key, g.job)
+				g.line, g.tier, g.err = sw.Run(r.Context(), g.key, func() (J, error) { return job(g.indices[0]) })
 				done <- g
 			}
 		}()
@@ -174,7 +256,7 @@ func (sw Sweep[J]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		for _, i := range g.indices {
 			if g.err != nil {
 				summary.Errors++
-				emit(SweepLine{Index: i, Key: g.key, Error: g.err.Error()})
+				emit(&SweepLine{Index: i, Key: g.key, Error: g.err.Error()})
 				continue
 			}
 			summary.OK++
@@ -185,13 +267,64 @@ func (sw Sweep[J]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				summary.CacheHits++
 				summary.DiskHits++
 			}
-			line := g.line
-			line.Index = i
-			emit(line)
+			g.line.Index = i
+			emit(&g.line)
 		}
 	}
 	summary.ElapsedMS = time.Since(start).Milliseconds()
-	emit(summary)
+	emit(&summary)
+}
+
+// appendSweepLine appends line as a json.Encoder writes it: the same
+// fields in the same order under the same omitempty rules, the same
+// string escaping, and a trailing newline. Result is copied verbatim,
+// where the Encoder would compact and HTML-escape it; that is the same
+// bytes because Sweep's Run contract keeps Result to json.Marshal output.
+func appendSweepLine(dst []byte, line *SweepLine) []byte {
+	dst = strconv.AppendInt(append(dst, `{"index":`...), int64(line.Index), 10)
+	dst = appendStringField(dst, `,"key":`, line.Key)
+	dst = appendStringField(dst, `,"error":`, line.Error)
+	if len(line.Result) > 0 {
+		dst = append(append(dst, `,"result":`...), line.Result...)
+	}
+	if line.Summary {
+		dst = append(dst, `,"summary":true`...)
+	}
+	dst = appendIntField(dst, `,"requested":`, int64(line.Requested))
+	dst = appendIntField(dst, `,"ok":`, int64(line.OK))
+	dst = appendIntField(dst, `,"errors":`, int64(line.Errors))
+	dst = appendIntField(dst, `,"cache_hits":`, int64(line.CacheHits))
+	dst = appendIntField(dst, `,"deduped":`, int64(line.Deduped))
+	dst = appendIntField(dst, `,"disk_hits":`, int64(line.DiskHits))
+	dst = appendStringField(dst, `,"node":`, line.Node)
+	dst = appendIntField(dst, `,"elapsed_ms":`, line.ElapsedMS)
+	return append(dst, "}\n"...)
+}
+
+// appendIntField appends an omitempty integer field.
+func appendIntField(dst []byte, name string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, name...), v, 10)
+}
+
+// appendStringField appends an omitempty string field. Printable ASCII
+// that JSON and HTML escaping both leave alone, as keys and node names
+// always are, is copied; any other string is encoded by encoding/json,
+// so its escaping is the Encoder's by construction.
+func appendStringField(dst []byte, name, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	dst = append(dst, name...)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 // parallelFor calls fn for every index in [0, n) on up to GOMAXPROCS
