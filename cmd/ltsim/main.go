@@ -149,9 +149,15 @@ func main() {
 	flag.BoolVar(&m.replayPolicy, "replay-policy", false, "with -trace: re-decide detection and repair from the flags instead of pinning recorded repairs (counterfactual replay)")
 	flag.Parse()
 
-	// A bad -bias fails before anything else, even in -scenario mode.
+	// A flag value ltsim cannot honour is refused like a malformed flag
+	// (exit 2) before anything runs. A bad -bias fails even in -scenario
+	// mode, which ignores the other single-run flags.
 	var err error
-	if rf.req.Bias, err = sim.ParseBias(rf.bias); err != nil {
+	rf.req.Bias, err = sim.ParseBias(rf.bias)
+	if err == nil && m.scenario == "" {
+		err = rf.finish()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ltsim:", err)
 		os.Exit(2)
 	}
@@ -248,12 +254,17 @@ func (f *runFlags) finish() error {
 		r.Replicas, r.RepairBugProb = 0, 0
 		return nil
 	}
-	// On the wire, zero means "use the default" — reject it here so an
-	// explicit -mv 0 errors instead of silently becoming the paper value.
-	// A repair cannot be disabled, so a repair time must also be finite
-	// (the wire would read inf as a negative time and name its own
-	// field). Flags are checked in a fixed order (a slice, not a map), so
-	// several bad flags always report the same one.
+	// On the wire, zero means "use the default" and a negative mean
+	// "channel disabled" — reject both here, so an explicit -replicas 0
+	// or -mv 0 errors instead of silently becoming the default, and
+	// -mv -5 instead of disabling the channel (inf is the way to say
+	// that). A repair cannot be disabled, so a repair time must also be
+	// finite (the wire would read inf as a negative time and name its
+	// own field). Flags are checked in a fixed order (a slice, not a
+	// map), so several bad flags always report the same one.
+	if r.Replicas < 1 {
+		return fmt.Errorf("-replicas must be at least 1")
+	}
 	const channel = " (or inf to disable the channel)"
 	for _, m := range []struct {
 		name   string
@@ -267,7 +278,7 @@ func (f *runFlags) finish() error {
 		{"-mrv", f.mrv, "", true, &r.RepairVisibleHours},
 		{"-mrl", f.mrl, "", true, &r.RepairLatentHours},
 	} {
-		if m.v == 0 {
+		if m.v == 0 || !m.repair && !(m.v > 0) {
 			return fmt.Errorf("%s must be positive%s", m.name, m.hint)
 		}
 		if m.repair && !(m.v > 0 && !math.IsInf(m.v, 1)) {
@@ -354,9 +365,6 @@ func run(m modes, rf *runFlags) error {
 	}
 	if m.scenario != "" {
 		return runScenario(m.scenario, m.server, m.retries)
-	}
-	if err := rf.finish(); err != nil {
-		return err
 	}
 	req := rf.req
 	if m.server != "" {

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/service"
@@ -99,6 +101,58 @@ func TestBuildRequestZeroFlagOrder(t *testing.T) {
 			if err == nil || err.Error() != tc.want {
 				t.Fatalf("run %d: finish error = %v, want %q", i, err, tc.want)
 			}
+		}
+	}
+}
+
+// TestMain runs ltsim's main instead of the tests when LTSIM_RUN_MAIN is
+// set, so a test can check a command line's exit status and stderr by
+// running the test binary itself.
+func TestMain(m *testing.M) {
+	if os.Getenv("LTSIM_RUN_MAIN") != "" {
+		os.Args = append([]string{"ltsim"}, os.Args[1:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRefusedFlagValues: a value the wire would read as "use the
+// default" (-replicas 0) or "channel disabled" (a negative mean) is
+// refused with exit status 2 and a message naming the flag, before
+// anything runs; inf still disables a channel, and -replicas is ignored
+// beside a -replica fleet.
+func TestRefusedFlagValues(t *testing.T) {
+	const mvMsg, mlMsg = "-mv must be positive (or inf to disable the channel)", "-ml must be positive (or inf to disable the channel)"
+	for _, tc := range []struct {
+		args string
+		code int
+		msg  string
+	}{
+		{"-replicas 0", 2, "-replicas must be at least 1"},
+		{"-replicas -3", 2, "-replicas must be at least 1"},
+		{"-mv -5", 2, mvMsg},
+		{"-mv NaN", 2, mvMsg},
+		{"-ml -5", 2, mlMsg},
+		{"-ml nan", 2, mlMsg},
+		{"-mv -5 -server http://127.0.0.1:1", 2, mvMsg},
+		{"-ml inf", 0, ""},
+		{"-replica consumer -replicas 0", 0, ""},
+	} {
+		args := append(strings.Fields(tc.args), "-trials", "50", "-horizon", "1", "-json")
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "LTSIM_RUN_MAIN=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		code := 0
+		if exit, ok := err.(*exec.ExitError); ok {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%s: %v", tc.args, err)
+		}
+		if code != tc.code || !strings.Contains(stderr.String(), tc.msg) {
+			t.Errorf("ltsim %s: exit %d, stderr %q; want exit %d naming %q", tc.args, code, stderr.String(), tc.code, tc.msg)
 		}
 	}
 }

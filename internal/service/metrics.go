@@ -40,23 +40,39 @@ func routeLabel(path string) string {
 	return "other"
 }
 
-// statusRecorder captures the response status for the middleware while
-// passing flushes through, so NDJSON streaming handlers keep working
-// behind it.
-type statusRecorder struct {
+// request is one request's middleware state and its only heap object
+// on a memory hit: the status recorder handlers write through, the
+// trace, the context that carries the trace, and the value slice of the
+// X-Ltsimd-Request header. It is never recycled: a scheduler job keeps
+// the trace and marks it after a hung-up client's handler has returned.
+type request struct {
 	http.ResponseWriter
 	status int
+	trace  telemetry.Trace
+	ctx    telemetry.TraceContext
+	id     [1]string
 }
 
-func (r *statusRecorder) WriteHeader(code int) {
+func (r *request) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
 }
 
-func (r *statusRecorder) Flush() {
+// Flush passes flushes through, so NDJSON streaming handlers keep
+// working behind the middleware.
+func (r *request) Flush() {
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// statusLabel is a status code's metric label; the common 200 needs no
+// formatting.
+func statusLabel(code int) string {
+	if code == http.StatusOK {
+		return "200"
+	}
+	return strconv.Itoa(code)
 }
 
 // withTelemetry is the observability middleware: it assigns every
@@ -67,23 +83,29 @@ func (r *statusRecorder) Flush() {
 // the span timeline as NDJSON.
 func (s *Service) withTelemetry(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tr := telemetry.NewTrace()
+		rq := &request{ResponseWriter: w, status: http.StatusOK}
+		tr := &rq.trace
+		tr.Begin()
 		tr.Mark("received")
-		w.Header().Set("X-Ltsimd-Request", tr.ID)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rq.id[0] = tr.ID
+		w.Header()["X-Ltsimd-Request"] = rq.id[:] // see setAnswerHeaders
+		rq.ctx = telemetry.TraceContext{Context: r.Context(), Trace: tr}
+		r = r.WithContext(&rq.ctx)
 
 		s.metrics.httpInflight.Add(1)
-		h.ServeHTTP(rec, r.WithContext(telemetry.WithTrace(r.Context(), tr)))
-		s.metrics.httpInflight.Add(-1)
+		// Deferred, so a handler that panics (net/http recovers it and
+		// drops the connection) still leaves the gauge.
+		defer s.metrics.httpInflight.Add(-1)
+		h.ServeHTTP(rq, r)
 		tr.Mark("served")
 
 		route := routeLabel(r.URL.Path)
-		cache := rec.Header().Get("X-Ltsimd-Cache")
+		cache := rq.Header().Get("X-Ltsimd-Cache")
 		if cache == "" {
 			cache = "none"
 		}
 		elapsed := time.Since(tr.Start)
-		s.metrics.httpSeconds.With(route, strconv.Itoa(rec.status), cache).Observe(elapsed.Seconds())
+		s.metrics.httpSeconds.With(route, statusLabel(rq.status), cache).Observe(elapsed.Seconds())
 
 		// Scrape and liveness traffic logs at debug so steady-state
 		// monitoring does not flood the request log.
@@ -99,7 +121,7 @@ func (s *Service) withTelemetry(h http.Handler) http.Handler {
 		attrs := append([]slog.Attr{
 			slog.String("method", r.Method),
 			slog.String("route", route),
-			slog.Int("status", rec.status),
+			slog.Int("status", rq.status),
 			slog.String("cache", cache),
 			slog.Float64("dur_ms", float64(elapsed.Nanoseconds())/1e6),
 		}, tr.LogAttrs()...)

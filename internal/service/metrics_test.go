@@ -8,11 +8,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // scrape fetches /metrics and returns the exposition text.
@@ -353,5 +356,143 @@ func TestSubmitReportsJoined(t *testing.T) {
 	}
 	if string(o.val) != "payload" || string(d.val) != "payload" {
 		t.Errorf("values = %q / %q, want both %q", o.val, d.val, "payload")
+	}
+}
+
+// A handler that panics still leaves the in-flight gauge: net/http
+// recovers the panic and drops the connection, and the middleware's
+// decrement must not be skipped on the way out.
+func TestInflightGaugeAfterPanic(t *testing.T) {
+	svc := New(Config{Shards: 1, QueueDepth: 1, JobTimeout: time.Minute})
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
+	h := svc.withTelemetry(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("handler failed") }))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the handler's panic did not reach the caller")
+			}
+		}()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/estimate", nil))
+	}()
+	if v := svc.metrics.httpInflight.Value(); v != 0 {
+		t.Errorf("ltsimd_http_in_flight = %v after the panic, want 0", v)
+	}
+}
+
+// spanLog is a slog.Handler that keeps the span names of every request
+// record, by request ID.
+type spanLog struct {
+	mu    sync.Mutex
+	spans map[string][]string
+}
+
+func (l *spanLog) Enabled(context.Context, slog.Level) bool { return true }
+func (l *spanLog) WithAttrs([]slog.Attr) slog.Handler       { return l }
+func (l *spanLog) WithGroup(string) slog.Handler            { return l }
+
+func (l *spanLog) Handle(_ context.Context, r slog.Record) error {
+	var id string
+	var names []string
+	r.Attrs(func(a slog.Attr) bool {
+		switch a.Key {
+		case "request":
+			id = a.Value.String()
+		case "spans":
+			spans, _ := a.Value.Any().([]telemetry.Span)
+			for _, s := range spans {
+				names = append(names, s.Name)
+			}
+		}
+		return true
+	})
+	l.mu.Lock()
+	l.spans[id] = names
+	l.mu.Unlock()
+	return nil
+}
+
+func (l *spanLog) of(id string) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.spans[id]
+}
+
+// markNames lists a trace's mark names in order.
+func markNames(tr *telemetry.Trace) []string {
+	var names []string
+	for _, m := range tr.Marks() {
+		names = append(names, m.Name)
+	}
+	return names
+}
+
+// A miss whose client hangs up leaves its job queued; the job's later
+// marks land on that request's trace and on no other, so a warm hit
+// served meanwhile logs only its own three spans.
+func TestLateMarksLandOnTheirOwnTrace(t *testing.T) {
+	log := &spanLog{spans: map[string][]string{}}
+	svc := New(Config{CacheSize: 64, Shards: 1, QueueDepth: 8, JobTimeout: time.Minute, SimParallel: 1, Logger: slog.New(log)})
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
+	// The spy hands the test each request's trace, which otherwise only
+	// the middleware and the scheduler hold.
+	traces := make(chan *telemetry.Trace, 4)
+	h := svc.withTelemetry(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		traces <- telemetry.TraceFrom(r.Context())
+		svc.mux.ServeHTTP(w, r)
+	}))
+	serve := func(ctx context.Context, body string) (int, *telemetry.Trace) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(body)).WithContext(ctx))
+		return rec.Code, <-traces
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	const hot, cold = `{"trials":100,"horizon_years":50,"seed":31}`, `{"trials":100,"horizon_years":50,"seed":32}`
+	if code, _ := serve(context.Background(), hot); code != http.StatusOK {
+		t.Fatalf("warm-up: status %d", code)
+	}
+
+	// Hold the only shard worker, so the miss's job waits in the queue.
+	started, release := make(chan struct{}), make(chan struct{})
+	if _, _, err := svc.sched.enqueue(context.Background(), "hold", func(context.Context) ([]byte, error) {
+		close(started)
+		<-release
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	ctx, hangUp := context.WithCancel(context.Background())
+	missDone := make(chan *telemetry.Trace)
+	go func() {
+		_, tr := serve(ctx, cold)
+		missDone <- tr
+	}()
+	waitFor("the miss's job to queue", func() bool { return svc.sched.Stats().QueueDepth == 1 })
+	hangUp()
+	miss := <-missDone
+
+	_, hit := serve(context.Background(), hot)
+	close(release)
+	waitFor("the miss's job to run", func() bool { return svc.sched.Stats().Completed == 3 })
+
+	for _, c := range []struct {
+		what      string
+		got, want []string
+	}{
+		{"hit log", log.of(hit.ID), []string{"received", "resolved", "served"}},
+		{"hit trace", markNames(hit), []string{"received", "resolved", "served"}},
+		{"miss log", log.of(miss.ID), []string{"received", "resolved", "queued", "served"}},
+		{"miss trace", markNames(miss), []string{"received", "resolved", "queued", "served", "running", "encoded"}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s spans %v, want %v", c.what, c.got, c.want)
+		}
 	}
 }

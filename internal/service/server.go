@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -166,20 +167,45 @@ func (s *Service) cachePut(key string, val []byte) {
 // expands itself.
 const MaxBodyBytes = 32 << 20
 
-// ReadBody reads r's body, at most MaxBodyBytes of it. The buffer is
-// sized from the declared Content-Length, so a body that declares its
-// length is read without regrowing; the size is capped at 64 KiB, so a
-// declared length that is a lie allocates little ahead of the bytes
-// that actually arrive.
+// ReadBody reads r's body, at most MaxBodyBytes of it, into a buffer of
+// its own (see readBody).
 func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	var buf bytes.Buffer
+	err := readBody(&buf, w, r)
+	return buf.Bytes(), err
+}
+
+// bodyPresize caps how far readBody grows a buffer ahead of the bytes.
+const bodyPresize = 64 << 10
+
+// readBody reads r's body, at most MaxBodyBytes of it, into buf. The
+// buffer is grown from the declared Content-Length, so a body that
+// declares its length is read without regrowing; the growth is capped
+// at bodyPresize, so a declared length that is a lie allocates little
+// ahead of the bytes that actually arrive.
+func readBody(buf *bytes.Buffer, w http.ResponseWriter, r *http.Request) error {
 	if cl := r.ContentLength; cl > 0 {
 		// ReadFrom keeps bytes.MinRead free for each read, the last of
 		// which finds the EOF.
-		buf.Grow(int(min(cl, 64<<10)) + bytes.MinRead)
+		buf.Grow(int(min(cl, bodyPresize)) + bytes.MinRead)
 	}
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	return buf.Bytes(), err
+	return err
+}
+
+// bodyPool holds the buffers /estimate bodies are read into. A buffer
+// goes back only from a handler that keeps none of its bytes: the memo
+// and a hit keep nothing, and a miss's job owns a copy of the body.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putBody returns buf to bodyPool, unless a large body grew it past
+// what an ordinary request needs; the GC takes that one.
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() > 2*bodyPresize {
+		return
+	}
+	buf.Reset()
+	bodyPool.Put(buf)
 }
 
 // RequestStatus is the status of a request whose body failed to read or
@@ -314,14 +340,22 @@ func (s *Service) resolve(req EstimateRequest, progress func(sim.Progress)) (key
 // cache probe (memory, then disk), else a scheduler job that runs fn and
 // writes its bytes through both tiers. disp is the X-Ltsimd-Cache value:
 // the answering tier ("hit" or "disk", with body set), or "miss" or
-// "dedup" with the job's call to wait on — "dedup" when a job for key
-// was already queued or running and this request joined it. With retry a
-// full shard queue is waited out rather than returned, so a sweep paces
-// itself instead of failing points; a lone request gets the 503.
+// "dedup" with the job's call to wait on (see schedule).
 func (s *Service) lookup(ctx context.Context, key string, fn func(context.Context) ([]byte, error), retry bool) (body []byte, disp string, c *Call[[]byte], err error) {
 	if body, tier, ok := s.cacheGet(key); ok {
 		return body, tier, nil, nil
 	}
+	disp, c, err = s.schedule(ctx, key, fn, retry)
+	return nil, disp, c, err
+}
+
+// schedule is lookup after a cache miss: it queues a job that runs fn
+// and writes its bytes through both tiers. disp is "dedup" when a job
+// for key was already queued or running and this request joined it,
+// "miss" otherwise. With retry a full shard queue is waited out rather
+// than returned, so a sweep paces itself instead of failing points; a
+// lone request gets the 503.
+func (s *Service) schedule(ctx context.Context, key string, fn func(context.Context) ([]byte, error), retry bool) (disp string, c *Call[[]byte], err error) {
 	telemetry.TraceFrom(ctx).Mark("queued")
 	run := func(ctx context.Context) ([]byte, error) {
 		body, err := fn(ctx)
@@ -335,16 +369,16 @@ func (s *Service) lookup(ctx context.Context, key string, fn func(context.Contex
 		c, joined, err := s.sched.enqueue(ctx, key, run)
 		switch {
 		case err == nil && joined:
-			return nil, "dedup", c, nil
+			return "dedup", c, nil
 		case err == nil:
-			return nil, "miss", c, nil
+			return "miss", c, nil
 		case !retry || !errors.Is(err, ErrQueueFull):
-			return nil, "", nil, err
+			return "", nil, err
 		}
 		select {
 		case <-time.After(backoff):
 		case <-ctx.Done():
-			return nil, "", nil, ctx.Err()
+			return "", nil, ctx.Err()
 		}
 		backoff = min(2*backoff, 200*time.Millisecond)
 	}
@@ -361,20 +395,48 @@ func (s *Service) answer(ctx context.Context, key string, fn func(context.Contex
 
 // handleEstimate serves one estimate as a JSON body, or with "progress"
 // as an NDJSON stream (streamEstimate); both take the lookup route. The
-// body memo resolves a repeated body to its key without decoding it.
+// body memo resolves a repeated body to its key without decoding it, and
+// a hit is answered before any job is built.
 func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	body, err := ReadBody(w, r)
-	if err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	if err := readBody(buf, w, r); err != nil {
 		WriteError(w, RequestStatus(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	key, progress, err := s.memo.Key(body, s.key)
+	key, progress, err := s.memo.Key(buf.Bytes(), s.key)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	telemetry.TraceFrom(r.Context()).Mark("resolved")
-	var frames chan sim.Progress
+	ctx := r.Context()
+	telemetry.TraceFrom(ctx).Mark("resolved")
+	if progress {
+		compute, frames := s.estimateJob(buf.Bytes(), true)
+		s.streamEstimate(w, r, key, compute, frames)
+		return
+	}
+	// The request's one cache probe, split from lookup so that a hit
+	// answers before the job is built.
+	answer, disp, ok := s.cacheGet(key)
+	if !ok {
+		compute, _ := s.estimateJob(buf.Bytes(), false)
+		var c *Call[[]byte]
+		if disp, c, err = s.schedule(ctx, key, compute, false); c != nil {
+			answer, err = c.Wait(ctx)
+		}
+	}
+	writeAnswer(w, key, disp, answer, err)
+}
+
+// estimateJob returns the job that answers an /estimate miss. It copies
+// body, so the request's buffer can go back to the pool while the job
+// is still queued. The memo keeps only the key, so the job decodes and
+// resolves the body again to get the run; that costs little next to the
+// simulation, and only a miss pays it. With progress, frames receives
+// the run's batch-boundary snapshots.
+func (s *Service) estimateJob(body []byte, progress bool) (compute func(context.Context) ([]byte, error), frames chan sim.Progress) {
+	body = bytes.Clone(body)
 	var sink func(sim.Progress)
 	if progress {
 		// The simulation never waits on the client: a snapshot that
@@ -392,10 +454,7 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	// The memo keeps only the key, so the job resolves the body again
-	// to get the run; that costs little next to the simulation, and
-	// only a cache miss pays it.
-	compute := func(ctx context.Context) ([]byte, error) {
+	compute = func(ctx context.Context) ([]byte, error) {
 		req, err := decodeEstimate(body)
 		if err != nil {
 			return nil, err
@@ -406,12 +465,29 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 		return run(ctx)
 	}
-	if progress {
-		s.streamEstimate(w, r, key, compute, frames)
-		return
+	return compute, frames
+}
+
+// Response bytes shared by every answer that writes them.
+var (
+	jsonType   = []string{"application/json"}
+	ndjsonType = []string{"application/x-ndjson"}
+	// cacheValues holds every X-Ltsimd-Cache value an answer can carry.
+	cacheValues = map[string][]string{
+		tierMemory: {tierMemory}, tierDisk: {tierDisk}, "miss": {"miss"}, "dedup": {"dedup"},
 	}
-	answer, disp, err := s.answer(r.Context(), key, compute, false)
-	writeAnswer(w, key, disp, answer, err)
+	// newline ends an answer; a literal converted per call would escape.
+	newline = []byte("\n")
+)
+
+// setAnswerHeaders sets an answer's Content-Type, X-Ltsimd-Key and
+// X-Ltsimd-Cache headers. It assigns the map directly, since the names
+// are already canonical; the value slices are shared, so nothing may
+// write to them.
+func setAnswerHeaders(h http.Header, contentType []string, key, disp string) {
+	h["Content-Type"] = contentType
+	h["X-Ltsimd-Key"] = []string{key}
+	h["X-Ltsimd-Cache"] = cacheValues[disp]
 }
 
 // writeAnswer replies with one answer's bytes and its cache metadata,
@@ -421,12 +497,9 @@ func writeAnswer(w http.ResponseWriter, key, disp string, body []byte, err error
 		WriteError(w, submitStatus(err), err)
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("X-Ltsimd-Key", key)
-	h.Set("X-Ltsimd-Cache", disp)
+	setAnswerHeaders(w.Header(), jsonType, key, disp)
 	w.Write(body)
-	w.Write([]byte("\n"))
+	w.Write(newline)
 }
 
 // ProgressJSON is a sim.Progress snapshot on the wire. RelWidth is
@@ -506,10 +579,7 @@ func (s *Service) streamEstimate(w http.ResponseWriter, r *http.Request, key str
 		WriteError(w, submitStatus(err), err)
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "application/x-ndjson")
-	h.Set("X-Ltsimd-Key", key)
-	h.Set("X-Ltsimd-Cache", disp)
+	setAnswerHeaders(w.Header(), ndjsonType, key, disp)
 	// Send the headers now: a request that joined another job streams
 	// nothing until the job's bytes arrive, but learns its disposition
 	// as soon as it is admitted.

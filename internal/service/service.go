@@ -45,6 +45,17 @@
 // would refuse gets no key (sim.Fingerprint checks what a run checks),
 // so it is a 400 before anything is memoized or queued.
 //
+// A warm /estimate hit is the service's most common request, so its
+// path is kept allocation-light. The middleware allocates one object
+// per request, holding the status recorder, the trace and the context
+// that carries it; that object, and so the trace, is never recycled,
+// because a scheduler job keeps the trace and marks it after a hung-up
+// client's handler has returned. An /estimate body is read into a
+// pooled buffer that goes back when the handler returns: the body memo
+// and a hit keep none of its bytes, and a miss's job owns a copy. A hit
+// is answered from the request's one cache probe, before any job is
+// built.
+//
 // HTTP surface (all JSON):
 //
 //	POST /estimate        one estimate; X-Ltsimd-Cache:

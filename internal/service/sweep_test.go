@@ -244,6 +244,17 @@ func BenchmarkSweepWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateWarmHit serves one warm /estimate memory hit through
+// the full handler with a harness that allocates nothing itself, so its
+// figures are the daemon's own.
+func BenchmarkEstimateWarmHit(b *testing.B) {
+	hh := warmHit(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		hh.serve()
+	}
+}
+
 // A warm replay of a remembered sweep, counting httptest's request and
 // recorder, allocates at most 4 times per point: it measured 2.7, where
 // re-resolving every point and encoding every line through json.Encoder

@@ -46,12 +46,11 @@ func (r *Registry) Handler() http.Handler {
 
 // write renders one family.
 func (f *family) write(b *strings.Builder) error {
-	f.mu.RLock()
-	children := make([]*child, 0, len(f.children))
-	for _, c := range f.children {
+	series := f.series()
+	children := make([]*child, 0, len(series))
+	for _, c := range series {
 		children = append(children, c)
 	}
-	f.mu.RUnlock()
 	sort.Slice(children, func(i, j int) bool {
 		return strings.Join(children[i].labelValues, "\xff") < strings.Join(children[j].labelValues, "\xff")
 	})

@@ -24,9 +24,9 @@ package telemetry
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -84,8 +84,11 @@ type family struct {
 	labels  []string
 	buckets []float64 // histogram upper bounds, sorted, +Inf implicit
 
-	mu       sync.RWMutex
-	children map[string]*child
+	// children maps joined label values to their series. It is copied
+	// on write under mu, so resolving an existing series (the
+	// per-request HistogramVec.With) takes no lock.
+	mu       sync.Mutex
+	children atomic.Pointer[map[string]*child]
 }
 
 // child is one series: the atomic storage behind a Counter, Gauge, or
@@ -106,6 +109,9 @@ type child struct {
 	bucketsRef   []float64
 	sumBits      atomic.Uint64
 	count        atomic.Uint64
+	// hist is the series' Histogram handle, so HistogramVec.With
+	// returns it without allocating one.
+	hist Histogram
 }
 
 // Counter is a monotonically increasing series handle.
@@ -210,37 +216,51 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 	}
 	f := &family{
 		name: name, help: help, kind: kind,
-		labels:   append([]string(nil), labels...),
-		buckets:  append([]float64(nil), buckets...),
-		children: make(map[string]*child),
+		labels:  append([]string(nil), labels...),
+		buckets: append([]float64(nil), buckets...),
 	}
+	f.children.Store(&map[string]*child{})
 	r.families[name] = f
 	return f
 }
 
+// series returns the family's current children; the map is never
+// written after it is published.
+func (f *family) series() map[string]*child { return *f.children.Load() }
+
 // childFor finds or creates the series for the given label values.
+// Finding one allocates nothing: the key is joined on the stack.
 func (f *family) childFor(values []string, read func() uint64) *child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("telemetry: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, "\xff")
-	f.mu.RLock()
-	c, ok := f.children[key]
-	f.mu.RUnlock()
-	if ok {
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, '\xff')
+		}
+		key = append(key, v...)
+	}
+	if c, ok := f.series()[string(key)]; ok {
 		return c
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok = f.children[key]; ok {
+	old := f.series()
+	if c, ok := old[string(key)]; ok {
 		return c
 	}
-	c = &child{labelValues: append([]string(nil), values...), read: read}
+	c := &child{labelValues: append([]string(nil), values...), read: read}
+	c.hist.c = c
 	if f.kind == KindHistogram {
 		c.bucketCounts = make([]atomic.Uint64, len(f.buckets)+1)
 		c.bucketsRef = f.buckets
 	}
-	f.children[key] = c
+	next := make(map[string]*child, len(old)+1)
+	maps.Copy(next, old)
+	next[string(key)] = c
+	f.children.Store(&next)
 	return c
 }
 
@@ -279,7 +299,7 @@ func gaugeBits(fn func() float64) func() uint64 {
 // layout defaults to DurationBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	f := r.register(name, help, KindHistogram, nil, buckets)
-	return &Histogram{f.childFor(nil, nil)}
+	return &f.childFor(nil, nil).hist
 }
 
 // CounterVec is a labeled counter family.
@@ -323,9 +343,10 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 }
 
 // With resolves (creating if needed) the series for the label values.
-// Resolve once and keep the handle on hot paths.
+// Resolving an existing series takes no lock and allocates nothing, so
+// a per-request caller may resolve it on every request.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	return &Histogram{v.f.childFor(values, nil)}
+	return &v.f.childFor(values, nil).hist
 }
 
 // mustValidName enforces the Prometheus name charset.

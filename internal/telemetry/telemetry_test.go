@@ -180,3 +180,49 @@ func TestConcurrentRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentChildCreation creates many labeled series from several
+// goroutines at once, each resolving every label: every copy-on-write
+// insert must survive, so each series ends with every goroutine's
+// observation and exposition lists it once.
+func TestConcurrentChildCreation(t *testing.T) {
+	r := NewRegistry()
+	hv := r.HistogramVec("h_seconds", "", []float64{1}, "route", "status")
+	const workers, labels = 8, 64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < labels; i++ {
+				l := (i + w*labels/workers) % labels
+				hv.With(fmt.Sprint("/r", l), "200").Observe(0.5)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for l := 0; l < labels; l++ {
+		if _, _, count := hv.With(fmt.Sprint("/r", l), "200").Snapshot(); count != workers {
+			t.Errorf("series /r%d count = %d, want %d", l, count, workers)
+		}
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(sb.String(), "h_seconds_count{"); n != labels {
+		t.Errorf("exposition lists %d series, want %d", n, labels)
+	}
+}
+
+// Resolving an existing labeled series, as the HTTP middleware does on
+// every request, allocates nothing.
+func TestHistogramVecWithAllocatesNothing(t *testing.T) {
+	hv := NewRegistry().HistogramVec("h_seconds", "", nil, "route", "status", "cache")
+	hv.With("/estimate", "200", "hit")
+	if allocs := testing.AllocsPerRun(100, func() {
+		hv.With("/estimate", "200", "hit").Observe(0.001)
+	}); allocs != 0 {
+		t.Errorf("With on an existing series allocates %v times, want 0", allocs)
+	}
+}

@@ -102,3 +102,19 @@ func TestUniqueIDs(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// A TraceContext answers the trace key itself and defers every other
+// key to its parent, so attaching a trace hides nothing the request
+// context already carried.
+func TestTraceContextDefersOtherKeys(t *testing.T) {
+	type key struct{}
+	parent := context.WithValue(context.Background(), key{}, "parent value")
+	tr := NewTrace()
+	ctx := &TraceContext{Context: parent, Trace: tr}
+	if got := TraceFrom(ctx); got != tr {
+		t.Error("TraceFrom did not return the carried trace")
+	}
+	if got := ctx.Value(key{}); got != "parent value" {
+		t.Errorf("Value(parent key) = %v, want the parent's value", got)
+	}
+}
