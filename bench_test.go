@@ -1,15 +1,16 @@
 // Benchmarks regenerating every figure and numeric analysis of the paper
-// (one benchmark per DESIGN.md §3 experiment), plus micro-benchmarks of
+// (one benchmark per registered experiment), plus micro-benchmarks of
 // the core primitives. Run:
 //
 //	go test -bench=. -benchmem
 //
-// The experiment benches run in Quick mode (reduced Monte Carlo budgets);
-// cmd/ltexp without -quick produces the full-fidelity EXPERIMENTS.md
-// numbers.
+// The experiment benches run in Quick mode (reduced Monte Carlo budgets),
+// the mode EXPERIMENTS.md records at seed 1; cmd/ltexp without -quick
+// produces the full-budget numbers.
 package repro_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -27,7 +28,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := e.Run(repro.ExperimentConfig{Seed: uint64(i) + 1, Quick: true})
+		res, err := e.Run(context.Background(), repro.ExperimentConfig{Seed: uint64(i) + 1, Quick: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,18 +1,21 @@
 // Command ltexp regenerates the paper's figures and numeric analyses:
-// every experiment registered in internal/experiments (DESIGN.md §3),
-// rendered as text tables, ASCII plots, and paper-vs-measured notes.
+// every experiment registered in internal/experiments (the index is
+// `ltexp -list`), rendered as text tables, ASCII plots, and
+// paper-vs-measured notes.
 //
 // Examples:
 //
-//	ltexp              # run everything (used to produce EXPERIMENTS.md)
+//	ltexp              # run everything at full Monte Carlo budgets
 //	ltexp -id E2       # one experiment
-//	ltexp -quick       # reduced Monte Carlo budgets
+//	ltexp -quick       # reduced budgets; at seed 1 this is EXPERIMENTS.md
 //	ltexp -list        # show the experiment index
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -47,7 +50,7 @@ func main() {
 	cfg := experiments.RunConfig{Seed: *seed, Quick: *quick}
 	failed := 0
 	for _, e := range todo {
-		if err := runOne(e, cfg); err != nil {
+		if err := runOne(context.Background(), os.Stdout, e, cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "ltexp: %s: %v\n", e.ID, err)
 			failed++
 		}
@@ -57,29 +60,31 @@ func main() {
 	}
 }
 
-func runOne(e experiments.Experiment, cfg experiments.RunConfig) error {
-	fmt.Printf("================================================================\n")
-	fmt.Printf("%s — %s (%s)\n", e.ID, e.Title, e.Source)
-	fmt.Printf("================================================================\n\n")
-	res, err := e.Run(cfg)
+// runOne runs e under ctx and renders its banner, tables, plots and
+// notes to w.
+func runOne(ctx context.Context, w io.Writer, e experiments.Experiment, cfg experiments.RunConfig) error {
+	fmt.Fprintf(w, "================================================================\n")
+	fmt.Fprintf(w, "%s — %s (%s)\n", e.ID, e.Title, e.Source)
+	fmt.Fprintf(w, "================================================================\n\n")
+	res, err := e.Run(ctx, cfg)
 	if err != nil {
 		return err
 	}
 	for _, tbl := range res.Tables {
-		if err := tbl.Render(os.Stdout); err != nil {
+		if err := tbl.Render(w); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	for _, p := range res.Plots {
-		if err := p.Render(os.Stdout); err != nil {
+		if err := p.Render(w); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	for _, n := range res.Notes {
-		fmt.Printf("note: %s\n", n)
+		fmt.Fprintf(w, "note: %s\n", n)
 	}
-	fmt.Println()
-	return nil
+	_, err = fmt.Fprintln(w)
+	return err
 }

@@ -161,7 +161,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ltsim:", err)
 		os.Exit(2)
 	}
-	if err := run(m, rf); err != nil {
+	if err := run(context.Background(), m, rf); err != nil {
 		fmt.Fprintln(os.Stderr, "ltsim:", err)
 		os.Exit(1)
 	}
@@ -354,7 +354,7 @@ func parseReplica(v string, defaultScrubs float64) (storage.Spec, error) {
 	return s, nil
 }
 
-func run(m modes, rf *runFlags) error {
+func run(ctx context.Context, m modes, rf *runFlags) error {
 	if m.record != "" || m.trace != "" {
 		if m.server != "" || m.scenario != "" {
 			return errors.New("-record and -trace are local single-run modes; they cannot be combined with -server or -scenario")
@@ -364,7 +364,7 @@ func run(m modes, rf *runFlags) error {
 		}
 	}
 	if m.scenario != "" {
-		return runScenario(m.scenario, m.server, m.retries)
+		return runScenario(ctx, m.scenario, m.server, m.retries)
 	}
 	req := rf.req
 	if m.server != "" {
@@ -396,7 +396,7 @@ func run(m modes, rf *runFlags) error {
 			printProgress(p)
 		}
 	}
-	est, err := runner.EstimateStream(context.Background(), opt, sink)
+	est, err := runner.EstimateStream(ctx, opt, sink)
 	if err != nil {
 		return err
 	}
@@ -485,7 +485,7 @@ func runReplay(m modes, cfg sim.Config, opt sim.Options) error {
 // result lines are byte-identical between the two against a daemon with
 // no request policy (local runs cannot know a remote -target-rel /
 // -max-trials policy); only ordering and the summary line differ.
-func runScenario(path, server string, retries int) error {
+func runScenario(ctx context.Context, path, server string, retries int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -505,7 +505,7 @@ func runScenario(path, server string, retries int) error {
 	enc := json.NewEncoder(os.Stdout)
 	summary := service.SweepLine{Summary: true, Requested: len(points)}
 	for _, pt := range points {
-		line := runScenarioPoint(pt)
+		line := runScenarioPoint(ctx, pt)
 		if line.Error != "" {
 			summary.Errors++
 		} else {
@@ -521,9 +521,9 @@ func runScenario(path, server string, retries int) error {
 
 // runScenarioPoint simulates one expanded point and encodes it exactly
 // as the daemon's sweep would: same fingerprint, same result bytes.
-func runScenarioPoint(pt scenario.Point) service.SweepLine {
+func runScenarioPoint(ctx context.Context, pt scenario.Point) service.SweepLine {
 	line := service.SweepLine{Index: pt.Index}
-	key, est, opt, err := pt.Execute()
+	key, est, opt, err := pt.Execute(ctx)
 	if err != nil {
 		line.Error = err.Error()
 		return line

@@ -17,11 +17,9 @@ import (
 	"math"
 
 	"repro/internal/costs"
-	"repro/internal/faults"
 	"repro/internal/model"
-	"repro/internal/repair"
 	"repro/internal/replica"
-	"repro/internal/scrub"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -151,46 +149,56 @@ func (s System) ModelParams() model.Params {
 }
 
 // SimConfig builds the physical simulation of the system, including
-// topology-derived common-cause shocks.
+// topology-derived common-cause shocks. It builds through the system's
+// scenario.EstimateRequest, the path ltsimd and ltsim take, so it
+// inherits the wire's scenario.MaxReplicas (1024) bound.
 func (s System) SimConfig() (sim.Config, error) {
+	cfg, _, err := s.build(AssessOptions{})
+	return cfg, err
+}
+
+// request describes the system, and the Monte Carlo run opt asks for,
+// as a wire request.
+func (s System) request(opt AssessOptions) scenario.EstimateRequest {
+	p := s.ModelParams()
+	req := scenario.EstimateRequest{
+		Replicas:           s.Replicas,
+		MinIntact:          s.MinIntact,
+		VisibleMeanHours:   p.MV,
+		LatentMeanHours:    p.ML,
+		RepairVisibleHours: p.MRV,
+		RepairLatentHours:  p.MRL,
+		ScrubsPerYear:      &s.ScrubsPerYear,
+		Alpha:              s.Alpha,
+		Trials:             opt.Trials,
+		Seed:               &opt.Seed,
+	}
+	if !opt.RunToLoss {
+		req.HorizonYears = s.MissionYears
+	}
+	return req
+}
+
+// build validates the system and builds its simulation and run options
+// from its request. Topology shocks are the one field the wire cannot
+// express; they are set on the built config.
+func (s System) build(opt AssessOptions) (sim.Config, sim.Options, error) {
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
-		return sim.Config{}, err
+		return sim.Config{}, sim.Options{}, err
 	}
-	p := s.ModelParams()
-	pol, err := repair.Automated(p.MRV, p.MRL, 0)
+	cfg, simOpt, err := s.request(opt).Build()
 	if err != nil {
-		return sim.Config{}, err
-	}
-	var strat scrub.Strategy = scrub.None{}
-	if s.ScrubsPerYear > 0 {
-		per, err := scrub.NewPeriodic(s.ScrubsPerYear, 0)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		strat = per
-	}
-	corr, err := faults.NewCorrelation(s.Alpha)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	cfg := sim.Config{
-		Replicas:    s.Replicas,
-		MinIntact:   s.MinIntact,
-		VisibleMean: p.MV,
-		LatentMean:  p.ML,
-		Scrub:       strat,
-		Repair:      pol,
-		Correlation: corr,
+		return sim.Config{}, sim.Options{}, err
 	}
 	if s.Topology != nil && len(s.ThreatMeans) > 0 {
 		shocks, err := threat.ScenarioShocks(*s.Topology, s.ThreatMeans)
 		if err != nil {
-			return sim.Config{}, err
+			return sim.Config{}, sim.Options{}, err
 		}
 		cfg.Shocks = shocks
 	}
-	return cfg, nil
+	return cfg, simOpt, nil
 }
 
 // CostPlan builds the §4.3 cost plan.
@@ -311,17 +319,13 @@ func (s System) Assess(opt AssessOptions) (*Assessment, error) {
 		a.AnalyticMTTDLYears = model.Years(p.ReplicatedMTTDL(s.Replicas))
 	}
 
-	cfg, err := s.SimConfig()
+	cfg, simOpt, err := s.build(opt)
 	if err != nil {
 		return nil, err
 	}
 	runner, err := sim.NewRunner(cfg)
 	if err != nil {
 		return nil, err
-	}
-	simOpt := sim.Options{Trials: opt.Trials, Seed: opt.Seed}
-	if !opt.RunToLoss {
-		simOpt.Horizon = model.YearsToHours(s.MissionYears)
 	}
 	est, err := runner.Estimate(simOpt)
 	if err != nil {

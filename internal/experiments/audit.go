@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"repro/internal/faults"
+	"context"
+
 	"repro/internal/model"
-	"repro/internal/repair"
 	"repro/internal/report"
-	"repro/internal/scrub"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -24,7 +23,7 @@ func init() {
 // repair floor; (2) auditing offline (tape) replicas is slow, expensive,
 // and itself a fault source, so online disk replicas win — the paper's
 // "Would it be better to replicate an archive on tape or on disk? (Disk)".
-func runE8(cfg RunConfig) (*Result, error) {
+func runE8(ctx context.Context, cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "E8", Title: "Audit strategy economics (§6.2)"}
 
 	// Part 1: scrub-frequency sweep through the model at paper scale.
@@ -76,31 +75,15 @@ func runE8(cfg RunConfig) (*Result, error) {
 	cmp := report.NewTable("Disk vs tape mirrored replicas, Monte Carlo (fault means = paper/10)",
 		"plan", "MTTDL (years)", "audit cost/replica-year ($)", "audit-induced faults/1000 trials")
 	for _, pl := range plans {
-		strat, err := scrub.NewPeriodic(pl.auditsPerYear, 0)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := repair.Automated(pl.media.RepairHours+model.PaperMRV, pl.media.RepairHours+model.PaperMRV, 0)
-		if err != nil {
-			return nil, err
-		}
-		c := sim.Config{
-			Replicas:              2,
-			VisibleMean:           model.PaperMV / scale,
-			LatentMean:            model.PaperML / scale,
-			Scrub:                 strat,
-			Repair:                rep,
-			Correlation:           faults.Independent{},
-			AuditLatentFaultProb:  pl.media.ReadWearFaultProb,
-			AuditVisibleFaultProb: pl.media.HandlingFaultProb,
-		}
-		runner, err := sim.NewRunner(c)
-		if err != nil {
-			return nil, err
-		}
 		// Precision-targeted: stop once the MTTDL interval is within 8%,
 		// capped at the historical 300-trial budget.
-		est, err := runner.Estimate(cfg.adaptiveOptions(300, 0.08))
+		c := adaptiveBase(cfg.Seed, cfg.trials(300), 0.08)
+		c.VisibleMeanHours, c.LatentMeanHours = model.PaperMV/scale, model.PaperML/scale
+		c.ScrubsPerYear = scrubs(pl.auditsPerYear)
+		c.RepairVisibleHours = pl.media.RepairHours + model.PaperMRV
+		c.RepairLatentHours = c.RepairVisibleHours
+		c.AuditWearProb = pl.media.ReadWearFaultProb
+		_, est, err := estimate(ctx, c, func(b *sim.Config) { b.AuditVisibleFaultProb = pl.media.HandlingFaultProb })
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/aging"
 	"repro/internal/model"
 	"repro/internal/report"
@@ -22,7 +24,7 @@ func init() {
 // the ages and dissolves the correlation. The Weibull shape sweeps from
 // memoryless (k=1, batch age irrelevant) to sharply clustered mortality
 // (k=8).
-func runE14(cfg RunConfig) (*Result, error) {
+func runE14(ctx context.Context, cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "E14", Title: "Batch aging and rolling procurement (§6.5)"}
 	const (
 		meanLife = 5 * model.HoursPerYear // 5-year service life
@@ -35,6 +37,9 @@ func runE14(cfg RunConfig) (*Result, error) {
 		"weibull shape", "same batch", "staggered half-life", "batch penalty", "implied alpha")
 	var xs, penalties []float64
 	for _, shape := range []float64{1, 2, 4, 8} {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		same, err := aging.SimulatePair(aging.SameBatch(shape, meanLife, repairH, 0), trials, horizon, cfg.Seed+17)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/costs"
@@ -22,7 +23,7 @@ func init() {
 // "about 8 vs about 6 irrecoverable bit errors over a 99%-idle 5-year
 // life" arithmetic, and the economic conclusion that consumer replicas
 // beat enterprise drives for archival storage.
-func runE7(RunConfig) (*Result, error) {
+func runE7(context.Context, RunConfig) (*Result, error) {
 	res := &Result{ID: "E7", Title: "Drive economics (§6.1)"}
 	b, c := storage.Barracuda200(), storage.Cheetah146()
 

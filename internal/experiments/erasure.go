@@ -1,15 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/baseline"
-	"repro/internal/faults"
 	"repro/internal/repair"
 	"repro/internal/report"
 	"repro/internal/rng"
-	"repro/internal/scrub"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -31,7 +31,7 @@ func init() {
 // latent nor correlated faults — is then demonstrated by turning on a
 // latent channel with slow auditing, which erodes most of the erasure
 // advantage.
-func runE13(cfg RunConfig) (*Result, error) {
+func runE13(ctx context.Context, cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "E13", Title: "Erasure coding vs replication (§7)"}
 
 	const (
@@ -42,7 +42,15 @@ func runE13(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol := repair.Policy{Visible: vis, Latent: vis}
+	expRepair := func(c *sim.Config) { c.Repair = repair.Policy{Visible: vis, Latent: vis} }
+	// cell is the scheme with fault means and audits; its repair is
+	// patched to expRepair, which the wire cannot express.
+	cell := func(n, m int, latentMean float64, audits *float64, budget int) scenario.EstimateRequest {
+		c := adaptiveBase(cfg.Seed, cfg.trials(budget), 0.08)
+		c.Replicas, c.MinIntact = n, m
+		c.VisibleMeanHours, c.LatentMeanHours, c.ScrubsPerYear = mttf, latentMean, audits
+		return c
+	}
 
 	tbl := report.NewTable("Equal 2x storage overhead, visible faults only (MTTF 1000 h, exp repair 25 h)",
 		"scheme", "tolerates", "markov MTTDL (h)", "sim MTTDL (h)", "sim/markov")
@@ -61,21 +69,12 @@ func runE13(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := sim.Config{
-			Replicas:    sc.n,
-			MinIntact:   sc.m,
-			VisibleMean: mttf,
-			LatentMean:  math.Inf(1),
-			Scrub:       scrub.None{},
-			Repair:      pol,
-			Correlation: faults.Independent{},
-		}
 		// The widest code's MTTDL is large; censor the simulation and
 		// use the restricted mean only for the two cheap rows, the
 		// Markov value carries the wide row.
 		var got float64
 		if sc.n <= 4 {
-			got, err = estimateMTTDL(c, cfg, cfg.trials(1500))
+			got, err = estimateMTTDL(ctx, cell(sc.n, sc.m, -1, scrubs(0), 1500), expRepair)
 			if err != nil {
 				return nil, err
 			}
@@ -95,23 +94,11 @@ func runE13(cfg RunConfig) (*Result, error) {
 	latentTbl := report.NewTable("Same schemes with latent faults (ML = 2000 h) and audits every 500 h",
 		"scheme", "sim MTTDL (h)", "penalty vs visible-only")
 	for _, sc := range configs[:2] {
-		c := sim.Config{
-			Replicas:    sc.n,
-			MinIntact:   sc.m,
-			VisibleMean: mttf,
-			LatentMean:  2000,
-			Scrub:       scrub.Periodic{Interval: 500},
-			Repair:      pol,
-			Correlation: faults.Independent{},
-		}
-		withLatent, err := estimateMTTDL(c, cfg, cfg.trials(1200))
+		withLatent, err := estimateMTTDL(ctx, cell(sc.n, sc.m, 2000, every(500), 1200), expRepair)
 		if err != nil {
 			return nil, err
 		}
-		visOnly := c
-		visOnly.LatentMean = math.Inf(1)
-		visOnly.Scrub = scrub.None{}
-		base, err := estimateMTTDL(visOnly, cfg, cfg.trials(1200))
+		base, err := estimateMTTDL(ctx, cell(sc.n, sc.m, -1, scrubs(0), 1200), expRepair)
 		if err != nil {
 			return nil, err
 		}

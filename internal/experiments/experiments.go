@@ -2,18 +2,35 @@
 // paper's analysis (§5.4–§6.6), one registered experiment per item. Each
 // experiment produces text tables and ASCII plots plus commentary notes
 // recording paper-vs-measured values; cmd/ltexp renders them and the root
-// bench_test.go exposes each as a benchmark.
+// bench_test.go exposes each as a benchmark. All (or `ltexp -list`) is
+// the experiment index, and EXPERIMENTS.md records the `ltexp -quick`
+// output at seed 1.
 //
-// See DESIGN.md §3 for the experiment index and EXPERIMENTS.md for the
-// recorded outcomes.
+// Every simulated cell is a wire request: a scenario.EstimateRequest,
+// alone or as a point of a scenario document, whose sim.Config and
+// sim.Options come only from EstimateRequest.Build, the path ltsimd and
+// ltsim take. A cell that needs a field the wire cannot express calls
+// Build and then sets that one field on the built config:
+//
+//   - E8 and E10 (audit wear) set AuditVisibleFaultProb, the chance an
+//     audit pass destroys its replica outright;
+//   - E11 sets Shocks, the common-cause shocks of a replica topology;
+//   - E13 sets Repair to an exponential repair-time policy.
+//
+// No wire field was added for them: each serves one experiment, and a
+// wire field costs canonical folding, a scenario axis and a CLI flag for
+// every caller. Two runs stay direct: F1 traces single trials with
+// sim.TraceTrial (its config still comes from Build), and E14 runs
+// aging.SimulatePair, a two-drive batch-aging model outside the
+// simulator.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/report"
-	"repro/internal/sim"
 )
 
 // RunConfig scales an experiment run.
@@ -38,36 +55,6 @@ func (c RunConfig) trials(full int) int {
 	return full
 }
 
-// adaptiveOptions returns precision-targeted Monte Carlo options for one
-// sweep cell: the run stops at the first batch boundary where the
-// relevant interval's relative half-width reaches targetRel, bounded by
-// the cell's historical budget (scaled down in Quick mode, so sweeps are
-// never slower than their fixed-budget ancestors) and floored at a tenth
-// of it so an early boundary cannot stop on a fluke. Adaptive runs are
-// deterministic in (Seed, target, budget, batch size), so experiment
-// output stays reproducible.
-func (c RunConfig) adaptiveOptions(full int, targetRel float64) sim.Options {
-	return adaptiveSweepOptions(c.Seed, c.trials(full), targetRel)
-}
-
-// adaptiveSweepOptions is adaptiveOptions over a pre-scaled budget, for
-// call sites that already applied RunConfig.trials.
-func adaptiveSweepOptions(seed uint64, budget int, targetRel float64) sim.Options {
-	floor := budget / 10
-	if floor < 60 {
-		floor = 60
-	}
-	if floor > budget {
-		floor = budget
-	}
-	return sim.Options{
-		Seed:           seed,
-		Trials:         floor,
-		MaxTrials:      budget,
-		TargetRelWidth: targetRel,
-	}
-}
-
 // Result is an experiment's rendered output.
 type Result struct {
 	// ID is the experiment identifier (F1, F2, E1..E12).
@@ -89,14 +76,15 @@ func (r *Result) addNote(format string, args ...any) {
 
 // Experiment is one registered reproduction target.
 type Experiment struct {
-	// ID is the DESIGN.md §3 identifier.
+	// ID is the experiment's identifier (F1, F2, E1, E2, ...).
 	ID string
 	// Title summarizes the target.
 	Title string
 	// Source cites the paper section/figure.
 	Source string
-	// Run executes the experiment.
-	Run func(RunConfig) (*Result, error)
+	// Run executes the experiment. Its simulated cells run under ctx, so
+	// a cancelled ctx ends the run with ctx's error.
+	Run func(context.Context, RunConfig) (*Result, error)
 }
 
 var registry []Experiment
@@ -106,7 +94,7 @@ func register(e Experiment) {
 	registry = append(registry, e)
 }
 
-// All returns the experiments in DESIGN.md order.
+// All returns the experiments in index order: F1, F2, then E1, E2, ...
 func All() []Experiment {
 	out := make([]Experiment, len(registry))
 	copy(out, registry)

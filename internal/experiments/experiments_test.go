@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -58,7 +60,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			res, err := e.Run(RunConfig{Seed: 7, Quick: true})
+			res, err := e.Run(context.Background(), RunConfig{Seed: 7, Quick: true})
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
@@ -124,7 +126,7 @@ func TestF2MatrixAgreement(t *testing.T) {
 	if !ok {
 		t.Fatal("F2 missing")
 	}
-	res, err := e.Run(RunConfig{Seed: 11, Quick: true})
+	res, err := e.Run(context.Background(), RunConfig{Seed: 11, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,5 +149,23 @@ func TestQuickTrialsFloor(t *testing.T) {
 	full := RunConfig{}
 	if got := full.trials(1000); got != 1000 {
 		t.Errorf("full trials(1000) = %d, want 1000", got)
+	}
+}
+
+// Experiments run under their caller's context: with an already
+// cancelled ctx, every experiment that simulates ends with ctx's error
+// instead of running to completion. E5 and E7 are analytic only.
+func TestExperimentsHonourCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	analytic := map[string]bool{"E5": true, "E7": true}
+	for _, e := range All() {
+		_, err := e.Run(ctx, RunConfig{Seed: 1, Quick: true})
+		switch {
+		case analytic[e.ID] && err != nil:
+			t.Errorf("%s (analytic) failed under a cancelled ctx: %v", e.ID, err)
+		case !analytic[e.ID] && !errors.Is(err, context.Canceled):
+			t.Errorf("%s under a cancelled ctx returned %v, want context.Canceled", e.ID, err)
+		}
 	}
 }

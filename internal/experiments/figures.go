@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/faults"
-	"repro/internal/repair"
 	"repro/internal/report"
-	"repro/internal/scrub"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -29,20 +29,15 @@ func init() {
 // runF1 regenerates Figure 1 as a simulated trace: a visible fault whose
 // recovery starts immediately, and a latent fault that sits undetected
 // until an audit finds it.
-func runF1(cfg RunConfig) (*Result, error) {
-	rep, err := repair.Automated(24, 12, 0)
-	if err != nil {
-		return nil, err
-	}
+func runF1(ctx context.Context, cfg RunConfig) (*Result, error) {
 	// Fault scales chosen so a handful of both fault classes land within
 	// the horizon; audits every 500 h make the detection lag visible.
-	c := sim.Config{
-		Replicas:    2,
-		VisibleMean: 4000,
-		LatentMean:  3000,
-		Scrub:       scrub.Periodic{Interval: 500},
-		Repair:      rep,
-		Correlation: faults.Independent{},
+	c, _, err := scenario.EstimateRequest{
+		VisibleMeanHours: 4000, LatentMeanHours: 3000, ScrubsPerYear: every(500),
+		RepairVisibleHours: 24, RepairLatentHours: 12,
+	}.Build()
+	if err != nil {
+		return nil, err
 	}
 	// Trace trials until one exhibits both Figure-1 lifecycles (an
 	// immediate visible repair and an audit-lagged latent detection),
@@ -51,6 +46,9 @@ func runF1(cfg RunConfig) (*Result, error) {
 	var display *sim.Trace
 	var visAgg, latAgg lagAccumulator
 	for offset := uint64(1); offset <= 40; offset++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		tr, err := sim.TraceTrial(c, cfg.Seed+offset, 20000)
 		if err != nil {
 			return nil, err
@@ -163,25 +161,13 @@ func lifecycleLags(tr *sim.Trace) (visible, latent float64) {
 // conditional second-fault probabilities (eqs 3-6) against Monte Carlo
 // conditional loss frequencies, on a configuration scaled so every cell
 // is measurable.
-func runF2(cfg RunConfig) (*Result, error) {
+func runF2(ctx context.Context, cfg RunConfig) (*Result, error) {
 	// Scaled mirror: both channels active, windows short but non-trivial.
-	rep, err := repair.Automated(20, 20, 0)
-	if err != nil {
-		return nil, err
-	}
-	c := sim.Config{
-		Replicas:    2,
-		VisibleMean: 2000,
-		LatentMean:  1500,
-		Scrub:       scrub.Periodic{Interval: 200},
-		Repair:      rep,
-		Correlation: faults.Independent{},
-	}
-	runner, err := sim.NewRunner(c)
-	if err != nil {
-		return nil, err
-	}
-	est, err := runner.Estimate(sim.Options{Trials: cfg.trials(4000), Seed: cfg.Seed})
+	c, est, err := estimate(ctx, scenario.EstimateRequest{
+		VisibleMeanHours: 2000, LatentMeanHours: 1500, ScrubsPerYear: every(200),
+		RepairVisibleHours: 20, RepairLatentHours: 20,
+		Trials: cfg.trials(4000), Seed: &cfg.Seed,
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

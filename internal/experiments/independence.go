@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"repro/internal/faults"
+	"context"
+
 	"repro/internal/model"
-	"repro/internal/repair"
 	"repro/internal/replica"
 	"repro/internal/report"
-	"repro/internal/scrub"
 	"repro/internal/sim"
 	"repro/internal/threat"
 )
@@ -27,7 +26,7 @@ func init() {
 // structure differs. Colocated replication barely moves MTTDL no matter
 // how many copies exist, because every shared-component event is a
 // common-cause fault.
-func runE11(cfg RunConfig) (*Result, error) {
+func runE11(ctx context.Context, cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "E11", Title: "Independence vs replication (§5.5, §6.5)"}
 
 	// Threat rates per shared component (§3 scenarios): disasters per
@@ -57,10 +56,6 @@ func runE11(cfg RunConfig) (*Result, error) {
 	plot.YLabel = "MTTDL hours"
 	plot.LogY = true
 
-	rep, err := repair.Automated(24, 24, 0)
-	if err != nil {
-		return nil, err
-	}
 	for _, top := range topologies {
 		row := []any{top.label, top.build(2).IndependenceScore()}
 		var xs, ys []float64
@@ -70,16 +65,13 @@ func runE11(cfg RunConfig) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			c := sim.Config{
-				Replicas:    r,
-				VisibleMean: 50000, // per-replica media faults on top of shocks
-				LatentMean:  50000,
-				Scrub:       scrub.Periodic{Interval: 1000},
-				Repair:      rep,
-				Correlation: faults.Independent{}, // correlation comes from shocks
-				Shocks:      shocks,
-			}
-			mttdl, err := estimateMTTDL(c, cfg, cfg.trials(500))
+			c := adaptiveBase(cfg.Seed, cfg.trials(500), 0.08)
+			c.Replicas = r
+			// Per-replica media faults on top of the shocks; the
+			// correlation comes from the shocks alone.
+			c.VisibleMeanHours, c.LatentMeanHours, c.ScrubsPerYear = 50000, 50000, every(1000)
+			c.RepairVisibleHours, c.RepairLatentHours = 24, 24
+			mttdl, err := estimateMTTDL(ctx, c, func(b *sim.Config) { b.Shocks = shocks })
 			if err != nil {
 				return nil, err
 			}

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"repro/internal/faults"
+	"context"
+
 	"repro/internal/model"
-	"repro/internal/repair"
 	"repro/internal/report"
-	"repro/internal/scrub"
-	"repro/internal/sim"
 )
 
 func init() {
@@ -25,7 +23,7 @@ func init() {
 // an independently-formatted rendition of the collection; the latent
 // channel is a rendition's format becoming endangered, detection is the
 // format-review cycle, and repair is migration to a current format.
-func runE12(cfg RunConfig) (*Result, error) {
+func runE12(ctx context.Context, cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "E12", Title: "Format migration cycling (§6)"}
 
 	// Timescales in years, converted to hours: format generations go
@@ -37,32 +35,24 @@ func runE12(cfg RunConfig) (*Result, error) {
 		mediaFaultMean     = 80.0 * model.HoursPerYear
 		migrationHours     = 30 * 24.0
 	)
-	rep, err := repair.Automated(48, migrationHours, 0)
-	if err != nil {
-		return nil, err
-	}
 
 	tbl := report.NewTable("Two independently-formatted renditions; format reviews every N years",
 		"review cycle (years)", "effective MDL (years)", "MTTDL (years)", "P(collection uninterpretable in 100y)")
 	var xs, ys []float64
 	for _, cycleYears := range []float64{0, 20, 10, 5, 2} {
-		var strat scrub.Strategy = scrub.None{}
+		c := adaptiveBase(cfg.Seed, cfg.trials(800), 0.08)
+		c.VisibleMeanHours, c.LatentMeanHours = mediaFaultMean, formatEndangerMean
+		c.ScrubsPerYear = scrubs(0)
 		if cycleYears > 0 {
-			strat = scrub.Periodic{Interval: cycleYears * model.HoursPerYear}
+			c.ScrubsPerYear = every(cycleYears * model.HoursPerYear)
 		}
-		c := sim.Config{
-			Replicas:    2,
-			VisibleMean: mediaFaultMean,
-			LatentMean:  formatEndangerMean,
-			Scrub:       strat,
-			Repair:      rep,
-			Correlation: faults.Independent{},
-		}
-		mttdl, err := estimateMTTDL(c, cfg, cfg.trials(800))
+		c.RepairVisibleHours, c.RepairLatentHours = 48, migrationHours
+		built, est, err := estimate(ctx, c, nil)
 		if err != nil {
 			return nil, err
 		}
-		mdlYears := model.Years(strat.MeanDetectionLag())
+		mttdl := est.MTTDL.Point
+		mdlYears := model.Years(built.Scrub.MeanDetectionLag())
 		loss := model.FaultProbability(model.YearsToHours(100), mttdl)
 		tbl.MustAddRow(cycleYears, mdlYears, model.Years(mttdl), loss)
 		if cycleYears > 0 {

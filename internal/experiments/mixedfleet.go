@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/report"
+	"repro/internal/scenario"
 	"repro/internal/storage"
 )
 
@@ -36,13 +38,23 @@ func scaledDiskSpec(d storage.DriveSpec) storage.Spec {
 	return s
 }
 
+// fleetRequest describes a fleet of storage specs as a request, one
+// custom entry per spec, under the harness's 8% stopping rule.
+func fleetRequest(cfg RunConfig, specs []storage.Spec) scenario.EstimateRequest {
+	req := adaptiveBase(cfg.Seed, cfg.trials(800), 0.08)
+	for _, s := range specs {
+		req.Fleet = append(req.Fleet, scenario.FleetEntryFromSpec(s))
+	}
+	return req
+}
+
 // runE15 exercises the per-replica spec machinery end-to-end: §6.1's
 // consumer-vs-enterprise argument replayed as three-replica fleets
 // (pure and mixed), and §6.2's online/offline argument as a disk+tape
 // tiered archive. The analytic model cannot express either mix — its
 // parameters are fleet-wide scalars — so this is pure simulator
 // territory, and the experiment that justifies sim.Config.Specs.
-func runE15(cfg RunConfig) (*Result, error) {
+func runE15(ctx context.Context, cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "E15", Title: "Heterogeneous replica fleets (§6.1–§6.2)"}
 
 	consumer := scaledDiskSpec(storage.Barracuda200())
@@ -68,11 +80,7 @@ func runE15(cfg RunConfig) (*Result, error) {
 		"fleet", "MTTDL (scaled h)", "hardware $", "$ per MTTDL-hour")
 	var mttdls []float64
 	for _, f := range fleets {
-		c, err := storage.FleetConfig(f.specs...)
-		if err != nil {
-			return nil, err
-		}
-		mttdl, err := estimateMTTDL(c, cfg, cfg.trials(800))
+		mttdl, err := estimateMTTDL(ctx, fleetRequest(cfg, f.specs), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -126,11 +134,7 @@ func runE15(cfg RunConfig) (*Result, error) {
 	}
 	var tierMTTDL []float64
 	for _, f := range tiers {
-		c, err := storage.FleetConfig(f.specs...)
-		if err != nil {
-			return nil, err
-		}
-		mttdl, err := estimateMTTDL(c, cfg, cfg.trials(800))
+		mttdl, err := estimateMTTDL(ctx, fleetRequest(cfg, f.specs), nil)
 		if err != nil {
 			return nil, err
 		}

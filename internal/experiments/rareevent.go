@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/report"
@@ -35,14 +36,13 @@ const (
 // declarative scenario document (the bias axis is just another swept
 // parameter), so the whole comparison is replayable through `ltsim
 // -scenario` or the daemon's /sweep.
-func runE16(cfg RunConfig) (*Result, error) {
+func runE16(ctx context.Context, cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "E16", Title: "Rare-event fast path: importance sampling vs naive Monte Carlo"}
 
 	const targetRel = 0.2
 	budget := cfg.trials(20000)
 	base := adaptiveBase(cfg.Seed, budget, targetRel)
-	never := 0.0
-	base.ScrubsPerYear = &never
+	base.ScrubsPerYear = scrubs(0)
 	base.VisibleMeanHours = rareMV
 	base.LatentMeanHours = -1 // no latent channel
 	base.HorizonYears = rareHorizon
@@ -59,7 +59,7 @@ func runE16(cfg RunConfig) (*Result, error) {
 			{Param: "bias", Values: []float64{0, -1}}, // naive, then auto-biased
 		},
 	}
-	_, ests, err := runScenario(doc)
+	_, ests, err := runScenario(ctx, doc)
 	if err != nil {
 		return nil, err
 	}

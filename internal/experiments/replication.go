@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/model"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 func init() {
@@ -25,7 +25,7 @@ func init() {
 // scaled-down physical system to confirm the *shape* (slopes in log
 // space), since eq 12's absolute values rest on the overlapping-window
 // and single-candidate approximations the paper itself flags.
-func runE6(cfg RunConfig) (*Result, error) {
+func runE6(ctx context.Context, cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "E6", Title: "Replication × correlation sweep (eq 12)"}
 	p := model.PaperNoScrub() // eq 12 uses MV/MRV only
 
@@ -64,7 +64,7 @@ func runE6(cfg RunConfig) (*Result, error) {
 	res.addNote("per-replica MTTDL multiplier is α·MV/MRV; at α = MRV/MV = %.1e extra replicas buy nothing (eq 12)", cancel)
 
 	// Monte Carlo shape check on a scaled system.
-	mc, err := replicationShapeMC(cfg)
+	mc, err := replicationShapeMC(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -94,10 +94,9 @@ const (
 // replicas × alpha grid over the scaled mirror — expanded and executed
 // through the same path as `ltsim -scenario` and the daemon's
 // scenario-driven /sweep.
-func replicationShapeMC(cfg RunConfig) (*replicationMC, error) {
+func replicationShapeMC(ctx context.Context, cfg RunConfig) (*replicationMC, error) {
 	base := adaptiveBase(cfg.Seed, cfg.trials(800), 0.08)
-	never := 0.0
-	base.ScrubsPerYear = &never
+	base.ScrubsPerYear = scrubs(0)
 	base.VisibleMeanHours = mcMV
 	base.LatentMeanHours = -1 // no latent channel
 	base.RepairVisibleHours = mcMRV
@@ -111,7 +110,7 @@ func replicationShapeMC(cfg RunConfig) (*replicationMC, error) {
 			{Param: "alpha", Values: []float64{1, 0.1}},
 		},
 	}
-	_, ests, err := runScenario(doc)
+	_, ests, err := runScenario(ctx, doc)
 	if err != nil {
 		return nil, err
 	}
@@ -136,19 +135,4 @@ func replicationShapeMC(cfg RunConfig) (*replicationMC, error) {
 		slope1:  (logs1[len(logs1)-1] - logs1[0]) / float64(len(logs1)-1),
 		slope01: (logs01[len(logs01)-1] - logs01[0]) / float64(len(logs01)-1),
 	}, nil
-}
-
-// estimateMTTDL runs a precision-targeted run-to-loss estimate (8%
-// relative CI half-width, capped at the historical trial budget) and
-// returns the point value.
-func estimateMTTDL(c sim.Config, cfg RunConfig, trials int) (float64, error) {
-	runner, err := sim.NewRunner(c)
-	if err != nil {
-		return 0, err
-	}
-	est, err := runner.Estimate(adaptiveSweepOptions(cfg.Seed, trials, 0.08))
-	if err != nil {
-		return 0, err
-	}
-	return est.MTTDL.Point, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/model"
@@ -38,7 +39,7 @@ const (
 // a wear-out (or burn-in) band raises the chance two replicas are down
 // at once — pair overlap scales with the squared instantaneous rate,
 // and E[λ(t)²] > (E[λ(t)])² for any non-constant profile.
-func runE17(cfg RunConfig) (*Result, error) {
+func runE17(ctx context.Context, cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "E17", Title: "Bathtub vs constant fleets at equal mean fault rate"}
 
 	horizonHours := model.YearsToHours(temporalHorizon)
@@ -52,13 +53,12 @@ func runE17(cfg RunConfig) (*Result, error) {
 		LatentMeanHours:    -1, // no latent channel
 		RepairVisibleHours: temporalRepair,
 		HorizonYears:       temporalHorizon,
+		ScrubsPerYear:      scrubs(0),
 	}
-	never := 0.0
-	base.ScrubsPerYear = &never
 
 	// The constant arm is the same document with no hazard at all.
 	constDoc := scenario.Document{V: scenario.Version, Name: "E17-constant", Base: base}
-	_, constEst, err := runScenario(constDoc)
+	_, constEst, err := runScenario(ctx, constDoc)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +85,7 @@ func runE17(cfg RunConfig) (*Result, error) {
 		Base: bathBase,
 		Grid: []scenario.Axis{{Param: "hazard.wear_factor", Values: wearFactors}},
 	}
-	_, bathEsts, err := runScenario(bathDoc)
+	_, bathEsts, err := runScenario(ctx, bathDoc)
 	if err != nil {
 		return nil, err
 	}

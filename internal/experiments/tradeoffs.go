@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"repro/internal/faults"
-	"repro/internal/repair"
+	"context"
+
+	"repro/internal/model"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/scrub"
 	"repro/internal/sim"
 )
 
@@ -24,40 +24,27 @@ func init() {
 // repair is software; if each repair can silently plant a latent fault,
 // visible faults convert into latent ones, and only auditing wins the
 // resulting race.
-func runE10(cfg RunConfig) (*Result, error) {
+func runE10(ctx context.Context, cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "E10", Title: "Audit wear and buggy repair (§6.6)"}
 
 	// Part 1: audit-frequency sweep with per-pass wear. Scaled system
 	// (ML=2000 h) keeps the eager audit path affordable.
-	rep, err := repair.Automated(2, 2, 0)
-	if err != nil {
-		return nil, err
-	}
-	base := sim.Config{
-		Replicas:    2,
-		VisibleMean: 20000,
-		LatentMean:  2000,
-		Repair:      rep,
-		Correlation: faults.Independent{},
-	}
 	sweep := report.NewTable("Audit frequency vs MTTDL with per-pass wear (1% latent + 0.2% visible; ML=2000 h)",
 		"audit interval (h)", "MTTDL clean (h)", "MTTDL with wear (h)", "wear penalty")
 	var xs, clean, worn []float64
 	for _, interval := range []float64{1000, 500, 200, 100, 50, 20} {
-		strat := scrub.Periodic{Interval: interval}
-		c := base
-		c.Scrub = strat
-		cleanEst, err := estimateMTTDL(c, cfg, cfg.trials(500))
+		c := adaptiveBase(cfg.Seed, cfg.trials(500), 0.08)
+		c.VisibleMeanHours, c.LatentMeanHours, c.ScrubsPerYear = 20000, 2000, every(interval)
+		c.RepairVisibleHours, c.RepairLatentHours = 2, 2
+		cleanEst, err := estimateMTTDL(ctx, c, nil)
 		if err != nil {
 			return nil, err
 		}
-		w := c
 		// Wear plants mostly silent corruption, but a fraction of
 		// passes destroys the replica outright (handling, head wear) —
 		// the §6.2/§6.6 channel that makes hyperactive auditing lose.
-		w.AuditLatentFaultProb = 0.01
-		w.AuditVisibleFaultProb = 0.002
-		wornEst, err := estimateMTTDL(w, cfg, cfg.trials(500))
+		c.AuditWearProb = 0.01
+		wornEst, err := estimateMTTDL(ctx, c, func(b *sim.Config) { b.AuditVisibleFaultProb = 0.002 })
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +94,7 @@ func runE10(cfg RunConfig) (*Result, error) {
 			{Param: "scrubs_per_year", Values: []float64{0, 8760.0 / 200}},
 		},
 	}
-	_, bugEsts, err := runScenario(bugDoc)
+	_, bugEsts, err := runScenario(ctx, bugDoc)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +107,7 @@ func runE10(cfg RunConfig) (*Result, error) {
 	res.addNote("sweep defined as scenario document \"E10-buggy-repair\" (repair_bug_prob × scrubs_per_year grid) executed through scenario.Expand — the same expansion path behind `ltsim -scenario` and the daemon's scenario-driven /sweep")
 
 	// Part 3 (ablation): synchronized vs staggered audit schedules.
-	stagTbl, err := staggeredAblation(cfg)
+	stagTbl, err := staggeredAblation(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -131,34 +118,25 @@ func runE10(cfg RunConfig) (*Result, error) {
 
 // staggeredAblation compares synchronized periodic audits against
 // schedules offset by half an interval per replica.
-func staggeredAblation(cfg RunConfig) (*report.Table, error) {
-	rep, err := repair.Automated(2, 2, 0)
-	if err != nil {
-		return nil, err
-	}
-	base := sim.Config{
-		Replicas:    2,
-		VisibleMean: 1e12,
-		LatentMean:  2000,
-		Repair:      rep,
-		Correlation: faults.Independent{},
-	}
-	interval := 400.0
-	sync := base
-	sync.Scrub = scrub.Periodic{Interval: interval}
-	stag := base
-	stag.Scrub = scrub.Periodic{Interval: interval}
-	stag.Specs = []sim.ReplicaSpec{
-		{Scrub: scrub.Periodic{Interval: interval}},
-		{Scrub: scrub.Periodic{Interval: interval, Offset: interval / 2}},
+func staggeredAblation(ctx context.Context, cfg RunConfig) (*report.Table, error) {
+	const interval = 400.0
+	sync := adaptiveBase(cfg.Seed, cfg.trials(800), 0.08)
+	sync.VisibleMeanHours, sync.LatentMeanHours, sync.ScrubsPerYear = 1e12, 2000, every(interval)
+	sync.RepairVisibleHours, sync.RepairLatentHours = 2, 2
+	stag := adaptiveBase(cfg.Seed, cfg.trials(800), 0.08)
+	for _, offset := range []float64{0, interval / 2} {
+		stag.Fleet = append(stag.Fleet, scenario.FleetEntry{
+			VisibleMeanHours: 1e12, LatentMeanHours: 2000, RepairHours: 2,
+			ScrubsPerYear: model.HoursPerYear / interval, ScrubOffsetHours: offset,
+		})
 	}
 	tbl := report.NewTable("Synchronized vs staggered audit schedules (interval 400 h)",
 		"schedule", "MTTDL (h)")
-	a, err := estimateMTTDL(sync, cfg, cfg.trials(800))
+	a, err := estimateMTTDL(ctx, sync, nil)
 	if err != nil {
 		return nil, err
 	}
-	b, err := estimateMTTDL(stag, cfg, cfg.trials(800))
+	b, err := estimateMTTDL(ctx, stag, nil)
 	if err != nil {
 		return nil, err
 	}

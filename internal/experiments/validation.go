@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/baseline"
@@ -34,9 +35,8 @@ type e9Case struct {
 // -scenario` and the daemon's scenario-driven /sweep. In every cell the
 // physical simulation should agree with eq 7/8 divided by the replica
 // count (the paper counts first faults at rate 1/MV for the pair; the
-// physical pair sees 2/MV — DESIGN.md §4), up to the small-window
-// approximations.
-func runE9(cfg RunConfig) (*Result, error) {
+// physical pair sees 2/MV), up to the small-window approximations.
+func runE9(ctx context.Context, cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "E9", Title: "Model-vs-simulation validation grid (eq 8)"}
 	grid := []e9Case{
 		{"visible dominated", 1000, 1e8, 10, 10, 8760.0 / 100, 1, 2500},
@@ -56,11 +56,11 @@ func runE9(cfg RunConfig) (*Result, error) {
 	}
 	budgets := make([]int, len(grid))
 	for i, g := range grid {
-		opt := adaptiveSweepOptions(cfg.Seed, cfg.trials(g.trials), 0.04)
-		budgets[i] = opt.MaxTrials
+		run := adaptiveBase(cfg.Seed, cfg.trials(g.trials), 0.04)
+		budgets[i] = run.MaxTrials
 		for j, v := range []float64{ // one value per zip axis, same order
 			g.mv, g.ml, g.mrv, g.mrl, g.scrubsPerYear, g.alpha,
-			float64(opt.Trials), float64(opt.MaxTrials),
+			float64(run.Trials), float64(run.MaxTrials),
 		} {
 			zip[j].Values = append(zip[j].Values, v)
 		}
@@ -72,7 +72,7 @@ func runE9(cfg RunConfig) (*Result, error) {
 		Zip:  zip,
 	}
 
-	points, ests, err := runScenario(doc)
+	points, ests, err := runScenario(ctx, doc)
 	if err != nil {
 		return nil, err
 	}

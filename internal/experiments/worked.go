@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/model"
 	"repro/internal/report"
-	"repro/internal/sim"
+	"repro/internal/scenario"
 )
 
 func init() {
@@ -13,25 +14,25 @@ func init() {
 		ID:     "E1",
 		Title:  "No-scrub mirrored Cheetahs: MTTDL 32.0 years, 79.0% loss in 50 years",
 		Source: "§5.4",
-		Run:    func(c RunConfig) (*Result, error) { return runWorkedScenario(c, scenarioE1()) },
+		Run:    worked(scenarioE1()),
 	})
 	register(Experiment{
 		ID:     "E2",
 		Title:  "Scrubbing 3x/year: MTTDL 6128.7 years, 0.8% loss in 50 years",
 		Source: "§5.4",
-		Run:    func(c RunConfig) (*Result, error) { return runWorkedScenario(c, scenarioE2()) },
+		Run:    worked(scenarioE2()),
 	})
 	register(Experiment{
 		ID:     "E3",
 		Title:  "Correlation α=0.1: MTTDL 612.9 years, 7.8% loss in 50 years",
 		Source: "§5.4",
-		Run:    func(c RunConfig) (*Result, error) { return runWorkedScenario(c, scenarioE3()) },
+		Run:    worked(scenarioE3()),
 	})
 	register(Experiment{
 		ID:     "E4",
 		Title:  "Negligent latent handling: MTTDL 159.8 years, 26.8% loss in 50 years",
 		Source: "§5.4, eq 11",
-		Run:    func(c RunConfig) (*Result, error) { return runWorkedScenario(c, scenarioE4()) },
+		Run:    worked(scenarioE4()),
 	})
 	register(Experiment{
 		ID:     "E5",
@@ -98,28 +99,27 @@ func scenarioE4() workedScenario {
 	}
 }
 
+// worked is the Run of one §5.4 worked example.
+func worked(sc workedScenario) func(context.Context, RunConfig) (*Result, error) {
+	return func(ctx context.Context, cfg RunConfig) (*Result, error) { return runWorkedScenario(ctx, cfg, sc) }
+}
+
 // runWorkedScenario reproduces one §5.4 example three ways: the paper's
 // own closed form, the general clamped eq 7, and the event-driven Monte
 // Carlo simulation.
-func runWorkedScenario(cfg RunConfig, sc workedScenario) (*Result, error) {
+func runWorkedScenario(ctx context.Context, cfg RunConfig, sc workedScenario) (*Result, error) {
 	res := &Result{ID: sc.id, Title: "§5.4 worked example: " + sc.title}
 	mission := model.YearsToHours(model.PaperMissionYears)
 
 	paperEval := sc.paperProcedure(sc.params)
 	full := sc.params.MTTDL()
 
-	// Monte Carlo on the physical mirror. The latent scenario's ML needs
-	// overriding for E4 (PaperConfig uses the Schwarz ratio).
-	simCfg, err := sim.PaperConfig(sc.scrubsPerYear, sc.alpha)
-	if err != nil {
-		return nil, err
-	}
-	simCfg.LatentMean = sc.params.ML
-	runner, err := sim.NewRunner(simCfg)
-	if err != nil {
-		return nil, err
-	}
-	est, err := runner.Estimate(sim.Options{Trials: cfg.trials(sc.mcTrials), Seed: cfg.Seed})
+	// Monte Carlo on the physical mirror: the paper's §5.4 system, with
+	// the scenario's own ML (E4's is not the Schwarz ratio).
+	_, est, err := estimate(ctx, scenario.EstimateRequest{
+		LatentMeanHours: sc.params.ML, ScrubsPerYear: scrubs(sc.scrubsPerYear), Alpha: sc.alpha,
+		Trials: cfg.trials(sc.mcTrials), Seed: &cfg.Seed,
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +159,7 @@ func runWorkedScenario(cfg RunConfig, sc workedScenario) (*Result, error) {
 // runE5 reproduces the §5.4 α-range argument: the reasoned lower bound
 // α ≥ 10·MRV/MV and the resulting five-orders-of-magnitude span, swept
 // through eq 10.
-func runE5(RunConfig) (*Result, error) {
+func runE5(context.Context, RunConfig) (*Result, error) {
 	res := &Result{ID: "E5", Title: "Correlation factor α: bounds and MTTDL impact"}
 	p := model.PaperScrubbed()
 	bound := p.AlphaLowerBound()

@@ -361,12 +361,16 @@ func (r *Router) handleEstimate(w http.ResponseWriter, req *http.Request) {
 	w.Write(res.body)
 }
 
-// upstreamStatus maps a dispatch error onto a response status.
+// upstreamStatus maps a dispatch error onto a response status. The
+// dispatch runs under context.WithoutCancel, so a context.Canceled can
+// only be the caller's own hang-up.
 func upstreamStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrNoHealthyNodes):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+	case errors.Is(err, context.Canceled):
+		return service.StatusClientClosedRequest
+	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	default:
 		return http.StatusBadGateway

@@ -617,3 +617,21 @@ func TestRouterProgressStreamProxied(t *testing.T) {
 		t.Fatalf("final frame is not JSON: %v", err)
 	}
 }
+
+// The dispatch runs under context.WithoutCancel, so a context.Canceled
+// is the caller's hang-up (499); only a deadline is a gateway timeout.
+func TestUpstreamStatus(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want int
+	}{
+		{fmt.Errorf("dispatch: %w", context.Canceled), service.StatusClientClosedRequest},
+		{context.DeadlineExceeded, http.StatusGatewayTimeout},
+		{ErrNoHealthyNodes, http.StatusServiceUnavailable},
+		{io.ErrUnexpectedEOF, http.StatusBadGateway},
+	} {
+		if got := upstreamStatus(c.err); got != c.want {
+			t.Errorf("upstreamStatus(%v) = %d, want %d", c.err, got, c.want)
+		}
+	}
+}

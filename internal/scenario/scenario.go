@@ -76,6 +76,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -158,13 +159,14 @@ type Point struct {
 // fingerprint of the equivalent hand-built request.
 func (p Point) Fingerprint() (string, error) { return p.Request.Fingerprint() }
 
-// Execute builds, fingerprints, and simulates one point locally — the
-// single local execution path shared by `ltsim -scenario` and the
-// experiment harness, so every frontend that runs a point itself
+// Execute builds, fingerprints, and simulates one point locally under
+// ctx — the single local execution path shared by `ltsim -scenario` and
+// the experiment harness, so every frontend that runs a point itself
 // produces exactly what a daemon sweeping the same document would
-// compute and cache under key. opt is returned alongside the estimate
-// because result encodings need the run's horizon.
-func (p Point) Execute() (key string, est sim.Estimate, opt sim.Options, err error) {
+// compute and cache under key. A cancelled ctx stops the run between
+// trials and returns ctx's error. opt is returned alongside the
+// estimate because result encodings need the run's horizon.
+func (p Point) Execute(ctx context.Context) (key string, est sim.Estimate, opt sim.Options, err error) {
 	cfg, opt, err := p.Request.Build()
 	if err != nil {
 		return "", sim.Estimate{}, sim.Options{}, err
@@ -177,7 +179,7 @@ func (p Point) Execute() (key string, est sim.Estimate, opt sim.Options, err err
 	if err != nil {
 		return "", sim.Estimate{}, sim.Options{}, err
 	}
-	est, err = runner.Estimate(opt)
+	est, err = runner.EstimateStream(ctx, opt, nil)
 	if err != nil {
 		return "", sim.Estimate{}, sim.Options{}, err
 	}

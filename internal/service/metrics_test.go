@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -493,6 +495,110 @@ func TestLateMarksLandOnTheirOwnTrace(t *testing.T) {
 	} {
 		if !slices.Equal(c.got, c.want) {
 			t.Errorf("%s spans %v, want %v", c.what, c.got, c.want)
+		}
+	}
+}
+
+// statusLog is an slog handler that keeps each request record's status.
+type statusLog struct {
+	mu     sync.Mutex
+	status map[string]int64
+}
+
+func (l *statusLog) Enabled(context.Context, slog.Level) bool { return true }
+func (l *statusLog) WithAttrs([]slog.Attr) slog.Handler       { return l }
+func (l *statusLog) WithGroup(string) slog.Handler            { return l }
+
+func (l *statusLog) Handle(_ context.Context, r slog.Record) error {
+	var id string
+	var status int64
+	r.Attrs(func(a slog.Attr) bool {
+		switch a.Key {
+		case "request":
+			id = a.Value.String()
+		case "status":
+			status = a.Value.Int64()
+		}
+		return true
+	})
+	l.mu.Lock()
+	l.status[id] = status
+	l.mu.Unlock()
+	return nil
+}
+
+// A client that hangs up while its miss waits in the queue is not a
+// server error: the request is logged and counted as 499, not 500.
+func TestHungUpMissIsClientClosedRequest(t *testing.T) {
+	log := &statusLog{status: map[string]int64{}}
+	svc := New(Config{CacheSize: 64, Shards: 1, QueueDepth: 8, JobTimeout: time.Minute, SimParallel: 1, Logger: slog.New(log)})
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
+	h := svc.Handler()
+
+	// Hold the only shard worker, so the miss's job waits in the queue.
+	started, release := make(chan struct{}), make(chan struct{})
+	if _, _, err := svc.sched.enqueue(context.Background(), "hold", func(context.Context) ([]byte, error) {
+		close(started)
+		<-release
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	defer close(release)
+	ctx, hangUp := context.WithCancel(context.Background())
+	missDone := make(chan *httptest.ResponseRecorder)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/estimate",
+			strings.NewReader(`{"trials":100,"horizon_years":50,"seed":33}`)).WithContext(ctx))
+		missDone <- rec
+	}()
+	for deadline := time.Now().Add(30 * time.Second); svc.sched.Stats().QueueDepth != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the miss's job to queue")
+		}
+	}
+	hangUp()
+	miss := <-missDone
+
+	if miss.Code != StatusClientClosedRequest {
+		t.Errorf("hung-up miss answered %d, want %d", miss.Code, StatusClientClosedRequest)
+	}
+	id := miss.Header().Get("X-Ltsimd-Request")
+	log.mu.Lock()
+	logged := log.status[id]
+	log.mu.Unlock()
+	if logged != StatusClientClosedRequest {
+		t.Errorf("request log status %d, want %d", logged, StatusClientClosedRequest)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if n := metricValue(t, rec.Body.String(), `ltsimd_http_request_seconds_count{route="/estimate",status="499",cache="none"}`); n != 1 {
+		t.Errorf("499 /estimate observations = %v, want 1", n)
+	}
+}
+
+// A context.Canceled is the client's hang-up only when the request's own
+// context ended; otherwise Shutdown aborted the job, which is a 503.
+func TestSubmitStatusByWhoseContextEnded(t *testing.T) {
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	live := context.Background()
+	for _, c := range []struct {
+		what string
+		ctx  context.Context
+		err  error
+		want int
+	}{
+		{"client hung up", ended, context.Canceled, StatusClientClosedRequest},
+		{"job aborted by shutdown", live, fmt.Errorf("sim: %w", context.Canceled), http.StatusServiceUnavailable},
+		{"shutting down", ended, ErrShuttingDown, http.StatusServiceUnavailable},
+		{"job timeout", live, context.DeadlineExceeded, http.StatusGatewayTimeout},
+		{"other", live, errors.New("boom"), http.StatusInternalServerError},
+	} {
+		if got := submitStatus(c.ctx, c.err); got != c.want {
+			t.Errorf("%s: status %d, want %d", c.what, got, c.want)
 		}
 	}
 }

@@ -226,10 +226,21 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// submitStatus maps a scheduler error onto an HTTP status.
-func submitStatus(err error) int {
+// StatusClientClosedRequest is the status of a request whose client
+// hung up before its answer was ready: nginx's 499 "client closed
+// request". The client never reads it; the request log and the latency
+// histogram do.
+const StatusClientClosedRequest = 499
+
+// submitStatus maps a scheduler error onto an HTTP status. ctx is the
+// request's context, which tells whose context a context.Canceled came
+// from: the client's, if ctx has ended, and otherwise the job's, aborted
+// by Shutdown past its drain deadline.
+func submitStatus(ctx context.Context, err error) int {
 	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShuttingDown):
+	case errors.Is(err, context.Canceled) && ctx.Err() != nil:
+		return StatusClientClosedRequest
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShuttingDown), errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
@@ -426,7 +437,7 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			answer, err = c.Wait(ctx)
 		}
 	}
-	writeAnswer(w, key, disp, answer, err)
+	writeAnswer(ctx, w, key, disp, answer, err)
 }
 
 // estimateJob returns the job that answers an /estimate miss. It copies
@@ -491,10 +502,10 @@ func setAnswerHeaders(h http.Header, contentType []string, key, disp string) {
 }
 
 // writeAnswer replies with one answer's bytes and its cache metadata,
-// or with the error mapped onto its HTTP status.
-func writeAnswer(w http.ResponseWriter, key, disp string, body []byte, err error) {
+// or with the error mapped onto its HTTP status; ctx is the request's.
+func writeAnswer(ctx context.Context, w http.ResponseWriter, key, disp string, body []byte, err error) {
 	if err != nil {
-		WriteError(w, submitStatus(err), err)
+		WriteError(w, submitStatus(ctx, err), err)
 		return
 	}
 	setAnswerHeaders(w.Header(), jsonType, key, disp)
@@ -576,7 +587,7 @@ func (s *Service) streamEstimate(w http.ResponseWriter, r *http.Request, key str
 	ctx := r.Context()
 	body, disp, c, err := s.lookup(ctx, key, compute, false)
 	if err != nil {
-		WriteError(w, submitStatus(err), err)
+		WriteError(w, submitStatus(ctx, err), err)
 		return
 	}
 	setAnswerHeaders(w.Header(), ndjsonType, key, disp)
@@ -773,7 +784,7 @@ func (s *Service) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fmt.Sprintf("exp/v1|%s|seed=%d|quick=%t", e.ID, seed, quick)
 	body, disp, err := s.answer(r.Context(), key, func(ctx context.Context) ([]byte, error) {
-		res, err := runExperiment(ctx, e, experiments.RunConfig{Seed: seed, Quick: quick})
+		res, err := e.Run(ctx, experiments.RunConfig{Seed: seed, Quick: quick})
 		if err != nil {
 			return nil, err
 		}
@@ -797,34 +808,7 @@ func (s *Service) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		}
 		return json.Marshal(out)
 	}, false)
-	writeAnswer(w, key, disp, body, err)
-}
-
-// runExperiment runs e under ctx's deadline. Experiment Run functions
-// predate context support, so cancellation is cooperative only at the
-// job boundary: on timeout or shutdown the job publishes ctx's error
-// promptly (keeping the drain budget honest) while the orphaned Run
-// finishes on its own goroutine and is discarded — experiments are
-// finite, so the goroutine terminates, it just stops counting.
-func runExperiment(ctx context.Context, e experiments.Experiment, cfg experiments.RunConfig) (*experiments.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	type outcome struct {
-		res *experiments.Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := e.Run(cfg)
-		done <- outcome{res, err}
-	}()
-	select {
-	case out := <-done:
-		return out.res, out.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	writeAnswer(r.Context(), w, key, disp, body, err)
 }
 
 // handleHealthz is the liveness probe.

@@ -16,7 +16,7 @@ import (
 // fastMirror returns a deliberately unreliable mirrored config so trials
 // reach data loss in few events: visible-only channel, MV=1000h,
 // MRV=10h. The physical MTTDL is MV²/(r·MRV) = 50,000 h (the paper's
-// closed form divided by the replica count; see E9 in DESIGN.md).
+// closed form divided by the replica count; see E9 in EXPERIMENTS.md).
 func fastMirror(t *testing.T) Config {
 	t.Helper()
 	rep, err := repair.Automated(10, 10, 0)

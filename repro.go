@@ -403,13 +403,14 @@ func ThreatCatalogue() []Threat { return threat.All() }
 
 // ---- Experiments ----
 
-// Experiment is one registered reproduction target (DESIGN.md §3).
+// Experiment is one registered reproduction target (the index is
+// Experiments, or `ltexp -list`).
 type Experiment = experiments.Experiment
 
 // ExperimentConfig scales an experiment run.
 type ExperimentConfig = experiments.RunConfig
 
-// Experiments returns every registered experiment in DESIGN.md order.
+// Experiments returns every registered experiment in index order.
 func Experiments() []Experiment { return experiments.All() }
 
 // ExperimentByID finds one experiment (e.g. "E2").

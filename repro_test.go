@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -140,7 +141,7 @@ func TestExperimentRegistryViaFacade(t *testing.T) {
 	if !ok {
 		t.Fatal("E1 missing")
 	}
-	res, err := e.Run(repro.ExperimentConfig{Seed: 3, Quick: true})
+	res, err := e.Run(context.Background(), repro.ExperimentConfig{Seed: 3, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
