@@ -91,7 +91,14 @@ type Engine struct {
 	stopped bool
 	// horizon, when positive, bounds the engine (see SetHorizon).
 	horizon Time
+	// done, when non-nil, is polled by Run and RunUntil (see SetDone).
+	done <-chan struct{}
 }
+
+// donePoll is one less than the number of fired events between two
+// polls of the done channel: a power of two, so the poll costs one mask
+// test per event and a channel check every 1024 events.
+const donePoll = 1<<10 - 1
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -200,7 +207,7 @@ func (e *Engine) Run() {
 		panic("des: Run on a bounded engine (use RunUntil)")
 	}
 	e.stopped = false
-	for !e.stopped && e.Step() {
+	for !e.halted() && e.Step() {
 	}
 }
 
@@ -215,7 +222,7 @@ func (e *Engine) RunUntil(horizon Time) {
 		panic(fmt.Sprintf("des: RunUntil %v past the engine's horizon %v", horizon, e.horizon))
 	}
 	e.stopped = false
-	for !e.stopped && e.dropStale() && e.queue[0].at <= horizon {
+	for !e.halted() && e.dropStale() && e.queue[0].at <= horizon {
 		e.Step()
 	}
 	if !e.stopped && e.now < horizon {
@@ -245,8 +252,30 @@ func (e *Engine) Reset() {
 // left intact so the run can be resumed.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop was called during the last Run/RunUntil.
+// Stopped reports whether Stop was called, or the done channel found
+// closed, during the last Run/RunUntil.
 func (e *Engine) Stopped() bool { return e.stopped }
+
+// SetDone makes Run and RunUntil poll done every 1024 fired events and
+// return early, as if Stop had been called, once it is closed; a nil
+// done (the default) is never polled. Polling draws nothing and changes
+// no event, so a run that is not interrupted is the run it would have
+// been. The channel survives Reset, so a worker sets it once for all the
+// trials it runs.
+func (e *Engine) SetDone(done <-chan struct{}) { e.done = done }
+
+// halted reports whether the run loop must stop: Stop was called, or
+// this is a polling event and done is closed.
+func (e *Engine) halted() bool {
+	if !e.stopped && e.done != nil && e.fired&donePoll == donePoll {
+		select {
+		case <-e.done:
+			e.stopped = true
+		default:
+		}
+	}
+	return e.stopped
+}
 
 // SetHorizon bounds the engine at h: from now on an event scheduled
 // strictly after h is parked instead of queued (see the package

@@ -213,6 +213,46 @@ func TestStopDuringRunUntil(t *testing.T) {
 	}
 }
 
+// A closed done channel stops an endless Run or RunUntil at the first
+// poll; an open one changes nothing.
+func TestSetDoneInterrupts(t *testing.T) {
+	var tick Handler
+	tick = func(e *Engine) { e.ScheduleAfter(1, tick) }
+	done := make(chan struct{})
+
+	var e Engine
+	e.SetDone(done)
+	e.Schedule(0, tick)
+	e.RunUntil(5000)
+	if e.Stopped() || e.Fired() != 5001 || e.Now() != 5000 {
+		t.Fatalf("open done: stopped %v after %d events at %v, want a full run of 5001 to 5000",
+			e.Stopped(), e.Fired(), e.Now())
+	}
+
+	close(done)
+	for _, bounded := range []bool{false, true} {
+		e.Reset()
+		if bounded {
+			e.SetHorizon(1e9)
+		}
+		e.Schedule(0, tick)
+		if bounded {
+			e.RunUntil(1e9)
+		} else {
+			e.Run()
+		}
+		if !e.Stopped() {
+			t.Fatalf("bounded %v: run not stopped", bounded)
+		}
+		if e.Fired() != donePoll {
+			t.Errorf("bounded %v: %d events fired before the poll, want %d", bounded, e.Fired(), donePoll)
+		}
+		if e.Now() >= 1e9 {
+			t.Errorf("bounded %v: clock jumped to the horizon after an interrupt", bounded)
+		}
+	}
+}
+
 func TestDeterministicUnderPermutation(t *testing.T) {
 	// The firing order depends only on (time, scheduling order), so two
 	// engines given the same schedule produce identical traces.

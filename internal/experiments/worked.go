@@ -147,7 +147,7 @@ func runWorkedScenario(ctx context.Context, cfg RunConfig, sc workedScenario) (*
 
 	procErr := math.Abs(model.Years(paperEval)-sc.paperYears) / sc.paperYears
 	res.addNote("paper procedure reproduces the printed %.1f years within %.2f%%", sc.paperYears, procErr*100)
-	res.addNote("physical simulation MTTDL %.1f years vs paper %.1f — the closed forms count first faults at rate 1/MV for the pair instead of 2/MV (DESIGN.md §4)",
+	res.addNote("physical simulation MTTDL %.1f years vs paper %.1f — the closed forms count first faults at rate 1/MV for the pair instead of 2/MV (docs/MODEL.md §5)",
 		model.Years(est.MTTDL.Point), sc.paperYears)
 	if sc.id == "E4" {
 		res.addNote("eq 11 applies 1/α to an already-certain window probability; the clamped eq 7 is %.0fx less pessimistic (see model.TestEq11AlphaPessimism)",

@@ -85,6 +85,11 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 	}, false); err == nil {
 		t.Fatal("failing job reported no error")
 	}
+	if _, _, err := svc.answer(ctx, "panic", func(context.Context) ([]byte, error) {
+		panic("injected")
+	}, false); !errors.Is(err, errJobPanicked) {
+		t.Fatalf("panicking job: err %v, want errJobPanicked", err)
+	}
 	if _, _, err := svc.answer(ctx, "slow", func(ctx context.Context) ([]byte, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -115,6 +120,7 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		{"ltsimd_sched_jobs_completed_total", st.Scheduler.Completed},
 		{"ltsimd_sched_jobs_failed_total", st.Scheduler.Failed},
 		{"ltsimd_sched_jobs_timeout_total", st.Scheduler.Timeouts},
+		{"ltsimd_sched_jobs_panicked_total", st.Scheduler.Panicked},
 		{"ltsimd_store_hits_total", st.Store.Hits},
 		{"ltsimd_store_misses_total", st.Store.Misses},
 		{"ltsimd_store_writes_total", st.Store.Writes},
@@ -141,8 +147,9 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		{"cache misses", st.Cache.Misses, 1},
 		{"cache evictions", st.Cache.Evictions, 1},
 		{"completed jobs", st.Scheduler.Completed, 1},
-		{"failed jobs (timeout included)", st.Scheduler.Failed, 2},
+		{"failed jobs (timeout and panic included)", st.Scheduler.Failed, 3},
 		{"timed-out jobs", st.Scheduler.Timeouts, 1},
+		{"panicked jobs", st.Scheduler.Panicked, 1},
 		{"store hits", st.Store.Hits, 1},
 		{"store writes", st.Store.Writes, 1},
 		{"corrupt store entries", st.Store.Corrupt, 1},

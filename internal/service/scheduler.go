@@ -3,7 +3,10 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
+	"log/slog"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,6 +22,8 @@ var (
 	ErrQueueFull = errors.New("service: shard queue full")
 	// ErrShuttingDown reports a submission after shutdown began.
 	ErrShuttingDown = errors.New("service: scheduler shutting down")
+	// errJobPanicked is the error of a job whose function panicked.
+	errJobPanicked = errors.New("service: job panicked")
 )
 
 // job is one unit of scheduled work: compute bytes for a key. It is
@@ -43,10 +48,11 @@ type job struct {
 type shard struct {
 	queue  chan *job
 	flight Flight[[]byte]
-	// completed, failed and timeouts are the shard's job outcome counts,
-	// the only copy: /stats sums them across shards and /metrics reads
-	// them per shard.
-	completed, failed, timeouts atomic.Uint64
+	// completed, failed, timeouts and panicked are the shard's job
+	// outcome counts, the only copy: /stats sums them across shards and
+	// /metrics reads them per shard. A timed-out or panicked job is also
+	// failed.
+	completed, failed, timeouts, panicked atomic.Uint64
 	// queueWait and runDur are the shard's pre-resolved histogram
 	// handles; nil until scheduler.instrument runs (always before
 	// traffic in a Service).
@@ -72,11 +78,14 @@ type scheduler struct {
 	closed bool
 
 	inflight atomic.Int64
+	// logger receives a panicking job's stack; nil logs nothing.
+	logger *slog.Logger
 }
 
 // instrument registers the scheduler metric families: per-shard queue
 // depth gauges, queue-wait and run-duration histograms, and
-// completed/failed/timeout counters read from the shards' own counts.
+// completed/failed/timeout/panicked counters read from the shards' own
+// counts.
 // Called once by Service.New before any Submit.
 func (s *scheduler) instrument(reg *telemetry.Registry) {
 	queueWait := reg.HistogramVec("ltsimd_sched_queue_wait_seconds",
@@ -86,9 +95,11 @@ func (s *scheduler) instrument(reg *telemetry.Registry) {
 	completed := reg.CounterVec("ltsimd_sched_jobs_completed_total",
 		"Jobs that finished successfully.", "shard")
 	failed := reg.CounterVec("ltsimd_sched_jobs_failed_total",
-		"Jobs that returned an error (timeouts included).", "shard")
+		"Jobs that returned an error (timeouts and panics included).", "shard")
 	timeouts := reg.CounterVec("ltsimd_sched_jobs_timeout_total",
 		"Jobs aborted by the per-job timeout.", "shard")
+	panicked := reg.CounterVec("ltsimd_sched_jobs_panicked_total",
+		"Jobs whose computation panicked (failed alone; the daemon stays up).", "shard")
 	depth := reg.GaugeVec("ltsimd_sched_queue_depth",
 		"Jobs queued (not yet running) per shard.", "shard")
 	reg.GaugeFunc("ltsimd_sched_inflight", "Jobs currently executing across all shards.", func() float64 {
@@ -101,6 +112,7 @@ func (s *scheduler) instrument(reg *telemetry.Registry) {
 		completed.Func(sh.completed.Load, label)
 		failed.Func(sh.failed.Load, label)
 		timeouts.Func(sh.timeouts.Load, label)
+		panicked.Func(sh.panicked.Load, label)
 		q := sh.queue
 		depth.Func(func() float64 { return float64(len(q)) }, label)
 	}
@@ -163,7 +175,7 @@ func (s *scheduler) run(sh *shard, j *job) {
 	s.inflight.Add(1)
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.timeout)
-	val, err := j.fn(telemetry.WithTrace(ctx, j.trace))
+	val, err := s.call(telemetry.WithTrace(ctx, j.trace), sh, j)
 	cancel()
 	s.inflight.Add(-1)
 	if err != nil {
@@ -180,6 +192,23 @@ func (s *scheduler) run(sh *shard, j *job) {
 	}
 	sh.flight.Finish(j.call, val, err)
 	s.jobs.Done()
+}
+
+// call runs j's function. A panic fails the job alone: it is counted,
+// its value and stack are logged, and the job fails with
+// errJobPanicked, which the HTTP layer answers with 500 without
+// revealing either.
+func (s *scheduler) call(ctx context.Context, sh *shard, j *job) (val []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			sh.panicked.Add(1)
+			if s.logger != nil {
+				s.logger.Error("job panicked", "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			}
+			val, err = nil, errJobPanicked
+		}
+	}()
+	return j.fn(ctx)
 }
 
 // Submit schedules fn under key and waits for its result. Duplicate
@@ -218,8 +247,9 @@ func (s *scheduler) enqueue(ctx context.Context, key string, fn func(context.Con
 	})
 }
 
-// SchedulerStats is a point-in-time scheduler snapshot. Timeouts is
-// additive (PR 7); the earlier fields keep their names and positions.
+// SchedulerStats is a point-in-time scheduler snapshot. Timeouts and
+// Panicked are additive; the earlier fields keep their names and
+// positions.
 type SchedulerStats struct {
 	Shards     int    `json:"shards"`
 	QueueDepth int    `json:"queue_depth"`
@@ -227,6 +257,7 @@ type SchedulerStats struct {
 	Completed  uint64 `json:"completed"`
 	Failed     uint64 `json:"failed"`
 	Timeouts   uint64 `json:"timeouts"`
+	Panicked   uint64 `json:"panicked"`
 }
 
 // Stats snapshots the scheduler counters. QueueDepth and the outcome
@@ -238,6 +269,7 @@ func (s *scheduler) Stats() SchedulerStats {
 		st.Completed += sh.completed.Load()
 		st.Failed += sh.failed.Load()
 		st.Timeouts += sh.timeouts.Load()
+		st.Panicked += sh.panicked.Load()
 	}
 	return st
 }
@@ -245,7 +277,8 @@ func (s *scheduler) Stats() SchedulerStats {
 // Shutdown stops accepting work and drains: queued and running jobs
 // complete normally until ctx expires, at which point the base context
 // is cancelled and the remainder abort promptly (the simulator checks
-// its context between trials). Workers are always reaped before return.
+// its context before each trial and every 1024 events within one).
+// Workers are always reaped before return.
 func (s *scheduler) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true

@@ -1,9 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,6 +112,41 @@ func TestSchedulerJobTimeout(t *testing.T) {
 	}
 	if st := s.Stats(); st.Failed != 1 {
 		t.Errorf("failed = %d, want 1", st.Failed)
+	}
+}
+
+// A panicking job fails alone: its caller gets an error the HTTP layer
+// answers with 500, the panic is counted and its stack logged at error
+// level, and the shard's worker goes on to run the next job.
+func TestSchedulerJobPanic(t *testing.T) {
+	s := newScheduler(1, 4, time.Minute)
+	defer s.Shutdown(context.Background())
+	var log bytes.Buffer
+	s.logger = slog.New(slog.NewTextHandler(&log, nil))
+	_, err := s.Submit(context.Background(), "boom", func(context.Context) ([]byte, error) {
+		panic("injected")
+	})
+	if !errors.Is(err, errJobPanicked) {
+		t.Fatalf("panicking job = %v, want errJobPanicked", err)
+	}
+	if got := submitStatus(context.Background(), err); got != http.StatusInternalServerError {
+		t.Errorf("panicking job answers %d, want 500", got)
+	}
+	if st := s.Stats(); st.Panicked != 1 || st.Failed != 1 {
+		t.Errorf("panicked/failed = %d/%d, want 1/1", st.Panicked, st.Failed)
+	}
+	if out := log.String(); !strings.Contains(out, "level=ERROR") || !strings.Contains(out, "injected") ||
+		!strings.Contains(out, "TestSchedulerJobPanic") {
+		t.Errorf("panic log lacks an error record with the value and stack: %q", out)
+	}
+	v, err := s.Submit(context.Background(), "next", func(context.Context) ([]byte, error) {
+		return []byte("ok"), nil
+	})
+	if err != nil || string(v) != "ok" {
+		t.Fatalf("job after the panic = %q, %v", v, err)
+	}
+	if st := s.Stats(); st.Completed != 1 || st.Panicked != 1 {
+		t.Errorf("completed/panicked = %d/%d after the next job, want 1/1", st.Completed, st.Panicked)
 	}
 }
 

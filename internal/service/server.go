@@ -74,6 +74,7 @@ func New(cfg Config) *Service {
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
 	}
+	s.sched.logger = s.logger
 	reg := telemetry.NewRegistry()
 	s.metrics = newServiceMetrics(reg)
 	s.cache.instrument(reg)

@@ -383,6 +383,38 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
+// A run to loss that would never finish is ended by the job timeout
+// from inside its one trial: the request answers 504, the shard is
+// counted a timeout, and the next request on the same shard answers
+// 200 instead of queueing behind it.
+func TestJobTimeoutEndsEndlessTrial(t *testing.T) {
+	svc := New(Config{CacheSize: 8, Shards: 1, QueueDepth: 4, JobTimeout: time.Second, SimParallel: 1})
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Shutdown(context.Background())
+	})
+	start := time.Now()
+	resp, err := http.Post(ts.URL+"/estimate", "application/json", strings.NewReader(`{"replicas":6,"trials":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("endless run answered %d %s, want 504", resp.StatusCode, body)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("endless run took %v to time out", elapsed)
+	}
+	resp = postJSON(t, ts.URL+"/estimate", EstimateRequest{Trials: 50, HorizonYears: 10})
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("next request answered %d %s, want 200", resp.StatusCode, body)
+	}
+	if st := svc.sched.Stats(); st.Timeouts != 1 || st.Completed != 1 {
+		t.Errorf("timeouts/completed = %d/%d, want 1/1", st.Timeouts, st.Completed)
+	}
+}
+
 // TestShutdownMidSweepDrainsCleanly kills the service while a sweep is
 // in flight: in-flight jobs drain, the response completes (every item
 // answered or errored), and no goroutines leak — the -race run in CI

@@ -10,9 +10,9 @@ import (
 
 // accumulator is the mergeable reduction state of an estimation run: the
 // replacement for the historical O(Trials) result slice. Workers fold
-// each TrialResult into a per-batch accumulator as it completes, and the
-// reducer merges batch accumulators in batch-index order, so peak memory
-// is O(batch), not O(trials).
+// each TrialResult into a per-batch accumulator as it completes, and
+// batch accumulators merge into the run's global one in batch-index
+// order, so peak memory is O(batch), not O(trials).
 //
 // Everything in here is either exactly mergeable (integer counters,
 // Bernoulli counts, the observation multiset) or replayed in trial order
@@ -28,7 +28,7 @@ type accumulator struct {
 	censored int
 	stats    TrialStats
 	matrix   DoubleFaultMatrix
-	// lossTimes is only folded on the global (reducer-side) accumulator:
+	// lossTimes is only folded on the run's global accumulator:
 	// merge replays each batch's loss times in trial order, keeping the
 	// floating-point Welford sequence identical to a sequential run.
 	lossTimes stats.Running
@@ -38,20 +38,20 @@ type accumulator struct {
 	// weighted marks an importance-sampled (failure-biased) run. Batch
 	// accumulators then additionally buffer each trial's
 	// likelihood-ratio weight and outcome in trial order (wTrials), and
-	// the reducer replays the buffers into its own weighted estimators
+	// the global merge replays the buffers into its weighted estimators
 	// during the in-order merge — the exact pattern the Welford pass
 	// uses — so weighted float reductions, like unweighted ones, are
 	// bit-identical at any Parallel/BatchSize.
 	weighted bool
 	wTrials  []weightedObs
-	// wLoss and wTimes are only folded on the reducer side: the
+	// wLoss and wTimes are only folded on the global accumulator: the
 	// Horvitz–Thompson loss-probability estimator and the weighted
 	// spread of loss times.
 	wLoss  stats.WeightedProportion
 	wTimes stats.WeightedMean
 
 	// events is a recording run's batch of replayable trial events, in
-	// trial order; the reducer appends it to the trace in batch order.
+	// trial order; the merge appends it to the trace in batch order.
 	events []trace.Event
 }
 
@@ -82,9 +82,9 @@ func (a *accumulator) addTrial(res TrialResult, horizon float64) {
 	}
 }
 
-// merge folds a batch accumulator into a. Called in batch-index order by
-// the reducer; o's loss times replay into the Welford accumulator in
-// their original trial order.
+// merge folds a batch accumulator into a. Called in batch-index order;
+// o's loss times replay into the Welford accumulator in their original
+// trial order.
 func (a *accumulator) merge(o *accumulator) {
 	a.trials += o.trials
 	a.censored += o.censored
@@ -155,7 +155,9 @@ func (a *accumulator) stopWidth(opt Options) float64 {
 }
 
 // finalize turns the fully-merged reduction into an Estimate. The
-// interval logic reproduces the historical aggregate() exactly.
+// interval logic reproduces the historical aggregate() exactly. The
+// Estimate's curve takes a's observations, so a must not be snapshot
+// or merged afterwards.
 func (a *accumulator) finalize(opt Options) (Estimate, error) {
 	var est Estimate
 	est.Trials = a.trials
@@ -165,7 +167,9 @@ func (a *accumulator) finalize(opt Options) (Estimate, error) {
 	est.Matrix.WOVByVis = est.Stats.WOVOpenedByVis
 	est.Matrix.WOVByLat = est.Stats.WOVOpenedByLat
 
-	km, err := a.obs.KaplanMeier()
+	// The curve takes the observations unfitted; the restricted mean
+	// below, or the caller's first read, fits it.
+	km, err := a.obs.DeferredKaplanMeier()
 	if err != nil {
 		return Estimate{}, fmt.Errorf("sim: fitting survival curve: %w", err)
 	}

@@ -47,12 +47,13 @@
 // Estimation is a streaming reduce, not a collect-then-aggregate pass:
 // each worker owns one reusable trial (the event graph is re-seeded and
 // re-armed in place, never rebuilt) and folds every TrialResult into a
-// per-batch mergeable accumulator; the reducer merges accumulators at
-// fixed batch boundaries (Options.BatchSize trials each) in batch-index
-// order. Peak memory is O(batch + losses), not O(trials): censored
-// trials collapse to counters, so horizon-censored rare-loss runs no
-// longer scale with the budget, while run-to-loss runs still retain one
-// loss time per trial for the Kaplan–Meier fit. Runner.EstimateStream
+// per-batch mergeable accumulator; the worker that finishes a batch
+// merges accumulators at fixed batch boundaries (Options.BatchSize
+// trials each) in batch-index order. Peak memory is O(batch + losses),
+// not O(trials): censored trials collapse to counters, so
+// horizon-censored rare-loss runs no longer scale with the budget,
+// while run-to-loss runs still retain one loss time per trial for the
+// Kaplan–Meier fit. Runner.EstimateStream
 // exposes the run as it executes through Progress snapshots.
 //
 // The determinism contract has two halves:

@@ -7,20 +7,21 @@ import (
 )
 
 // runMetrics is the simulator's instrument set. Recording happens only
-// on the reducer goroutine at batch boundaries — never inside the
+// at merged batch boundaries and once per run — never inside the
 // per-trial worker loop — so enabling metrics costs one atomic add per
 // ~BatchSize trials and cannot perturb the bit-identical determinism
 // contract (snapshots are observational, and so are these counters).
 type runMetrics struct {
-	trials       *telemetry.Counter
-	batches      *telemetry.Counter
-	runs         *telemetry.Counter
-	runsAdaptive *telemetry.Counter
-	stoppedEarly *telemetry.Counter
-	biasedRuns   *telemetry.Counter
-	runSeconds   *telemetry.Histogram
-	relWidth     *telemetry.Histogram
-	effSamples   *telemetry.Histogram
+	trials          *telemetry.Counter
+	trialsDiscarded *telemetry.Counter
+	batches         *telemetry.Counter
+	runs            *telemetry.Counter
+	runsAdaptive    *telemetry.Counter
+	stoppedEarly    *telemetry.Counter
+	biasedRuns      *telemetry.Counter
+	runSeconds      *telemetry.Histogram
+	relWidth        *telemetry.Histogram
+	effSamples      *telemetry.Histogram
 }
 
 // metricsPtr is the process-wide simulator instrument set; nil (the
@@ -30,15 +31,18 @@ var metricsPtr atomic.Pointer[runMetrics]
 // EnableMetrics registers the sim metric families on reg and starts
 // recording every estimation run in this process into them:
 // sim_trials_total and sim_batches_total give trials/sec and merge
-// throughput under rate(), sim_run_seconds the run-duration
+// throughput under rate(), sim_trials_discarded_total the work adaptive
+// runs simulated past their stop, sim_run_seconds the run-duration
 // distribution, and sim_adaptive_rel_width the adaptive stopping
 // criterion's CI-width trajectory observed at batch boundaries.
 // Idempotent on one registry; calling again with a different registry
 // redirects recording there.
 func EnableMetrics(reg *telemetry.Registry) {
 	metricsPtr.Store(&runMetrics{
-		trials:       reg.Counter("sim_trials_total", "Monte Carlo trials folded into merged batch accumulators."),
-		batches:      reg.Counter("sim_batches_total", "Batch accumulators merged by streaming reducers."),
+		trials: reg.Counter("sim_trials_total", "Monte Carlo trials folded into merged batch accumulators."),
+		trialsDiscarded: reg.Counter("sim_trials_discarded_total",
+			"Monte Carlo trials simulated in batches past an adaptive run's stopping boundary, so never merged."),
+		batches:      reg.Counter("sim_batches_total", "Batch accumulators merged by streaming runs."),
 		runs:         reg.Counter("sim_runs_total", "Estimation runs started."),
 		runsAdaptive: reg.Counter("sim_runs_adaptive_total", "Estimation runs driven by a sequential stopping rule."),
 		stoppedEarly: reg.Counter("sim_runs_stopped_early_total", "Adaptive runs that met their precision target before exhausting MaxTrials."),

@@ -182,7 +182,7 @@ func (r *Runner) ReplayEstimate(opt Options) (Estimate, error) {
 }
 
 // RecordTrace runs opt.Trials generative trials through the same
-// worker pool and in-order batch reducer as Estimate, recording each
+// worker pool and in-order batch merge as Estimate, recording each
 // trial's fault/detection/repair events as a replayable trace, and
 // returns the trace alongside the run's Estimate — so a pinned replay of
 // the returned trace can be checked against the returned estimate.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,7 +55,14 @@ type Options struct {
 	// times. Because the decision is evaluated only at deterministic
 	// batch boundaries, over batches merged in index order, an adaptive
 	// run is a pure function of (config, seed, target, MaxTrials,
-	// BatchSize) — worker count never changes the answer.
+	// BatchSize) — worker count never changes the answer. Work past
+	// the stop is thrown away (sim_trials_discarded_total counts it):
+	// the stop is known the moment the stopping batch merges, a batch
+	// in progress then is abandoned within one trial, and batches
+	// finished ahead of the stopping one are dropped. While the workers
+	// keep pace, that is at most about (Parallel−1)·BatchSize trials; a
+	// stalled worker (more workers than cores) lets the others run
+	// further ahead, and what they finish past the stop is lost too.
 	TargetRelWidth float64
 	// MaxTrials caps an adaptive run's trial budget; 0 defaults to
 	// 1<<20. Ignored in fixed-trial mode.
@@ -179,7 +187,11 @@ type Estimate struct {
 	// LossProb is P(data loss within Horizon) with its Wilson interval.
 	// Only meaningful when Horizon > 0.
 	LossProb stats.Interval
-	// Survival is the fitted Kaplan–Meier curve over the trials.
+	// Survival is the Kaplan–Meier curve over the trials. It is fitted
+	// on read: it keeps the run's observations, and is fitted, to the
+	// same bits as an eager fit, the first time one of its methods is
+	// called. A censored unbiased run reads its restricted mean for
+	// MTTDL, so its curve comes back fitted.
 	Survival *stats.KaplanMeier
 	// Trials and Censored count the run's outcomes. In adaptive mode
 	// Trials is the realized count at the stopping boundary.
@@ -274,27 +286,179 @@ func (r *Runner) Estimate(opt Options) (Estimate, error) {
 	return r.EstimateStream(context.Background(), opt, nil)
 }
 
-// batchState is the shared coordination state of one streaming run.
+// batchState is the shared state of one streaming run. Workers claim
+// batch indices from next, and the worker that finishes a batch folds
+// it: under mu it merges every batch that is now next in index order
+// into global, applies the stopping rule at each boundary, and emits
+// progress.
 type batchState struct {
-	batchSize int
-	budget    int
+	opt       Options
+	minTrials int
+	sink      func(Progress)
+	rec       *[]trace.Event
+	m         *runMetrics
+	pool      sync.Pool
+
 	// next is the atomic claim counter: workers take batch indices from
 	// it instead of draining a pre-filled O(Trials) work channel.
 	next atomic.Int64
-	// stopAt is the first batch index workers must not start. It begins
-	// at the full batch count and only shrinks, when the reducer's
-	// stopping rule fires at a boundary.
+	// stopAt is the first batch index that will not be merged. It
+	// begins at the batch count and only shrinks, the moment a fold
+	// meets the stopping rule; workers read it before every trial.
 	stopAt atomic.Int64
+	// discarded counts trials simulated in batches the stop made
+	// unmergeable.
+	discarded atomic.Int64
+
+	mu      sync.Mutex
+	pending map[int]*accumulator
+	folded  int
+	global  accumulator
+	// panicked holds the first worker panic, re-raised by the caller.
+	panicked any
 }
 
 // bounds returns batch b's trial index range.
 func (s *batchState) bounds(b int) (lo, hi int) {
-	lo = b * s.batchSize
-	hi = lo + s.batchSize
-	if hi > s.budget {
-		hi = s.budget
+	lo = b * s.opt.BatchSize
+	return lo, min(lo+s.opt.BatchSize, s.opt.budget())
+}
+
+// work is one worker: it claims batches, runs their trials into a batch
+// accumulator and folds each finished batch. It returns when no batch
+// is left to start, when done is closed, or as soon as the stop makes
+// its batch unmergeable, which is checked before every trial.
+func (s *batchState) work(r *Runner, done <-chan struct{}) {
+	defer s.leave()
+	opt := s.opt
+	base := rng.New(opt.Seed)
+	var trialSrc rng.Source
+	t := allocTrial(&r.cfg, r.specs, nil)
+	t.setBiasFactor(opt.Bias)
+	if opt.Horizon > 0 {
+		// Censored trials never run past the horizon, so the engine
+		// parks what is scheduled beyond it (exact; see
+		// des.Engine.SetHorizon).
+		t.eng.SetHorizon(opt.Horizon)
 	}
-	return lo, hi
+	// A trial polls done as it runs, so even one that never ends is
+	// cancelled.
+	t.eng.SetDone(done)
+	if r.replay != nil {
+		t.replay = &replaySchedule{pinRepairs: r.replay.pinRepairs}
+	}
+	if s.rec != nil {
+		t.trace = &Trace{}
+	}
+	for {
+		b := s.next.Add(1) - 1
+		if b >= s.stopAt.Load() {
+			return
+		}
+		lo, hi := s.bounds(int(b))
+		acc := s.pool.Get().(*accumulator)
+		acc.reset()
+		acc.batch = int(b)
+		acc.weighted = opt.Bias != 0
+		for i := lo; i < hi; i++ {
+			if b >= s.stopAt.Load() {
+				s.discarded.Add(int64(acc.trials))
+				s.pool.Put(acc)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+			base.DeriveInto(uint64(i)+trialStreamLabel, &trialSrc)
+			if r.replay != nil {
+				t.replay.events = r.replay.TrialEvents(i)
+			}
+			t.start(&trialSrc)
+			res := t.run(opt.Horizon)
+			select {
+			case <-done: // the trial may have been cut short
+				return
+			default:
+			}
+			acc.addTrial(res, opt.Horizon)
+			if s.rec != nil {
+				acc.events = recordEvents(acc.events, i, t.trace)
+			}
+		}
+		s.fold(acc)
+	}
+}
+
+// fold hands a finished batch to the in-order merge and merges every
+// batch that is now next, deciding the stop and emitting progress at
+// each merged boundary.
+func (s *batchState) fold(acc *accumulator) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	stop := int(s.stopAt.Load())
+	if acc.batch >= stop {
+		s.discarded.Add(int64(acc.trials))
+		s.pool.Put(acc)
+		return
+	}
+	s.pending[acc.batch] = acc
+	for s.folded < stop {
+		nb, ok := s.pending[s.folded]
+		if !ok {
+			break
+		}
+		delete(s.pending, s.folded)
+		s.global.merge(nb)
+		if s.rec != nil {
+			*s.rec = append(*s.rec, nb.events...)
+		}
+		if s.m != nil {
+			s.m.trials.Add(uint64(nb.trials))
+			s.m.batches.Inc()
+		}
+		s.pool.Put(nb)
+		s.folded++
+		if s.opt.adaptive() && s.folded < stop && s.global.trials >= s.minTrials {
+			width := s.global.stopWidth(s.opt)
+			if s.m != nil && !math.IsInf(width, 1) {
+				s.m.relWidth.Observe(width)
+			}
+			if width <= s.opt.TargetRelWidth {
+				stop = s.folded
+				s.stopAt.Store(int64(stop))
+				if s.m != nil {
+					s.m.stoppedEarly.Inc()
+				}
+				// Every batch still pending lies past the stop.
+				for b, p := range s.pending {
+					s.discarded.Add(int64(p.trials))
+					delete(s.pending, b)
+					s.pool.Put(p)
+				}
+			}
+		}
+		if s.sink != nil && s.folded < stop {
+			s.sink(s.global.snapshot(s.opt, s.folded, s.opt.budget()))
+		}
+	}
+}
+
+// leave runs as a worker exits. It turns a panic, the worker's own or
+// the sink's, into a stop at batch 0 that the calling goroutine
+// re-raises once every worker has left.
+func (s *batchState) leave() {
+	p := recover()
+	if p == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.panicked == nil {
+		s.panicked = fmt.Sprintf("sim: estimation worker panicked: %v\n%s", p, debug.Stack())
+	}
+	s.stopAt.Store(0)
 }
 
 // EstimateStream is the streaming estimation core: workers fold trials
@@ -303,23 +467,29 @@ func (s *batchState) bounds(b int) (lo, hi int) {
 // can be observed while it executes. Every other estimation entry point
 // is a thin wrapper over it.
 //
+// The calling goroutine is one of the opt.Parallel workers, and the
+// worker that finishes a batch merges it and any batches it unblocks.
 // sink, when non-nil, receives a Progress snapshot after each merged
-// batch and a Final snapshot on completion, synchronously from the
-// calling goroutine. When opt.TargetRelWidth is set the sequential
+// batch from whichever worker goroutine merged it, under the run's
+// merge lock: calls are serialized and in batch order. The Final
+// snapshot comes from the calling goroutine, and no call happens after
+// EstimateStream returns. When opt.TargetRelWidth is set the sequential
 // stopping rule runs at each boundary (see Options.TargetRelWidth for
-// the determinism contract). Workers check ctx between trials, so a
-// cancelled or timed-out run returns ctx's error promptly; cancellation
-// never changes the trial-to-stream mapping, only whether the run
-// finishes.
+// the determinism contract). ctx is checked before every trial and
+// every 1024 events within one, so a cancelled or timed-out run returns
+// an error wrapping ctx's error promptly even when a single trial would
+// never end; cancellation never changes the trial-to-stream mapping,
+// only whether the run finishes. A panic in a worker or in sink stops
+// the run and is re-raised on the calling goroutine.
 func (r *Runner) EstimateStream(ctx context.Context, opt Options, sink func(Progress)) (Estimate, error) {
 	return r.stream(ctx, opt, sink, nil)
 }
 
 // stream is EstimateStream with a recording hook: when rec is non-nil,
 // each batch accumulator also carries its trials' replayable events
-// (recordEvents), and the reducer appends them to *rec in batch order,
-// so the recorded stream is in trial order at any Parallel. Recording
-// only observes the trials; it never changes what they draw.
+// (recordEvents), and the merge appends them to *rec in batch order, so
+// the recorded stream is in trial order at any Parallel. Recording only
+// observes the trials; it never changes what they draw.
 func (r *Runner) stream(ctx context.Context, opt Options, sink func(Progress), rec *[]trace.Event) (Estimate, error) {
 	batchSet := opt.BatchSize > 0
 	opt, err := admit(&r.cfg, opt)
@@ -348,9 +518,9 @@ func (r *Runner) stream(ctx context.Context, opt Options, sink func(Progress), r
 			opt.BatchSize = per
 		}
 	}
-	// Telemetry is recorded only here on the reducer goroutine — the
-	// worker trial loop below is untouched, so instrumentation cannot
-	// perturb results or meaningfully cost the hot path.
+	// Telemetry is recorded here and at merged batch boundaries, never
+	// per trial, so instrumentation cannot perturb results or
+	// meaningfully cost the hot path.
 	m := metricsPtr.Load()
 	if m != nil {
 		m.runs.Inc()
@@ -363,141 +533,56 @@ func (r *Runner) stream(ctx context.Context, opt Options, sink func(Progress), r
 		runStart := time.Now()
 		defer func() { m.runSeconds.Observe(time.Since(runStart).Seconds()) }()
 	}
-	st := &batchState{batchSize: opt.BatchSize, budget: opt.budget()}
-	numBatches := (st.budget + st.batchSize - 1) / st.batchSize
-	st.stopAt.Store(int64(numBatches))
+	numBatches := (opt.budget() + opt.BatchSize - 1) / opt.BatchSize
 	// Clamp oversubscription: beyond one worker per batch (and never
 	// more than one per trial) extra workers could not claim any work.
 	if opt.Parallel > numBatches {
 		opt.Parallel = numBatches
 	}
-	minTrials := opt.Trials
-	if minTrials < 2 {
-		minTrials = 2
+	s := &batchState{
+		opt:       opt,
+		minTrials: max(opt.Trials, 2),
+		sink:      sink,
+		rec:       rec,
+		m:         m,
+		pool:      sync.Pool{New: func() any { return new(accumulator) }},
+		pending:   make(map[int]*accumulator),
 	}
+	s.stopAt.Store(int64(numBatches))
+	s.global.weighted = opt.Bias != 0
 
-	results := make(chan *accumulator, opt.Parallel)
-	pool := sync.Pool{New: func() any { return new(accumulator) }}
 	done := ctx.Done()
 	var wg sync.WaitGroup
-	for w := 0; w < opt.Parallel; w++ {
+	for w := 1; w < opt.Parallel; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			base := rng.New(opt.Seed)
-			var trialSrc rng.Source
-			t := allocTrial(&r.cfg, r.specs, nil)
-			t.setBiasFactor(opt.Bias)
-			if opt.Horizon > 0 {
-				// Censored trials never run past the horizon, so the
-				// engine parks what is scheduled beyond it (exact; see
-				// des.Engine.SetHorizon).
-				t.eng.SetHorizon(opt.Horizon)
-			}
-			if r.replay != nil {
-				t.replay = &replaySchedule{pinRepairs: r.replay.pinRepairs}
-			}
-			if rec != nil {
-				t.trace = &Trace{}
-			}
-			for {
-				b := int(st.next.Add(1) - 1)
-				if int64(b) >= st.stopAt.Load() {
-					return
-				}
-				lo, hi := st.bounds(b)
-				acc := pool.Get().(*accumulator)
-				acc.reset()
-				acc.batch = b
-				acc.weighted = opt.Bias != 0
-				for i := lo; i < hi; i++ {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					base.DeriveInto(uint64(i)+trialStreamLabel, &trialSrc)
-					if r.replay != nil {
-						t.replay.events = r.replay.TrialEvents(i)
-					}
-					t.start(&trialSrc)
-					acc.addTrial(t.run(opt.Horizon), opt.Horizon)
-					if rec != nil {
-						acc.events = recordEvents(acc.events, i, t.trace)
-					}
-				}
-				select {
-				case results <- acc:
-				case <-done:
-					return
-				}
-			}
+			s.work(r, done)
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// The reducer: merge batch accumulators in index order, deciding
-	// stopping and emitting progress only at merged boundaries. Ranging
-	// until the channel closes (rather than until the target batch
-	// count) both reaps in-flight batches after an early stop and makes
-	// worker exits — including cancellation — impossible to deadlock.
-	var global accumulator
-	global.weighted = opt.Bias != 0
-	pending := make(map[int]*accumulator)
-	folded := 0
-	target := numBatches
-	for acc := range results {
-		if acc.batch >= target {
-			pool.Put(acc)
-			continue
-		}
-		pending[acc.batch] = acc
-		for folded < target {
-			nb, ok := pending[folded]
-			if !ok {
-				break
-			}
-			delete(pending, folded)
-			batchTrials := nb.trials
-			global.merge(nb)
-			if rec != nil {
-				*rec = append(*rec, nb.events...)
-			}
-			pool.Put(nb)
-			folded++
-			if m != nil {
-				m.trials.Add(uint64(batchTrials))
-				m.batches.Inc()
-			}
-			if opt.adaptive() && folded < target && global.trials >= minTrials {
-				width := global.stopWidth(opt)
-				if m != nil && !math.IsInf(width, 1) {
-					m.relWidth.Observe(width)
-				}
-				if width <= opt.TargetRelWidth {
-					target = folded
-					st.stopAt.Store(int64(folded))
-					if m != nil {
-						m.stoppedEarly.Inc()
-					}
-				}
-			}
-			if sink != nil && folded < target {
-				sink(global.snapshot(opt, folded, st.budget))
-			}
-		}
+	s.work(r, done)
+	wg.Wait()
+	if s.panicked != nil {
+		panic(s.panicked)
+	}
+	if m != nil {
+		m.trialsDiscarded.Add(uint64(s.discarded.Load()))
 	}
 	if err := ctx.Err(); err != nil {
 		return Estimate{}, fmt.Errorf("sim: estimation aborted: %w", err)
 	}
-	if folded != target {
-		return Estimate{}, fmt.Errorf("sim: internal: merged %d of %d batches", folded, target)
+	if target := int(s.stopAt.Load()); s.folded != target {
+		return Estimate{}, fmt.Errorf("sim: internal: merged %d of %d batches", s.folded, target)
 	}
 
-	est, err := global.finalize(opt)
+	// The Final frame is read before finalize hands the observations to
+	// the Estimate.
+	var final Progress
+	if sink != nil {
+		final = s.global.snapshot(opt, s.folded, opt.budget())
+		final.Final = true
+	}
+	est, err := s.global.finalize(opt)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -505,9 +590,7 @@ func (r *Runner) stream(ctx context.Context, opt Options, sink func(Progress), r
 		m.effSamples.Observe(est.EffectiveSamples)
 	}
 	if sink != nil {
-		p := global.snapshot(opt, folded, st.budget)
-		p.Final = true
-		sink(p)
+		sink(final)
 	}
 	return est, nil
 }

@@ -2,12 +2,15 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 )
 
 // Adaptive runs must be parallelism-independent: the stopping decision
@@ -276,5 +279,104 @@ func TestAdaptiveOptionValidation(t *testing.T) {
 		if _, err := runner.Estimate(opt); err == nil {
 			t.Errorf("case %d: invalid adaptive options accepted: %+v", i, opt)
 		}
+	}
+}
+
+// A trial that would never end is cancelled from inside: six paper
+// replicas run to loss need every replica faulty at once, which the
+// audits and repairs keep from happening in any affordable time, so
+// only the engine's poll of the done channel can end the run.
+func TestDeadlineEndsTrialThatNeverEnds(t *testing.T) {
+	cfg, err := PaperConfig(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Replicas = 6
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2} {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		start := time.Now()
+		_, err := r.EstimateStream(ctx, Options{Trials: 2, Seed: 1, Parallel: par}, nil)
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Parallel %d: err %v, want context.DeadlineExceeded", par, err)
+		}
+		if elapsed > 10*time.Second {
+			t.Fatalf("Parallel %d: cancelled run took %v", par, elapsed)
+		}
+	}
+}
+
+// An adaptive run throws away only work past its stop, and counts it.
+// A single worker merges each batch before it claims the next, so it
+// knows the stop before it could start a batch past it and discards
+// nothing. At Parallel 4 the other workers' batches past the stop are
+// discarded, and the answer is still the Parallel 1 answer.
+func TestAdaptiveDiscard(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	EnableMetrics(reg)
+	t.Cleanup(DisableMetrics)
+	m := metricsPtr.Load()
+	r, err := NewRunner(rareMirror(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const par, batch = 4, 64
+	for seed := uint64(1); seed <= 4; seed++ {
+		opt := Options{Seed: seed, Horizon: 20000, Bias: AutoBias,
+			TargetRelWidth: 0.05, MaxTrials: 1 << 16, BatchSize: batch, Parallel: 1}
+		before := m.trialsDiscarded.Value()
+		serial, err := r.Estimate(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := m.trialsDiscarded.Value() - before; d != 0 {
+			t.Errorf("seed %d: Parallel 1 discarded %d trials, want 0", seed, d)
+		}
+		if serial.Trials >= opt.MaxTrials || serial.Trials < 8*batch {
+			t.Fatalf("seed %d: stopped at %d trials; want a stop well inside the budget", seed, serial.Trials)
+		}
+		opt.Parallel = par
+		before = m.trialsDiscarded.Value()
+		parallel, err := r.Estimate(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("seed %d: stopped at %d trials, %d discarded at Parallel %d",
+			seed, serial.Trials, m.trialsDiscarded.Value()-before, par)
+		if !reflect.DeepEqual(parallel, serial) {
+			t.Errorf("seed %d: Parallel %d estimate differs from Parallel 1", seed, par)
+		}
+	}
+}
+
+// A panicking sink, which runs on whichever worker merges a batch,
+// stops the run and panics on the calling goroutine, where the caller
+// can recover it.
+func TestSinkPanicReachesCaller(t *testing.T) {
+	r, err := NewRunner(fastMirror(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		r.EstimateStream(context.Background(), Options{Trials: 4000, Seed: 2, BatchSize: 50, Parallel: 4},
+			func(Progress) {
+				if calls++; calls == 3 {
+					panic("sink failed")
+				}
+			})
+		return nil
+	}()
+	if s, ok := got.(string); !ok || !strings.Contains(s, "sink failed") {
+		t.Fatalf("recovered %v, want the sink's panic", got)
+	}
+	if calls != 3 {
+		t.Errorf("sink called %d times, want 3: the run went on after the panic", calls)
 	}
 }

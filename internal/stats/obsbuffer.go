@@ -95,23 +95,55 @@ func (b *ObsBuffer) Events() []float64 { return b.events }
 // multiset of (time, event) pairs, and this walk performs the same float
 // operations in the same (ascending-time) order.
 func (b *ObsBuffer) KaplanMeier() (*KaplanMeier, error) {
+	km, err := b.curve()
+	if err != nil {
+		return nil, err
+	}
+	km.fit(append([]float64(nil), b.events...), b)
+	return km, nil
+}
+
+// DeferredKaplanMeier is KaplanMeier with the fit put off until the
+// curve is first read, for a caller that is done with b: the curve
+// takes b's observations, without copying them, and leaves b empty. It
+// checks them now, so it fails exactly when KaplanMeier would (and then
+// leaves b as it was); the sort and the product-limit walk run the
+// first time S(t), or a statistic built on it, is asked for, and give
+// the same bits as KaplanMeier. N and MaxTime never need the fit.
+func (b *ObsBuffer) DeferredKaplanMeier() (*KaplanMeier, error) {
+	km, err := b.curve()
+	if err != nil {
+		return nil, err
+	}
+	km.pending = new(ObsBuffer)
+	*km.pending, *b = *b, ObsBuffer{}
+	return km, nil
+}
+
+// curve checks the observations and returns an unfitted curve carrying
+// their count and largest time.
+func (b *ObsBuffer) curve() (*KaplanMeier, error) {
 	n := b.N()
 	if n == 0 {
 		return nil, ErrNoData
 	}
-	for _, t := range b.events {
-		if t < 0 || math.IsNaN(t) {
-			return nil, fmt.Errorf("stats: survival observation time %v must be non-negative", t)
+	km := &KaplanMeier{n: n}
+	for _, times := range [2][]float64{b.events, b.censorTimes} {
+		for _, t := range times {
+			if t < 0 || math.IsNaN(t) {
+				return nil, fmt.Errorf("stats: survival observation time %v must be non-negative", t)
+			}
+			km.maxTime = max(km.maxTime, t)
 		}
 	}
-	for _, t := range b.censorTimes {
-		if t < 0 || math.IsNaN(t) {
-			return nil, fmt.Errorf("stats: survival observation time %v must be non-negative", t)
-		}
-	}
+	return km, nil
+}
 
-	ev := make([]float64, len(b.events))
-	copy(ev, b.events)
+// fit walks the event times ev and b's censored observations in
+// ascending time into km's product-limit steps. It sorts ev in place,
+// so ev must be km's own: a copy of b's events, or b's events once km
+// owns b.
+func (km *KaplanMeier) fit(ev []float64, b *ObsBuffer) {
 	sort.Float64s(ev)
 	type censorGroup struct {
 		t     float64
@@ -123,14 +155,7 @@ func (b *ObsBuffer) KaplanMeier() (*KaplanMeier, error) {
 	}
 	sort.Slice(cz, func(i, j int) bool { return cz[i].t < cz[j].t })
 
-	km := &KaplanMeier{n: n}
-	if len(ev) > 0 {
-		km.maxTime = ev[len(ev)-1]
-	}
-	if len(cz) > 0 && cz[len(cz)-1].t > km.maxTime {
-		km.maxTime = cz[len(cz)-1].t
-	}
-
+	n := km.n
 	s := 1.0
 	removed := 0 // observations at times strictly before the current group
 	ci := 0
@@ -159,5 +184,4 @@ func (b *ObsBuffer) KaplanMeier() (*KaplanMeier, error) {
 			ci++
 		}
 	}
-	return km, nil
 }

@@ -131,6 +131,83 @@ func TestObsBufferValidation(t *testing.T) {
 	}
 }
 
+// A deferred curve reads the same as an eager one, whichever statistic
+// is read first, ends up deeply equal to it once fitted, takes its
+// buffer's observations, and rejects what the eager fit rejects.
+func TestDeferredKaplanMeierMatchesFit(t *testing.T) {
+	fill := func() *ObsBuffer {
+		src := rng.New(7)
+		var buf ObsBuffer
+		for i := 0; i < 300; i++ {
+			if tm := 100 * src.Float64(); src.Bool(0.6) {
+				buf.AddEvent(tm)
+			} else {
+				buf.AddCensored(float64(50 + 25*src.Intn(3)))
+			}
+		}
+		return &buf
+	}
+	want, err := fill().KaplanMeier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := map[string]func(km *KaplanMeier) float64{
+		"Survival":       func(km *KaplanMeier) float64 { return km.Survival(40) },
+		"RestrictedMean": func(km *KaplanMeier) float64 { return km.RestrictedMean(80) },
+		"GreenwoodSE":    func(km *KaplanMeier) float64 { return km.GreenwoodSE(60) },
+		"SurvivalCI":     func(km *KaplanMeier) float64 { return km.SurvivalCI(30, 0.9).Lo },
+		"MedianSurvival": func(km *KaplanMeier) float64 { m, _ := km.MedianSurvival(); return m },
+	}
+	for name, read := range reads {
+		got, err := fill().DeferredKaplanMeier()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.N() != want.N() || got.MaxTime() != want.MaxTime() {
+			t.Fatalf("%s: unfitted N/MaxTime %d/%v, want %d/%v", name, got.N(), got.MaxTime(), want.N(), want.MaxTime())
+		}
+		if got.pending == nil {
+			t.Fatalf("%s: N and MaxTime fitted the curve", name)
+		}
+		if g, w := read(got), read(want); math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: deferred %v, eager %v", name, g, w)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: fitted deferred curve differs from the eager fit", name)
+		}
+	}
+
+	// The deferred curve takes the observations and leaves the buffer
+	// empty and free to refill.
+	buf := fill()
+	got, err := buf.DeferredKaplanMeier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.N() != 0 {
+		t.Fatalf("buffer kept %d observations", buf.N())
+	}
+	buf.AddEvent(1)
+	buf.AddCensored(50)
+	if !reflect.DeepEqual(got.fitted(), want) {
+		t.Error("deferred curve changed with its source buffer")
+	}
+
+	var bad ObsBuffer
+	bad.AddEvent(1)
+	bad.AddCensored(math.NaN())
+	if _, err := bad.DeferredKaplanMeier(); err == nil {
+		t.Error("deferred fit accepted a NaN time")
+	}
+	if bad.N() != 2 {
+		t.Error("a failed deferred fit emptied its buffer")
+	}
+	var empty ObsBuffer
+	if _, err := empty.DeferredKaplanMeier(); err == nil {
+		t.Error("deferred fit accepted an empty buffer")
+	}
+}
+
 func TestObsBufferReset(t *testing.T) {
 	var b ObsBuffer
 	b.AddEvent(1)

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // KaplanMeier is the product-limit estimator of the survival function
@@ -12,8 +13,15 @@ import (
 // trial to data loss (an archive with MTTDL in the thousands of years may
 // see no loss within any reasonable horizon), so the estimator must handle
 // censoring honestly rather than discarding or truncating those trials.
-// ObsBuffer.KaplanMeier builds one.
+// ObsBuffer.KaplanMeier builds one fitted; ObsBuffer.DeferredKaplanMeier
+// builds one that is fitted the first time it is read. Either is safe
+// for concurrent readers.
 type KaplanMeier struct {
+	// mu guards the deferred fit; pending holds a deferred curve's
+	// observations until then and is nil once the curve is fitted.
+	mu      sync.Mutex
+	pending *ObsBuffer
+
 	times    []float64 // distinct event times, ascending
 	survival []float64 // S(t) just after each event time
 	atRisk   []int     // risk-set size just before each event time
@@ -22,8 +30,20 @@ type KaplanMeier struct {
 	maxTime  float64
 }
 
+// fitted runs a deferred fit if one is pending and returns km.
+func (km *KaplanMeier) fitted() *KaplanMeier {
+	km.mu.Lock()
+	if b := km.pending; b != nil {
+		km.pending = nil
+		km.fit(b.events, b)
+	}
+	km.mu.Unlock()
+	return km
+}
+
 // Survival returns the estimated S(t).
 func (km *KaplanMeier) Survival(t float64) float64 {
+	km.fitted()
 	// Step function: S(t) is the survival just after the last event time
 	// <= t.
 	idx := sort.SearchFloat64s(km.times, t)
@@ -50,6 +70,7 @@ func (km *KaplanMeier) RestrictedMean(horizon float64) float64 {
 	if horizon <= 0 {
 		return 0
 	}
+	km.fitted()
 	area := 0.0
 	prevT := 0.0
 	prevS := 1.0
@@ -69,6 +90,7 @@ func (km *KaplanMeier) RestrictedMean(horizon float64) float64 {
 // ok=false if survival never falls to one half within the observed range
 // (heavy censoring).
 func (km *KaplanMeier) MedianSurvival() (median float64, ok bool) {
+	km.fitted()
 	for i, s := range km.survival {
 		if s <= 0.5 {
 			return km.times[i], true
@@ -80,7 +102,7 @@ func (km *KaplanMeier) MedianSurvival() (median float64, ok bool) {
 // GreenwoodSE returns Greenwood's standard error of S(t).
 func (km *KaplanMeier) GreenwoodSE(t float64) float64 {
 	var sum float64
-	s := km.Survival(t)
+	s := km.Survival(t) // fits a deferred curve
 	for i, ti := range km.times {
 		if ti > t {
 			break
