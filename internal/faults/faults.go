@@ -57,7 +57,7 @@ type Process struct {
 	accel float64
 	bias  float64
 	// kern is the hazard profile SetProfile attached, resolved for
-	// SampleNextAt, which thins candidate arrivals against it; the zero
+	// SampleNextAt, which inverts its integrated multiplier; the zero
 	// kernel (kernelNone) is no profile. See Hazard.
 	kern kernel
 }

@@ -12,31 +12,23 @@ import (
 // hazard at simulation time t is φ(t)·accel·bias/Mean. A nil Hazard on a
 // Process means φ ≡ 1 — the historical time-homogeneous Poisson channel.
 //
-// Profiles are sampled by thinning (Lewis–Shedler): SampleNextAt draws
-// candidate arrivals from a piecewise-constant envelope the profile
-// supplies through Envelope and accepts each with probability
-// φ(t)/envelope. Implementations must therefore guarantee
-// Multiplier(t) <= bound for every t in [from, from+dt) returned by
-// Envelope(from). The draw sequence consumed per accepted arrival depends
-// only on the profile and the candidate times, never on wall state, so
-// profiled trials keep the per-trial determinism contract.
+// Profiles are sampled by inverting their integrated multiplier
+// Λ(a, b) = ∫ₐᵇ φ: the next arrival after now is the u with
+// base·Λ(now, u) = E for one Exp(1) draw E. The draws consumed per
+// arrival depend only on the profile and the arrival times, never on
+// wall state, so profiled trials keep the per-trial determinism
+// contract.
 //
 // The four types here — ConstantHazard, PiecewiseHazard, WeibullHazard
 // and the ScaledHazard combinator — are the only implementations: the
 // unexported kernel method seals the interface. SetProfile resolves each
-// into a kernel that SampleNextAt evaluates without calling Envelope or
-// Multiplier; those methods define the profile and serve as the test
-// oracle for the kernels. internal/aging builds the paper's §6.5 bathtub
-// curves on top of PiecewiseHazard.
+// into a kernel that SampleNextAt evaluates without calling through the
+// interface. internal/aging builds the paper's §6.5 bathtub curves on
+// top of PiecewiseHazard.
 type Hazard interface {
 	// Multiplier returns φ(t) >= 0, the hazard multiplier at time t
 	// (hours since the start of the trial).
 	Multiplier(t float64) float64
-	// Envelope returns a finite bound >= sup φ over [t, t+dt) together
-	// with the window length dt > 0. dt may be +Inf when the bound holds
-	// forever. The thinning sampler advances window by window, so tight
-	// envelopes cost fewer rejected candidates.
-	Envelope(t float64) (bound, dt float64)
 	// MeanMultiplier returns the time-average of φ over [0, horizon]:
 	// the factor by which the profile scales the expected number of
 	// arrivals in a horizon relative to the constant-rate process.
@@ -49,21 +41,11 @@ type Hazard interface {
 	kernel() kernel
 }
 
-// maxHazardTime bounds the thinning walk: a candidate pushed beyond this
-// point (far past any simulation horizon, ~10^14 years) is treated as
-// "never", protecting against unbounded loops on profiles whose tail rate
-// is vanishingly small but positive.
+// maxHazardTime bounds every draw: an arrival beyond this point (far
+// past any simulation horizon, ~10^14 years) is treated as "never",
+// protecting against unbounded walks on profiles whose tail rate is
+// vanishingly small but positive.
 const maxHazardTime = 1e18
-
-// maxThinningRejects bounds the candidates one SampleNextAt call rejects
-// before it samples the rest of the wait by inverting the profile's
-// integrated multiplier (see kernel.advance). Only a Weibull kernel can
-// reject: the others' envelopes are tight. Realistic profiles reject a
-// few candidates per arrival, so they never reach the cap and keep their
-// exact draw sequence; a steep one (a Weibull shape of 100, or a scale
-// far beyond the channel's mean) would otherwise reject for hours per
-// arrival.
-const maxThinningRejects = 1 << 16
 
 // SetProfile attaches a hazard profile to the process; nil restores the
 // time-homogeneous behaviour. The profile multiplies the base hazard
@@ -81,97 +63,74 @@ func (p *Process) SetProfile(h Hazard) {
 
 // SampleNextAt draws the time from `now` until the next fault. With no
 // profile attached it delegates to SampleNext — one draw, bit-identical
-// to the historical path. With a profile it thins candidate arrivals
-// against the profile's envelope: in each envelope window it draws an
-// exponential candidate at rate bound·accel·bias/mean, advances to the
-// window end on overshoot, and otherwise accepts with probability
-// φ(candidate)/bound — outright when the envelope is tight (φ = bound,
-// as for constant and piecewise profiles), so the acceptance draw is
-// only spent where rejection is possible. After maxThinningRejects
-// rejections a Weibull kernel finishes the wait in one draw: no arrival
-// fell in [now, t], so the next one is where the integrated hazard from
-// t reaches a fresh Exp(1) draw — exact, like thinning. Envelope and
-// multiplier come from the process's kernel (see kernel), never from a
-// call through the Hazard interface. Returns +Inf when the process is
-// disabled or the profile's remaining mass is negligible.
+// to the historical path. With a profile it inverts the integrated
+// hazard from now, with base = accel·bias/mean:
+//
+//   - constant: one exponential draw at rate base·Factor;
+//   - Weibull: one Exp(1) draw E and the u with base·Λ(now, u) = E, in
+//     closed form (kernel.inverse);
+//   - piecewise: one exponential draw per segment at the segment's rate,
+//     walking on to the segment's end while the draw overshoots it
+//     (independent increments make the walk exact).
+//
+// Returns +Inf when the process is disabled, when now is past
+// maxHazardTime, when a Weibull arrival would fall past it or a
+// piecewise walk reaches it, and when the rest of the profile has no
+// rate (a zero-rate final segment, or a constant factor that
+// underflowed to 0).
 func (p *Process) SampleNextAt(now float64, src *rng.Source) float64 {
 	k := &p.kern
 	if k.kind == kernelNone {
 		return p.SampleNext(src)
 	}
-	if p.Disabled() {
+	if p.Disabled() || now > maxHazardTime {
 		return math.Inf(1)
 	}
 	base := p.accel * p.bias / p.mean
-	t := now
-	if k.kind == kernelConstant && k.bound > 0 && t <= maxHazardTime {
-		// A constant envelope is tight and endless, so the walk below
-		// would accept its first candidate: the same draw and the same
-		// arithmetic, in one step.
-		t += -math.Log(src.Float64Open()) / (base * k.bound)
+	switch k.kind {
+	case kernelConstant:
+		if !(k.bound > 0) {
+			return math.Inf(1)
+		}
+		t := now + -math.Log(src.Float64Open())/(base*k.bound)
 		if math.IsInf(t, 1) {
 			return t
 		}
 		return t - now
-	}
-	for rejects := 0; ; {
-		if t > maxHazardTime {
+	case kernelWeibull:
+		u := k.inverse(now, -math.Log(src.Float64Open())/base)
+		if u > maxHazardTime {
 			return math.Inf(1)
 		}
-		var bound, dt float64
-		switch k.kind {
-		case kernelWeibull:
-			// WeibullHazard.Envelope: the multiplier at the window end.
-			dt = (t + k.scale) / 4
-			bound = k.weibull(t + dt)
-		case kernelPiecewise:
-			i := segment(k.bounds, t)
-			bound, dt = k.factors[i], math.Inf(1)
-			if i < len(k.bounds) {
-				dt = k.bounds[i] - t
-			}
-		case kernelConstant:
-			bound, dt = k.bound, math.Inf(1)
+		return u - now
+	}
+	for t := now; t <= maxHazardTime; {
+		i := segment(k.bounds, t)
+		rate, end := k.factors[i], math.Inf(1)
+		if i < len(k.bounds) {
+			// t + (bound − t), not the bound: that sum's rounding is
+			// in every piecewise draw a stored result was made with.
+			end = t + (k.bounds[i] - t)
 		}
-		end := t + dt
-		if bound <= 0 {
+		if rate <= 0 {
 			if math.IsInf(end, 1) {
-				return math.Inf(1)
+				break
 			}
 			t = end
 			continue
 		}
-		t += -math.Log(src.Float64Open()) / (base * bound)
-		if t >= end {
-			t = end
-			continue
-		}
-		var m float64
-		switch k.kind {
-		case kernelWeibull:
-			m = k.weibull(t)
-		case kernelPiecewise:
-			m = k.factors[segment(k.bounds, t)]
-		case kernelConstant:
-			m = k.bound
-		}
-		if m >= bound || src.Float64Open()*bound <= m {
+		if t += -math.Log(src.Float64Open()) / (base * rate); t < end {
 			return t - now
 		}
-		if rejects++; rejects == maxThinningRejects && k.kind == kernelWeibull {
-			u := k.advance(t, -math.Log(src.Float64Open())/base)
-			if u > maxHazardTime {
-				return math.Inf(1)
-			}
-			return u - now
-		}
+		t = end
 	}
+	return math.Inf(1)
 }
 
 // ConstantHazard is the trivial profile φ(t) = Factor: a time-homogeneous
 // channel whose rate is Factor times the process's base rate. Factor 1 is
 // dynamically identical to no profile at all, but is sampled through the
-// thinning path and canonicalizes distinctly (profiled configs never
+// profiled path and canonicalizes distinctly (profiled configs never
 // collide with unprofiled cache keys). Used mostly as the explicit
 // "constant" arm of profile comparisons.
 type ConstantHazard struct {
@@ -191,11 +150,6 @@ func NewConstantHazard(factor float64) (ConstantHazard, error) {
 // Multiplier returns Factor.
 func (h ConstantHazard) Multiplier(float64) float64 { return h.Factor }
 
-// Envelope returns (Factor, +Inf): the bound holds forever.
-func (h ConstantHazard) Envelope(float64) (float64, float64) {
-	return h.Factor, math.Inf(1)
-}
-
 // MeanMultiplier returns Factor for every horizon.
 func (h ConstantHazard) MeanMultiplier(float64) float64 { return h.Factor }
 
@@ -211,8 +165,8 @@ func (h ConstantHazard) Validate() error {
 // t in [Bounds[i-1], Bounds[i]), with Bounds[-1] = 0 and the final factor
 // extending to +Inf. It is the general multiperiod-rate vocabulary —
 // burn-in/useful-life/wear-out bathtubs (internal/aging.Bathtub),
-// maintenance seasons, operator-outage windows — and doubles as its own
-// exact thinning envelope, so sampling never rejects inside a segment.
+// maintenance seasons, operator-outage windows. Sampling walks its
+// segments, one exponential draw per segment entered.
 type PiecewiseHazard struct {
 	// Bounds are the ascending segment boundaries in hours, each > 0.
 	// len(Factors) == len(Bounds)+1.
@@ -245,17 +199,6 @@ func segment(bounds []float64, t float64) int {
 // Multiplier returns the factor of the segment containing t.
 func (h PiecewiseHazard) Multiplier(t float64) float64 {
 	return h.Factors[segment(h.Bounds, t)]
-}
-
-// Envelope returns the exact segment rate and the time to its boundary
-// (+Inf in the final segment), so thinning accepts every in-window
-// candidate.
-func (h PiecewiseHazard) Envelope(t float64) (float64, float64) {
-	i := segment(h.Bounds, t)
-	if i == len(h.Bounds) {
-		return h.Factors[i], math.Inf(1)
-	}
-	return h.Factors[i], h.Bounds[i] - t
 }
 
 // MeanMultiplier integrates the step function over [0, horizon].
@@ -306,9 +249,10 @@ func (h PiecewiseHazard) Validate() error {
 // φ(t) = Shape·(t/Scale)^(Shape−1). With the process mean equal to Scale,
 // the first arrival is exactly Weibull(Shape, Scale) — mean
 // Scale·Γ(1+1/Shape) — which is the closed form the statistical tests
-// check the thinning sampler against. Shape must be >= 1: shapes below 1
-// have an unbounded hazard at t = 0 with no finite thinning envelope;
-// model infant mortality with a PiecewiseHazard burn-in segment instead.
+// check the sampler against. Shape must be >= 1. The sampler could
+// invert Λ for any positive shape, but below 1 the multiplier is
+// unbounded at t = 0, where Multiplier promises a finite φ; model infant
+// mortality with a PiecewiseHazard burn-in segment instead.
 type WeibullHazard struct {
 	// Shape is the Weibull k, >= 1 (1 = constant, memoryless).
 	Shape float64
@@ -334,17 +278,6 @@ func (h WeibullHazard) Multiplier(t float64) float64 {
 		return 0
 	}
 	return h.Shape * math.Pow(t/h.Scale, h.Shape-1)
-}
-
-// Envelope returns the multiplier at the window end — exact as a bound
-// because the profile is non-decreasing (Shape >= 1). Windows grow with
-// t, keeping the expected number of thinning rounds per arrival bounded.
-func (h WeibullHazard) Envelope(t float64) (float64, float64) {
-	if h.Shape == 1 {
-		return 1, math.Inf(1)
-	}
-	dt := (t + h.Scale) / 4
-	return h.Multiplier(t + dt), dt
 }
 
 // MeanMultiplier returns (horizon/Scale)^(Shape−1), the exact average of
@@ -403,12 +336,6 @@ func Normalize(h Hazard, horizon float64) (ScaledHazard, error) {
 // Multiplier returns Factor·Base.Multiplier(t).
 func (h ScaledHazard) Multiplier(t float64) float64 {
 	return h.Factor * h.Base.Multiplier(t)
-}
-
-// Envelope scales the base envelope.
-func (h ScaledHazard) Envelope(t float64) (float64, float64) {
-	bound, dt := h.Base.Envelope(t)
-	return h.Factor * bound, dt
 }
 
 // MeanMultiplier scales the base average.

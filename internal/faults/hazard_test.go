@@ -42,7 +42,7 @@ func TestSampleNextAtNilProfileBitIdentical(t *testing.T) {
 // TestWeibullThinningClosedFormMean is the statistical contract: a
 // process with mean m under WeibullHazard{Shape: k, Scale: m} has
 // first-arrival times distributed exactly Weibull(k, m), whose mean is
-// m·Γ(1+1/k). The thinning sampler must agree with the closed form.
+// m·Γ(1+1/k). The sampler must agree with the closed form.
 func TestWeibullThinningClosedFormMean(t *testing.T) {
 	const mean = 40000.0
 	const n = 100000
@@ -93,34 +93,54 @@ func TestConstantFastPathMatchesThinning(t *testing.T) {
 	}
 }
 
-// TestSteepWeibullFallsBackToInversion: a profile too steep to thin —
-// shape 100, where an envelope window overshoots φ by a factor of
-// 1.5^99 — finishes each draw by inverting the integrated multiplier
-// once it has rejected maxThinningRejects candidates, and the draws
-// still match the closed form Weibull(k, m) mean m·Γ(1+1/k). A scale far
-// beyond the channel's mean is "never", not hours of thinning.
-func TestSteepWeibullFallsBackToInversion(t *testing.T) {
-	const mean, shape = 100.0, 100.0
-	h, err := NewWeibullHazard(shape, mean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		profile Hazard
-		n       int
-	}{{h, 100}, {ScaledHazard{Base: h, Factor: 1}, 25}} {
-		p := mustProcess(t, mean)
-		p.SetProfile(c.profile)
+// TestWeibullDrawsOneUniformPerArrival is the work gate of the Weibull
+// sampler: one SampleNextAt call leaves the source exactly one
+// Float64Open ahead of a clone taken before it, for shapes with and
+// without a closed-form inverse, bare and under ScaledHazard factors,
+// from any start. A steep profile — shape 100, which a thinning walk
+// could only sample by rejecting candidates by the billion — still
+// matches the closed form Weibull(k, m) mean m·Γ(1+1/k), and a scale far
+// beyond the channel's mean is "never".
+func TestWeibullDrawsOneUniformPerArrival(t *testing.T) {
+	steep := WeibullHazard{Shape: 100, Scale: 100}
+	for _, h := range []Hazard{
+		WeibullHazard{Shape: 1.5, Scale: 200000},
+		WeibullHazard{Shape: 2, Scale: 200000},
+		WeibullHazard{Shape: 2.5, Scale: 200000},
+		ScaledHazard{Base: ScaledHazard{Base: WeibullHazard{Shape: 3, Scale: 5e4}, Factor: 0.7}, Factor: 1.3},
+		steep,
+		WeibullHazard{Shape: 3, Scale: 1e172},
+	} {
+		p := mustProcess(t, 1e5)
+		p.SetProfile(h)
 		src := rng.New(5)
+		for i := 0; i < 3000; i++ {
+			p.SetAcceleration(1 + float64(i%3))
+			now := []float64{0, 1, 150, 438300, 5e6, 1e18}[i%6]
+			clone := *src
+			p.SampleNextAt(now, src)
+			clone.Float64Open()
+			if *src != clone {
+				t.Fatalf("%+v from %v: the draw did not take exactly one uniform", h, now)
+			}
+		}
+	}
+
+	const mean, shape = 100.0, 100.0
+	for _, h := range []Hazard{steep, ScaledHazard{Base: steep, Factor: 1}} {
+		p := mustProcess(t, mean)
+		p.SetProfile(h)
+		src := rng.New(5)
+		const n = 10000
 		sum := 0.0
-		for i := 0; i < c.n; i++ {
+		for i := 0; i < n; i++ {
 			sum += p.SampleNextAt(0, src)
 		}
-		got, want := sum/float64(c.n), mean*math.Gamma(1+1/shape)
+		got, want := sum/n, mean*math.Gamma(1+1/shape)
 		// The Weibull(100, 100) standard deviation is about 1.28: allow
 		// five standard errors of the mean.
-		if tol := 5 * 1.28 / math.Sqrt(float64(c.n)); math.Abs(got-want) > tol {
-			t.Errorf("%T: sample mean %v vs closed form %v (tolerance %.2f)", c.profile, got, want, tol)
+		if tol := 5 * 1.28 / math.Sqrt(n); math.Abs(got-want) > tol {
+			t.Errorf("%T: sample mean %v vs closed form %v (tolerance %.3f)", h, got, want, tol)
 		}
 	}
 
@@ -227,7 +247,7 @@ func TestConstantHazardExponential(t *testing.T) {
 }
 
 // TestSampleNextAtDeterministic pins per-seed determinism of the
-// thinning path: identical seeds reproduce identical draw sequences.
+// profiled path: identical seeds reproduce identical draw sequences.
 func TestSampleNextAtDeterministic(t *testing.T) {
 	h, err := NewWeibullHazard(2, 30000)
 	if err != nil {
@@ -282,8 +302,9 @@ func TestSampleNextAtDisabled(t *testing.T) {
 	}
 }
 
-// TestEnvelopeBounds checks the thinning soundness invariant
-// Multiplier(t) <= bound over each envelope window.
+// TestEnvelopeBounds checks the soundness invariant of the thinning
+// oracle walkNextAt walks: Multiplier(t) <= bound over each envelope
+// window.
 func TestEnvelopeBounds(t *testing.T) {
 	profiles := []Hazard{
 		ConstantHazard{Factor: 3},
@@ -296,9 +317,9 @@ func TestEnvelopeBounds(t *testing.T) {
 			t.Fatalf("%T: %v", h, err)
 		}
 		for _, from := range []float64{0, 50, 100, 999, 5000, 123456} {
-			bound, dt := h.Envelope(from)
+			bound, dt := envelope(h, from, 1000)
 			if dt <= 0 {
-				t.Fatalf("%T: Envelope(%v) window %v <= 0", h, from, dt)
+				t.Fatalf("%T: envelope(%v) window %v <= 0", h, from, dt)
 			}
 			end := from + dt
 			if math.IsInf(end, 1) {

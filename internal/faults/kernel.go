@@ -16,35 +16,34 @@ const (
 	kernelWeibull
 )
 
-// powKind names how a Weibull kernel raises t/Scale to Shape−1.
+// powKind names the closed form a Weibull kernel inverts its integrated
+// multiplier with: Λ(t) = Scale·(t/Scale)^Shape, so a draw raises
+// x = t/Scale to Shape and the sum y back to 1/Shape.
 type powKind uint8
 
 const (
-	powGeneral powKind = iota // math.Pow
-	powSqrt                   // exponent 0.5: math.Pow returns math.Sqrt
-	powOne                    // exponent 1: math.Pow returns x
-	powSquare                 // exponent 2: x*x where the result is normal
+	powLog         powKind = iota // no closed form: advance, in log space
+	powThreeHalves                // x·√x, then Cbrt(y)²
+	powSquare                     // x², then Sqrt(y)
+	powCube                       // x³, then Cbrt(y)
 )
 
 // kernel is a profile resolved once, by SetProfile through
-// Hazard.kernel, into the concrete form SampleNextAt evaluates inline.
-// Every kernel computes exactly the values the profile's Envelope and
-// Multiplier methods return — the same float operations in the same
-// order — so a draw cannot tell the two apart
-// (TestKernelMatchesInterfaceWalk pins this bit for bit against a walk
-// that calls those methods). A kernel copies what it keeps: it is a
-// snapshot of the profile SetProfile was given.
+// Hazard.kernel, into the concrete form SampleNextAt draws from: its
+// integrated multiplier Λ(a, b) = ∫ₐᵇ φ (cumulative) and, for a Weibull
+// kernel, the inverse of Λ from a starting time (inverse). A kernel
+// copies what it keeps: it is a snapshot of the profile SetProfile was
+// given.
 type kernel struct {
 	kind kernelKind
 	// bound is a constant kernel's multiplier, ScaledHazard factors
-	// included: its envelope is tight and endless.
+	// included.
 	bound float64
 	// bounds and factors are a piecewise kernel's segments, each factor
 	// already multiplied by the ScaledHazard factors.
 	bounds, factors []float64
 	// shape, scale and pow describe a Weibull kernel of Shape > 1;
-	// scales are the ScaledHazard factors around it, innermost first,
-	// applied to each evaluation as the wrappers would apply them.
+	// scales are the ScaledHazard factors around it, innermost first.
 	shape, scale float64
 	pow          powKind
 	scales       []float64
@@ -61,19 +60,19 @@ func (h PiecewiseHazard) kernel() kernel {
 }
 
 // kernel returns the Weibull kernel, or for Shape 1 the constant kernel
-// it is: its envelope is (1, +Inf) and its multiplier 1.
+// it is: its multiplier is 1 forever.
 func (h WeibullHazard) kernel() kernel {
 	if h.Shape == 1 {
 		return kernel{kind: kernelConstant, bound: 1}
 	}
 	k := kernel{kind: kernelWeibull, shape: h.Shape, scale: h.Scale}
-	switch h.Shape - 1 {
-	case 0.5:
-		k.pow = powSqrt
-	case 1:
-		k.pow = powOne
+	switch h.Shape {
+	case 1.5:
+		k.pow = powThreeHalves
 	case 2:
 		k.pow = powSquare
+	case 3:
+		k.pow = powCube
 	}
 	return k
 }
@@ -95,53 +94,92 @@ func (h ScaledHazard) kernel() kernel {
 	return k
 }
 
-// weibull returns the Weibull kernel's multiplier at t, as
-// WeibullHazard.Multiplier under its ScaledHazard wrappers computes it.
-// math.Pow answers exponents 0.5 and 1 with Sqrt(x) and x itself, so
-// those are exact. For exponent 2 it rounds the mantissa product of x
-// with itself once, as x*x does, and then scales by a power of two,
-// which is exact unless the result is subnormal: there it rounds a
-// second time, so a subnormal x*x falls back to math.Pow.
-func (k *kernel) weibull(t float64) float64 {
-	v := 0.0
-	if t > 0 {
-		x := t / k.scale
-		var p float64
-		switch k.pow {
-		case powSqrt:
-			p = math.Sqrt(x)
-		case powOne:
-			p = x
-		case powSquare:
-			if p = x * x; !(p >= minNormal) {
-				p = math.Pow(x, 2)
+// cumulative returns Λ(a, b), the kernel's multiplier integrated over
+// [a, b] for 0 <= a <= b: the expected number of arrivals there at unit
+// base rate (b − a with no profile, φ ≡ 1).
+func (k *kernel) cumulative(a, b float64) float64 {
+	switch k.kind {
+	case kernelConstant:
+		return k.bound * (b - a)
+	case kernelPiecewise:
+		total, lo := 0.0, 0.0
+		for i, f := range k.factors {
+			hi := math.Inf(1)
+			if i < len(k.bounds) {
+				hi = k.bounds[i]
 			}
-		default:
-			p = math.Pow(x, k.shape-1)
+			if from, to := max(a, lo), min(b, hi); from < to {
+				total += f * (to - from)
+			}
+			lo = hi
 		}
-		v = k.shape * p
+		return total
+	case kernelWeibull:
+		if a >= b {
+			return 0
+		}
+		// Scale·(b/Scale)^Shape·(1 − (a/b)^Shape), in logs so that
+		// neither power under- or overflows on its own.
+		v := math.Exp(math.Log(k.scale)+k.shape*(math.Log(b)-math.Log(k.scale))) * -math.Expm1(k.shape*math.Log(a/b))
+		for _, f := range k.scales {
+			v = f * v
+		}
+		return v
 	}
-	for _, f := range k.scales {
-		v = f * v
+	return b - a
+}
+
+// inverse returns the time u >= t at which the Weibull kernel's
+// integrated multiplier from t reaches mass, Λ(t, u) = mass, or +Inf if
+// it never does within float range. It divides mass by the ScaledHazard
+// factors, outermost first, into the bare profile's units. For shapes
+// 1.5, 2 and 3 it solves (u/Scale)^Shape = (t/Scale)^Shape + mass/Scale
+// with powers and roots; advance answers every other shape, and any sum
+// that overflows, is subnormal or lost the increment to rounding.
+func (k *kernel) inverse(t, mass float64) float64 {
+	for i := len(k.scales) - 1; i >= 0; i-- {
+		mass /= k.scales[i]
 	}
-	return v
+	if k.pow == powLog {
+		return k.advance(t, mass)
+	}
+	x := t / k.scale
+	var p float64
+	switch k.pow {
+	case powThreeHalves:
+		p = x * math.Sqrt(x)
+	case powSquare:
+		p = x * x
+	case powCube:
+		p = x * x * x
+	}
+	y := p + mass/k.scale
+	if !(y > p && y >= minNormal && y <= math.MaxFloat64) {
+		return k.advance(t, mass)
+	}
+	var r float64
+	switch k.pow {
+	case powThreeHalves:
+		c := math.Cbrt(y)
+		r = c * c
+	case powSquare:
+		r = math.Sqrt(y)
+	case powCube:
+		r = math.Cbrt(y)
+	}
+	return math.Max(t, k.scale*r)
 }
 
 // minNormal is the smallest positive normal float64.
 const minNormal = 0x1p-1022
 
-// advance returns the time u >= t at which the Weibull kernel's
+// advance returns the time u >= t at which the bare Weibull profile's
 // integrated multiplier from t reaches mass, or +Inf if it never does
-// within float range. It divides mass by the ScaledHazard factors,
-// outermost first, into the bare profile's units, then inverts the
-// integrated multiplier Scale·(t/Scale)^Shape in log space, so extreme
-// shapes and scales neither overflow nor lose the starting time: with
-// a = ln((t/Scale)^Shape) and b = ln(mass/Scale),
+// within float range. It inverts Scale·(t/Scale)^Shape in log space, so
+// extreme shapes and scales neither overflow nor lose the starting
+// time: with a = ln((t/Scale)^Shape) and b = ln(mass/Scale),
 // u = Scale·exp(ln(e^a + e^b)/Shape).
 func (k *kernel) advance(t, mass float64) float64 {
-	for i := len(k.scales) - 1; i >= 0; i-- {
-		mass /= k.scales[i]
-	}
 	switch {
 	case mass <= 0:
 		return t

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // FuzzEstimateKey drives the /estimate body→key function with arbitrary
@@ -33,6 +35,60 @@ func FuzzEstimateKey(f *testing.F) {
 			if key != want || err == nil && progress != req.Progress {
 				t.Fatalf("pass %d: key %q progress %t, resolving from scratch gives %q %t", pass, key, progress, want, req.Progress)
 			}
+		}
+	})
+}
+
+// FuzzEstimateRun runs every /estimate body that resolves to a key
+// (FuzzEstimateKey's domain), as the daemon would resolve it, with the
+// trials clamped to a handful — at most 4, and an adaptive cap of 8 —
+// and 100 ms to run. The run must not panic and must return by its
+// deadline, give or take the cancellation poll inside a trial and
+// scheduling noise: one that never ends is cut from inside its trial.
+// Hazard bodies with extreme shapes and scales reach the profile
+// samplers this way.
+func FuzzEstimateRun(f *testing.F) {
+	for _, body := range []string{
+		`{"trials":200,"horizon_years":50,"seed":7}`,
+		`{"horizon_years":50,"target_rel_width":0.1,"max_trials":100000}`,
+		`{"trials":100,"horizon_years":40,"fleet":[{"tier":"consumer"},{"tier":"tape"}]}`,
+		`{"replicas":6,"trials":2}`,
+		`{"trials":1000,"horizon_years":10,"bias":4}`,
+		`{"trials":100,"horizon_years":50,"hazard":{"kind":"weibull","shape":1.5,"scale_hours":200000,"normalize_hours":438300}}`,
+		`{"trials":100,"hazard":{"kind":"weibull","shape":100,"scale_hours":100}}`,
+		`{"trials":100,"horizon_years":50,"hazard":{"kind":"weibull","shape":1e300,"scale_hours":1e-300}}`,
+		`{"trials":100,"horizon_years":50,"hazard":{"kind":"weibull","shape":2.5,"scale_hours":1e300}}`,
+		`{"trials":100,"horizon_years":20,"hazard":{"kind":"piecewise","bounds_hours":[8760,43800],"factors":[3,0,2]}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	svc := New(Config{CacheSize: 8, Shards: 1, QueueDepth: 1, JobTimeout: time.Second, SimParallel: 1,
+		MaxTrialsCap: 5000, DefaultTargetRel: 0.2})
+	f.Cleanup(func() { svc.Shutdown(context.Background()) })
+	const budget, slack = 100 * time.Millisecond, 3 * time.Second
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeEstimate(body)
+		if err != nil {
+			return
+		}
+		_, _, cfg, opt, err := svc.resolved(req)
+		if err != nil {
+			return
+		}
+		opt.Trials = min(opt.Trials, 4)
+		if opt.MaxTrials == 0 || opt.MaxTrials > 8 {
+			opt.MaxTrials = 8
+		}
+		r, err := sim.NewRunner(cfg)
+		if err != nil {
+			t.Fatalf("a body with a key builds no runner: %v", err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		defer cancel()
+		start := time.Now()
+		r.EstimateStream(ctx, opt, nil)
+		if elapsed := time.Since(start); elapsed > budget+slack {
+			t.Fatalf("the run took %v against a %v deadline", elapsed, budget)
 		}
 	})
 }

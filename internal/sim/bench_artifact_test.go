@@ -154,7 +154,7 @@ func censoredWeibullTrial(tb testing.TB) (*trial, float64) {
 }
 
 // BenchmarkTrialCensoredWeibull measures the worker-local reuse path on
-// a censored, profiled trial: thinning against the Weibull kernel and
+// a censored, profiled trial: inversion through the Weibull kernel and
 // correlated re-arms whose draws mostly land past the horizon.
 func BenchmarkTrialCensoredWeibull(b *testing.B) {
 	t, horizon := censoredWeibullTrial(b)

@@ -50,15 +50,14 @@ func (a *temporalArm) allocsPerTrial(n int) int64 {
 
 // TestBenchArtifactTemporal gates the hazard plumbing's hot-path cost:
 // an unprofiled trial must run within 1.10x of its pre-hazard speed
-// proxy (the ConstantHazard{1} arm bounds the thinning machinery; the
+// proxy (the ConstantHazard{1} arm bounds the profiled sampler; the
 // nil arm must not have picked up overhead from the profile plumbing
 // itself, which it can only show against the constant arm), and neither
-// profiled arm may allocate more than the nil path — thinning is
-// allocation-free by construction. The constant arm is dynamically
-// identical to the unprofiled process, so the ratio isolates pure
-// thinning overhead (the envelope walk and its interface calls; a tight
-// envelope spends no acceptance draws); the Weibull arm times a real
-// time-varying profile for context.
+// profiled arm may allocate more than the nil path — the profiled
+// sampler is allocation-free by construction. The constant arm is
+// dynamically identical to the unprofiled process, so the ratio
+// isolates the profiled path's own overhead; the Weibull arm times a
+// real time-varying profile for context.
 func TestBenchArtifactTemporal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark artifact is not a -short test")
@@ -101,11 +100,11 @@ func TestBenchArtifactTemporal(t *testing.T) {
 
 	overhead := float64(nsConst) / float64(nsNil)
 	if median > 1.10 {
-		t.Errorf("ConstantHazard{1} trials cost a median %.3fx the nil-profile path per round (fastest blocks %d vs %d ns/trial); thinning overhead exceeds the 1.10x budget",
+		t.Errorf("ConstantHazard{1} trials cost a median %.3fx the nil-profile path per round (fastest blocks %d vs %d ns/trial); profiled-path overhead exceeds the 1.10x budget",
 			median, nsConst, nsNil)
 	}
 	if allocsConst > allocsNil {
-		t.Errorf("profiled hot path allocates %d objects/trial vs nil %d; thinning must be allocation-free",
+		t.Errorf("profiled hot path allocates %d objects/trial vs nil %d; the profiled sampler must be allocation-free",
 			allocsConst, allocsNil)
 	}
 

@@ -166,6 +166,16 @@ func appendFloat(b []byte, v float64) []byte {
 // omission rule in appendValue.
 var hazardType = reflect.TypeOf((*faults.Hazard)(nil)).Elem()
 
+// drawVersions tags the encoded name of each type whose sampler changed
+// its draws after keys naming it were deployed, so those keys change
+// with it: a disk store or a worker of the earlier build must never
+// answer them with bytes this build would not reproduce. Weibull
+// profiles are sampled by inverting Λ since "/inverse"; before, by
+// thinning.
+var drawVersions = map[reflect.Type]string{
+	reflect.TypeOf(faults.WeibullHazard{}): "/inverse",
+}
+
 // structCodec is what encoding a struct type needs from reflection,
 // computed once per type: the "pkg.Type{" opener and, per field in
 // declaration order, its "Name:" label and whether the field is omitted
@@ -188,7 +198,7 @@ func codecOf(t reflect.Type) *structCodec {
 	if c, ok := structCodecs.Load(t); ok {
 		return c.(*structCodec)
 	}
-	c := &structCodec{open: t.String() + "{", fields: make([]fieldCodec, t.NumField())}
+	c := &structCodec{open: t.String() + drawVersions[t] + "{", fields: make([]fieldCodec, t.NumField())}
 	for i := range c.fields {
 		f := t.Field(i)
 		c.fields[i] = fieldCodec{label: f.Name + ":", omitNil: f.Type == hazardType}

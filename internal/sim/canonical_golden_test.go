@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/aging"
@@ -17,8 +18,9 @@ import (
 )
 
 // canonWeibull4Golden is the full canonical string of the 4-replica
-// uniform Weibull case below.
-const canonWeibull4Golden = `sim.Config/v1{replicas:4,minIntact:1,specs:[sim.ReplicaSpec{Label:"",VisibleMean:1.4e+06,LatentMean:280000,Scrub:scrub.Periodic{Interval:2920,Offset:0},AccessDetect:nil,Repair:repair.Policy{Visible:rng.Deterministic{Value:0.3333333333333333},Latent:rng.Deterministic{Value:0.3333333333333333},OperatorDelay:nil,BugLatentProb:0},Hazard:faults.WeibullHazard{Shape:1.5,Scale:200000}},sim.ReplicaSpec{Label:"",VisibleMean:1.4e+06,LatentMean:280000,Scrub:scrub.Periodic{Interval:2920,Offset:0},AccessDetect:nil,Repair:repair.Policy{Visible:rng.Deterministic{Value:0.3333333333333333},Latent:rng.Deterministic{Value:0.3333333333333333},OperatorDelay:nil,BugLatentProb:0},Hazard:faults.WeibullHazard{Shape:1.5,Scale:200000}},sim.ReplicaSpec{Label:"",VisibleMean:1.4e+06,LatentMean:280000,Scrub:scrub.Periodic{Interval:2920,Offset:0},AccessDetect:nil,Repair:repair.Policy{Visible:rng.Deterministic{Value:0.3333333333333333},Latent:rng.Deterministic{Value:0.3333333333333333},OperatorDelay:nil,BugLatentProb:0},Hazard:faults.WeibullHazard{Shape:1.5,Scale:200000}},sim.ReplicaSpec{Label:"",VisibleMean:1.4e+06,LatentMean:280000,Scrub:scrub.Periodic{Interval:2920,Offset:0},AccessDetect:nil,Repair:repair.Policy{Visible:rng.Deterministic{Value:0.3333333333333333},Latent:rng.Deterministic{Value:0.3333333333333333},OperatorDelay:nil,BugLatentProb:0},Hazard:faults.WeibullHazard{Shape:1.5,Scale:200000}}],correlation:faults.Independent{},shocks:[],auditLatent:0,auditVisible:0}sim.Options/v1{trials:500,horizon:438000,seed:7,level:0.95}`
+// uniform Weibull case below. The "/inverse" tag joined it when Weibull
+// draws moved from thinning to inversion (TestWeibullKeysFollowTheSampler).
+const canonWeibull4Golden = `sim.Config/v1{replicas:4,minIntact:1,specs:[sim.ReplicaSpec{Label:"",VisibleMean:1.4e+06,LatentMean:280000,Scrub:scrub.Periodic{Interval:2920,Offset:0},AccessDetect:nil,Repair:repair.Policy{Visible:rng.Deterministic{Value:0.3333333333333333},Latent:rng.Deterministic{Value:0.3333333333333333},OperatorDelay:nil,BugLatentProb:0},Hazard:faults.WeibullHazard/inverse{Shape:1.5,Scale:200000}},sim.ReplicaSpec{Label:"",VisibleMean:1.4e+06,LatentMean:280000,Scrub:scrub.Periodic{Interval:2920,Offset:0},AccessDetect:nil,Repair:repair.Policy{Visible:rng.Deterministic{Value:0.3333333333333333},Latent:rng.Deterministic{Value:0.3333333333333333},OperatorDelay:nil,BugLatentProb:0},Hazard:faults.WeibullHazard/inverse{Shape:1.5,Scale:200000}},sim.ReplicaSpec{Label:"",VisibleMean:1.4e+06,LatentMean:280000,Scrub:scrub.Periodic{Interval:2920,Offset:0},AccessDetect:nil,Repair:repair.Policy{Visible:rng.Deterministic{Value:0.3333333333333333},Latent:rng.Deterministic{Value:0.3333333333333333},OperatorDelay:nil,BugLatentProb:0},Hazard:faults.WeibullHazard/inverse{Shape:1.5,Scale:200000}},sim.ReplicaSpec{Label:"",VisibleMean:1.4e+06,LatentMean:280000,Scrub:scrub.Periodic{Interval:2920,Offset:0},AccessDetect:nil,Repair:repair.Policy{Visible:rng.Deterministic{Value:0.3333333333333333},Latent:rng.Deterministic{Value:0.3333333333333333},OperatorDelay:nil,BugLatentProb:0},Hazard:faults.WeibullHazard/inverse{Shape:1.5,Scale:200000}}],correlation:faults.Independent{},shocks:[],auditLatent:0,auditVisible:0}sim.Options/v1{trials:500,horizon:438000,seed:7,level:0.95}`
 
 // canonGoldenCase is one configuration of the canonical golden corpus.
 type canonGoldenCase struct {
@@ -31,7 +33,9 @@ type canonGoldenCase struct {
 // canonGoldenCorpus builds the corpus. Every value is a literal or a
 // pure constructor call, so the configurations cannot drift with the
 // code under test; the pinned digests were captured from the reflective
-// string-builder encoder the append-only encoder replaced.
+// string-builder encoder the append-only encoder replaced, except the
+// three Weibull entries, re-captured when Weibull draws moved from
+// thinning to inversion (TestWeibullKeysFollowTheSampler).
 func canonGoldenCorpus(t *testing.T) []canonGoldenCase {
 	t.Helper()
 	must := func(err error) {
@@ -161,11 +165,11 @@ func canonGoldenCorpus(t *testing.T) []canonGoldenCase {
 		{"hazard/piecewise", withHazard(2, piecewise), horizonOpt,
 			"4a55218d087e1d3195b32218f5b0e3d525de8183b6ef173ca9f769f690d0cec1"},
 		{"hazard/weibull-4", withHazard(4, weibull), horizonOpt,
-			"17d38d7c12a40c2edd584eacf61e9c049b3403b5a93a04971add1f01d1d64120"},
+			"2885a992feee0cd34fac8e9714148758cacab55a4991e114cef9f4b6f486f629"},
 		{"hazard/normalized", withHazard(2, normWeibull), horizonOpt,
-			"b67a8eba9c9f76c9364dd41e0317f7374cfe7d967054c677db4f097d1a8b06e5"},
+			"54889188036ad9027f09cfe9e16de2300e247bec5bfe19614f0f77e23459ea66"},
 		{"hazard/per-replica", perReplica, horizonOpt,
-			"57b054e034e699a00772c698fa08b11753fc928b806aab318076615f0c491edb"},
+			"5326e49d92bb896f0e43318022b939d90ef62b0715404536c97604d74714b226"},
 		{"shocks", shocks, opt,
 			"d41dd8285254a4ab4388cb22c9c1dc2cd910662983ff97264a5e2f473b39b5b4"},
 		{"access-detect", access, opt,
@@ -237,5 +241,53 @@ func TestCanonicalGoldenCorpus(t *testing.T) {
 		if c.name == "hazard/weibull-4" && s != canonWeibull4Golden {
 			t.Errorf("4-replica Weibull canonical string drifted:\n got %s\nwant %s", s, canonWeibull4Golden)
 		}
+	}
+}
+
+// parentWeibullSums are the corpus's Weibull digests before Weibull
+// draws moved from thinning to inversion: the keys a disk store or a
+// worker of that build holds.
+var parentWeibullSums = map[string]string{
+	"hazard/weibull-4":   "17d38d7c12a40c2edd584eacf61e9c049b3403b5a93a04971add1f01d1d64120",
+	"hazard/normalized":  "b67a8eba9c9f76c9364dd41e0317f7374cfe7d967054c677db4f097d1a8b06e5",
+	"hazard/per-replica": "57b054e034e699a00772c698fa08b11753fc928b806aab318076615f0c491edb",
+}
+
+// TestWeibullKeysFollowTheSampler: a configuration with a Weibull
+// profile, bare, normalized or beside other profiles, must key
+// differently from the build that sampled Weibull profiles by thinning,
+// and differ only by the "/inverse" tag on the profile's type name;
+// every other configuration of the corpus, unprofiled, constant and
+// piecewise among them, must keep the digest that build gave it.
+func TestWeibullKeysFollowTheSampler(t *testing.T) {
+	digest := func(s string) string {
+		sum := sha256.Sum256([]byte(s))
+		return hex.EncodeToString(sum[:])
+	}
+	weibull := 0
+	for _, c := range canonGoldenCorpus(t) {
+		s, err := sim.Canonical(c.cfg, c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		parent, ok := parentWeibullSums[c.name]
+		if !strings.Contains(s, "WeibullHazard") {
+			if ok || digest(s) != c.sum {
+				t.Errorf("%s: no Weibull profile, but the key moved from %s to %s", c.name, c.sum, digest(s))
+			}
+			continue
+		}
+		weibull++
+		switch {
+		case !ok:
+			t.Errorf("%s: a Weibull key with no parent digest", c.name)
+		case digest(s) == parent:
+			t.Errorf("%s: the Weibull key %s is still the thinning build's", c.name, parent)
+		case digest(strings.ReplaceAll(s, "faults.WeibullHazard/inverse{", "faults.WeibullHazard{")) != parent:
+			t.Errorf("%s: the key differs from the thinning build's by more than the tag", c.name)
+		}
+	}
+	if weibull != len(parentWeibullSums) {
+		t.Errorf("%d Weibull cases in the corpus, want %d", weibull, len(parentWeibullSums))
 	}
 }

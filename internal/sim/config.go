@@ -33,13 +33,13 @@
 // ReplicaSpec.Hazard (or the uniform Config.Hazard) attaches a hazard
 // profile — constant, piecewise/bathtub (internal/aging.Bathtub),
 // Weibull wear-out — that multiplies the channel's base rate over trial
-// time, sampled by thinning against the profile's rate envelope
+// time, sampled by inverting the profile's integrated hazard
 // (faults.Hazard). Profiled runs keep every determinism guarantee below;
 // configs without profiles remain byte-identical to historical output,
 // both in results and in canonical keys. Recorded fault/repair/access
 // event streams (internal/trace) replay through the same trial engine
 // via NewReplayRunner. The full probabilistic contract — process
-// semantics, the thinning envelope rules, bit-identity, and the
+// semantics, the inversion contract, bit-identity, and the
 // canonical-key folding — is specified in docs/MODEL.md.
 //
 // # Streaming estimation, adaptive precision, and the determinism contract
@@ -136,7 +136,7 @@ type ReplicaSpec struct {
 	// Hazard, when non-nil, makes both of this replica's fault channels
 	// time-varying: the instantaneous hazard at trial time t is the
 	// channel's base rate (1/mean) times Hazard.Multiplier(t), sampled
-	// by thinning (see faults.Hazard and docs/MODEL.md). nil inherits
+	// by inversion (see faults.Hazard and docs/MODEL.md). nil inherits
 	// Config.Hazard, which may itself be nil — the time-homogeneous
 	// default, byte-identical to historical behaviour. Incompatible
 	// with Options.Bias (the likelihood-ratio bookkeeping assumes

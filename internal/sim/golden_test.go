@@ -194,7 +194,9 @@ func withGolden(base func(*testing.T) Config, edit func(*Config)) func(*testing.
 // detection and a Weibull profile. Captured before the trial core
 // learned to skip acceleration work for static configurations and to
 // derive the audit and shock streams on first use; both changes must
-// leave every bit below unmoved.
+// leave every bit below unmoved. The Weibull case was re-captured when
+// Weibull arrivals moved from thinning to inversion, which changes
+// their draws.
 func trialPathGoldenCases() []goldenCase {
 	return []goldenCase{
 		{
@@ -275,10 +277,10 @@ func trialPathGoldenCases() []goldenCase {
 		{
 			name: "weibull", cfg: withGolden(goldenWithLatent, func(c *Config) { c.Hazard = faults.WeibullHazard{Shape: 1.5, Scale: 20000} }),
 			opt:   Options{Trials: 300, Seed: 14, Horizon: 20000},
-			mttdl: [3]uint64{0x40c1a7a79d28eebc, 0x40c0a8c30202c22d, 0x40c2a68c384f1b4b},
-			loss:  [3]uint64{0x3feed3a06d3a06d4, 0x3fedeffe7bc00309, 0x3fef574883bbfb23},
-			cens:  11, losses: 289,
-			maxTime: 0x40d3880000000000, rm: 0x40c1a7a79d28eebc, surv: 0x3fd8bf258bf258cb,
+			mttdl: [3]uint64{0x40c2196defdeeaca, 0x40c112ba31a9cc20, 0x40c32021ae140974},
+			loss:  [3]uint64{0x3fef40da740da741, 0x3fee7bedc60b8b2b, 0x3fefa30a3b4421e9},
+			cens:  7, losses: 293,
+			maxTime: 0x40d3880000000000, rm: 0x40c2196defdeeaca, surv: 0x3fd9d0369d0369dc,
 		},
 		{
 			name: "everything", cfg: goldenEverything,
@@ -336,7 +338,10 @@ const agedHorizon = 438300
 // and one that has none (2.5), a constant and a bathtub profile, all
 // censored at 50 years at α = 0.5, and one profiled run to loss, where
 // the engine has no horizon to park events behind. Captured before
-// either change; both must leave every bit below unmoved.
+// either change; both must leave every bit below unmoved. The Weibull
+// cases of shape above 1 were re-captured when Weibull arrivals moved
+// from thinning to inversion, which changes their draws; shape 1 is
+// the constant kernel and kept its bits.
 func profileGoldenCases() []goldenCase {
 	return []goldenCase{
 		{
@@ -350,34 +355,34 @@ func profileGoldenCases() []goldenCase {
 		{
 			name: "weibull-norm-1.5", cfg: goldenAged(normalizedWeibull(1.5)),
 			opt:   Options{Trials: 200, Seed: 22, Horizon: agedHorizon},
-			mttdl: [3]uint64{0x411970189b65b104, 0x411734fa104b94cb, 0x411bab37267fcd3d},
-			loss:  [3]uint64{0x3fc5c28f5c28f5c3, 0x3fbfd0c0f46c2ff2, 0x3fcd344f0a1091ab},
-			cens:  166, losses: 34,
-			maxTime: 0x411ac07000000000, rm: 0x411970189b65b104, surv: 0x3fee8f5c28f5c28f,
+			mttdl: [3]uint64{0x4118b76a47b917a2, 0x4116b40c804ab9fc, 0x411abac80f277548},
+			loss:  [3]uint64{0x3fcccccccccccccd, 0x3fc6188886e38b3a, 0x3fd26a5a33ababbc},
+			cens:  155, losses: 45,
+			maxTime: 0x411ac07000000000, rm: 0x4118b76a47b917a2, surv: 0x3fee147ae147ae14,
 		},
 		{
 			name: "weibull-norm-2", cfg: goldenAged(normalizedWeibull(2)),
 			opt:   Options{Trials: 200, Seed: 23, Horizon: agedHorizon},
-			mttdl: [3]uint64{0x4118f9f74f9fe145, 0x41179de3a8a4b633, 0x411a560af69b0c57},
-			loss:  [3]uint64{0x3fd147ae147ae148, 0x3fcb4b449df5b9b4, 0x3fd577c1a4ef377c},
-			cens:  146, losses: 54,
-			maxTime: 0x411ac07000000000, rm: 0x4118f9f74f9fe145, surv: 0x3fef0a3d70a3d70a,
+			mttdl: [3]uint64{0x4118dff3fea48738, 0x4117caf827bd9706, 0x4119f4efd58b776a},
+			loss:  [3]uint64{0x3fd47ae147ae147b, 0x3fd097cd9fb8b28b, 0x3fd8cd1c6d14c18b},
+			cens:  136, losses: 64,
+			maxTime: 0x411ac07000000000, rm: 0x4118dff3fea48738, surv: 0x3fef5c28f5c28f5c,
 		},
 		{
 			name: "weibull-norm-3", cfg: goldenAged(normalizedWeibull(3)),
 			opt:   Options{Trials: 200, Seed: 24, Horizon: agedHorizon},
-			mttdl: [3]uint64{0x411966cbe33733d0, 0x41188f6f7c8c90b6, 0x411a3e2849e1d6ea},
-			loss:  [3]uint64{0x3fd4cccccccccccd, 0x3fd0e3febda0acf5, 0x3fd921abeb4383e7},
-			cens:  135, losses: 65,
-			maxTime: 0x411ac07000000000, rm: 0x411966cbe33733d0, surv: 0x3fefd70a3d70a3d7,
+			mttdl: [3]uint64{0x411948cbcb53519c, 0x41189c7a628ad13f, 0x4119f51d341bd1f9},
+			loss:  [3]uint64{0x3fd8000000000000, 0x3fd3e509b8b8cbaf, 0x3fdc6827090ec4ef},
+			cens:  125, losses: 75,
+			maxTime: 0x411ac07000000000, rm: 0x411948cbcb53519c, surv: 0x3fefd70a3d70a3d7,
 		},
 		{
 			name: "weibull-norm-2.5", cfg: goldenAged(normalizedWeibull(2.5)),
 			opt:   Options{Trials: 200, Seed: 25, Horizon: agedHorizon},
-			mttdl: [3]uint64{0x41195cbe82456194, 0x41184f3fcdcb7f03, 0x411a6a3d36bf4425},
-			loss:  [3]uint64{0x3fd199999999999a, 0x3fcbe0c5af27c046, 0x3fd5cdc1b86cf0f9},
-			cens:  145, losses: 55,
-			maxTime: 0x411ac07000000000, rm: 0x41195cbe82456194, surv: 0x3fef851eb851eb85,
+			mttdl: [3]uint64{0x4119248e3fcecdba, 0x41180d0814adc868, 0x411a3c146aefd30c},
+			loss:  [3]uint64{0x3fd3d70a3d70a3d7, 0x3fcfffa77c86fe46, 0x3fd82395165c7b65},
+			cens:  138, losses: 62,
+			maxTime: 0x411ac07000000000, rm: 0x4119248e3fcecdba, surv: 0x3fefae147ae147ae,
 		},
 		{
 			name: "constant", cfg: goldenAged(func(*testing.T) faults.Hazard { return faults.ConstantHazard{Factor: 1.5} }),
@@ -410,10 +415,10 @@ func profileGoldenCases() []goldenCase {
 				c.Hazard = h
 			}),
 			opt:   Options{Trials: 200, Seed: 28},
-			mttdl: [3]uint64{0x40c62fde07491bfd, 0x40c51614236e90e1, 0x40c749a7eb23a719},
+			mttdl: [3]uint64{0x40c4e776aa120ce5, 0x40c3c7026cd576cc, 0x40c607eae74ea2fe},
 			loss:  [3]uint64{0x0, 0x0, 0x0},
 			cens:  0, losses: 200,
-			maxTime: 0x40d62539b8ca5226, rm: 0x0, surv: 0x3ff0000000000000,
+			maxTime: 0x40d76c26bb07f624, rm: 0x0, surv: 0x3ff0000000000000,
 		},
 	}
 }

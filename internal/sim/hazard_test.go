@@ -57,8 +57,8 @@ func TestHazardFingerprintsDistinct(t *testing.T) {
 	}
 
 	// Even the dynamically-identical unit profile must fingerprint apart
-	// from nil: a profiled run consumes randomness differently (thinning
-	// draws), so it is a different result.
+	// from nil: a profiled run consumes randomness differently, so it is
+	// a different result.
 	unit := cfg
 	unit.Hazard = faults.ConstantHazard{Factor: 1}
 	fpUnit, err := Fingerprint(unit, opt)

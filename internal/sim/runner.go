@@ -60,9 +60,10 @@ type Options struct {
 	// the stop is known the moment the stopping batch merges, a batch
 	// in progress then is abandoned within one trial, and batches
 	// finished ahead of the stopping one are dropped. While the workers
-	// keep pace, that is at most about (Parallel−1)·BatchSize trials; a
-	// stalled worker (more workers than cores) lets the others run
-	// further ahead, and what they finish past the stop is lost too.
+	// keep pace, that is about (Parallel−1)·BatchSize trials; with more
+	// workers than cores, where a stalled worker would let the others
+	// run ahead, no worker starts a batch Parallel or more batches past
+	// the merged prefix, so that is the most a stop discards.
 	TargetRelWidth float64
 	// MaxTrials caps an adaptive run's trial budget; 0 defaults to
 	// 1<<20. Ignored in fixed-trial mode.
@@ -309,6 +310,13 @@ type batchState struct {
 	// discarded counts trials simulated in batches the stop made
 	// unmergeable.
 	discarded atomic.Int64
+	// window, when positive, is how many batches past the merged prefix
+	// a worker may start: set for an adaptive run with more workers than
+	// cores, where a worker the scheduler favours would otherwise run
+	// far ahead and the stop would discard its batches. Workers held
+	// back wait on gate, which every fold and every leaving worker wakes.
+	window int
+	gate   *sync.Cond
 
 	mu      sync.Mutex
 	pending map[int]*accumulator
@@ -352,7 +360,7 @@ func (s *batchState) work(r *Runner, done <-chan struct{}) {
 	}
 	for {
 		b := s.next.Add(1) - 1
-		if b >= s.stopAt.Load() {
+		if b >= s.stopAt.Load() || s.window > 0 && !s.admit(int(b), done) {
 			return
 		}
 		lo, hi := s.bounds(int(b))
@@ -389,6 +397,27 @@ func (s *batchState) work(r *Runner, done <-chan struct{}) {
 		}
 		s.fold(acc)
 	}
+}
+
+// admit holds a worker that claimed batch b until b is fewer than
+// window batches past the merged prefix, so a stop discards at most
+// (window−1)·BatchSize trials. It reports false if the run stopped at or
+// before b, or was cancelled, meanwhile.
+func (s *batchState) admit(b int, done <-chan struct{}) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for b >= s.folded+s.window {
+		select {
+		case <-done:
+			return false
+		default:
+		}
+		if int64(b) >= s.stopAt.Load() {
+			return false
+		}
+		s.gate.Wait()
+	}
+	return true
 }
 
 // fold hands a finished batch to the in-order merge and merges every
@@ -443,22 +472,31 @@ func (s *batchState) fold(acc *accumulator) {
 			s.sink(s.global.snapshot(s.opt, s.folded, s.opt.budget()))
 		}
 	}
+	if s.window > 0 {
+		s.gate.Broadcast()
+	}
 }
 
 // leave runs as a worker exits. It turns a panic, the worker's own or
 // the sink's, into a stop at batch 0 that the calling goroutine
-// re-raises once every worker has left.
+// re-raises once every worker has left, and wakes the workers admit
+// holds back, which may have waited on this one's batch.
 func (s *batchState) leave() {
 	p := recover()
-	if p == nil {
+	if p == nil && s.window == 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.panicked == nil {
-		s.panicked = fmt.Sprintf("sim: estimation worker panicked: %v\n%s", p, debug.Stack())
+	if p != nil {
+		if s.panicked == nil {
+			s.panicked = fmt.Sprintf("sim: estimation worker panicked: %v\n%s", p, debug.Stack())
+		}
+		s.stopAt.Store(0)
 	}
-	s.stopAt.Store(0)
+	if s.window > 0 {
+		s.gate.Broadcast()
+	}
 }
 
 // EstimateStream is the streaming estimation core: workers fold trials
@@ -550,6 +588,10 @@ func (r *Runner) stream(ctx context.Context, opt Options, sink func(Progress), r
 	}
 	s.stopAt.Store(int64(numBatches))
 	s.global.weighted = opt.Bias != 0
+	if opt.adaptive() && opt.Parallel > runtime.GOMAXPROCS(0) {
+		s.window = opt.Parallel
+		s.gate = sync.NewCond(&s.mu)
+	}
 
 	done := ctx.Done()
 	var wg sync.WaitGroup

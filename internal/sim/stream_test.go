@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -314,8 +316,10 @@ func TestDeadlineEndsTrialThatNeverEnds(t *testing.T) {
 // An adaptive run throws away only work past its stop, and counts it.
 // A single worker merges each batch before it claims the next, so it
 // knows the stop before it could start a batch past it and discards
-// nothing. At Parallel 4 the other workers' batches past the stop are
-// discarded, and the answer is still the Parallel 1 answer.
+// nothing. With two more workers than cores, the admission window
+// holds every worker within Parallel batches of the merged prefix, so
+// at most (Parallel−1)·BatchSize trials are discarded, and the answer
+// is still the Parallel 1 answer.
 func TestAdaptiveDiscard(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	EnableMetrics(reg)
@@ -325,7 +329,8 @@ func TestAdaptiveDiscard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const par, batch = 4, 64
+	const batch = 64
+	par := runtime.GOMAXPROCS(0) + 2
 	for seed := uint64(1); seed <= 4; seed++ {
 		opt := Options{Seed: seed, Horizon: 20000, Bias: AutoBias,
 			TargetRelWidth: 0.05, MaxTrials: 1 << 16, BatchSize: batch, Parallel: 1}
@@ -346,11 +351,63 @@ func TestAdaptiveDiscard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("seed %d: stopped at %d trials, %d discarded at Parallel %d",
-			seed, serial.Trials, m.trialsDiscarded.Value()-before, par)
+		d := m.trialsDiscarded.Value() - before
+		t.Logf("seed %d: stopped at %d trials, %d discarded at Parallel %d", seed, serial.Trials, d, par)
+		if d > uint64((par-1)*batch) {
+			t.Errorf("seed %d: Parallel %d discarded %d trials, more than (Parallel−1)·BatchSize = %d", seed, par, d, (par-1)*batch)
+		}
 		if !reflect.DeepEqual(parallel, serial) {
 			t.Errorf("seed %d: Parallel %d estimate differs from Parallel 1", seed, par)
 		}
+	}
+}
+
+// admit holds a worker back until its batch is inside the window past
+// the merged prefix, and lets it go, unadmitted, when the run is
+// cancelled or stops at or before its batch while it waits.
+func TestAdmitWaitsForThePrefix(t *testing.T) {
+	newState := func() *batchState {
+		s := &batchState{window: 2}
+		s.gate = sync.NewCond(&s.mu)
+		s.stopAt.Store(100)
+		return s
+	}
+	wait := func(s *batchState, b int, done chan struct{}) chan bool {
+		got := make(chan bool, 1)
+		go func() { got <- s.admit(b, done) }()
+		select {
+		case v := <-got:
+			t.Fatalf("batch %d two past the window: admit returned %v without waiting", b, v)
+		case <-time.After(20 * time.Millisecond):
+		}
+		return got
+	}
+	wake := func(s *batchState, edit func()) {
+		s.mu.Lock()
+		edit()
+		s.gate.Broadcast()
+		s.mu.Unlock()
+	}
+
+	s := newState()
+	got := wait(s, 3, nil)
+	wake(s, func() { s.folded = 2 })
+	if !<-got {
+		t.Error("the prefix reached the window, but the batch was not admitted")
+	}
+	s = newState()
+	done := make(chan struct{})
+	got = wait(s, 3, done)
+	close(done)
+	s.leave() // a worker that saw done leaves and wakes the rest
+	if <-got {
+		t.Error("a cancelled run admitted a waiting batch")
+	}
+	s = newState()
+	got = wait(s, 3, nil)
+	wake(s, func() { s.stopAt.Store(3) })
+	if <-got {
+		t.Error("a batch at the stop was admitted")
 	}
 }
 

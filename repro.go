@@ -61,7 +61,7 @@
 //
 // The fault processes are constant-rate by default, as in the paper;
 // SimConfig.Hazard makes them non-stationary (burn-in, wear-out).
-// docs/MODEL.md specifies the profiles, their sampling by thinning, and
+// docs/MODEL.md specifies the profiles, their sampling by inversion, and
 // the determinism contract; `ltsim -hazard` is the command-line route.
 //
 // # Trace record and replay
