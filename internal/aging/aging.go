@@ -8,11 +8,11 @@
 //
 // The package provides conditional Weibull sampling (remaining lifetime
 // given current age) and a small renewal simulation of a mirrored pair
-// whose drives age, fail, and are replaced. internal/sim thins
-// time-varying hazards exactly, but its profiles run on trial time: a
-// replica has no starting age, and replacing a drive does not reset its
-// age. E14's same-batch versus rolling-procurement comparison needs
-// both, so it runs here.
+// whose drives age, fail, and are replaced. internal/sim samples
+// time-varying hazards exactly, by inverting their integrated hazard,
+// but its profiles run on trial time: a replica has no starting age, and
+// replacing a drive does not reset its age. E14's same-batch versus
+// rolling-procurement comparison needs both, so it runs here.
 package aging
 
 import (

@@ -147,8 +147,17 @@ func runWorkedScenario(ctx context.Context, cfg RunConfig, sc workedScenario) (*
 
 	procErr := math.Abs(model.Years(paperEval)-sc.paperYears) / sc.paperYears
 	res.addNote("paper procedure reproduces the printed %.1f years within %.2f%%", sc.paperYears, procErr*100)
-	res.addNote("physical simulation MTTDL %.1f years vs paper %.1f — the closed forms count first faults at rate 1/MV for the pair instead of 2/MV (docs/MODEL.md §5)",
-		model.Years(est.MTTDL.Point), sc.paperYears)
+	// The closed forms count first faults at 1/MV for the pair where
+	// the simulation's two replicas fault at 2/MV, which can only put
+	// the simulation below the paper, by at most the replica count.
+	simYears := model.Years(est.MTTDL.Point)
+	if ratio := simYears / sc.paperYears; ratio >= 0.5 && ratio <= 1 {
+		res.addNote("physical simulation MTTDL %.1f years vs paper %.1f (ratio %.2f) — within [0.5, 1], where the closed forms counting first faults at rate 1/MV for the pair instead of 2/MV can explain it (docs/MODEL.md §5)",
+			simYears, sc.paperYears, ratio)
+	} else {
+		res.addNote("physical simulation MTTDL %.1f years vs paper %.1f (ratio %.2f) — outside [0.5, 1], so more than the closed forms' 1/MV-vs-2/MV convention can explain; not yet traced (ROADMAP.md, exact Markov reference; docs/MODEL.md §5)",
+			simYears, sc.paperYears, ratio)
+	}
 	if sc.id == "E4" {
 		res.addNote("eq 11 applies 1/α to an already-certain window probability; the clamped eq 7 is %.0fx less pessimistic (see model.TestEq11AlphaPessimism)",
 			model.Years(full)/model.Years(paperEval))

@@ -21,20 +21,11 @@ import (
 //
 // The four types here — ConstantHazard, PiecewiseHazard, WeibullHazard
 // and the ScaledHazard combinator — are the only implementations: the
-// unexported kernel method seals the interface. SetProfile resolves each
-// into a kernel that SampleNextAt evaluates without calling through the
-// interface. internal/aging builds the paper's §6.5 bathtub curves on
-// top of PiecewiseHazard.
+// unexported kernel method seals the interface. A profile is its
+// kernel: SetProfile resolves it into the kernel SampleNextAt evaluates,
+// and Normalize reads its mean multiplier there. internal/aging builds
+// the paper's §6.5 bathtub curves on top of PiecewiseHazard.
 type Hazard interface {
-	// Multiplier returns φ(t) >= 0, the hazard multiplier at time t
-	// (hours since the start of the trial).
-	Multiplier(t float64) float64
-	// MeanMultiplier returns the time-average of φ over [0, horizon]:
-	// the factor by which the profile scales the expected number of
-	// arrivals in a horizon relative to the constant-rate process.
-	// Equal-mean-rate comparisons (experiment E17) normalize profiles so
-	// this is 1.
-	MeanMultiplier(horizon float64) float64
 	// Validate reports whether the profile's parameters are in domain.
 	Validate() error
 	// kernel resolves the profile into the form SampleNextAt evaluates.
@@ -147,12 +138,6 @@ func NewConstantHazard(factor float64) (ConstantHazard, error) {
 	return h, nil
 }
 
-// Multiplier returns Factor.
-func (h ConstantHazard) Multiplier(float64) float64 { return h.Factor }
-
-// MeanMultiplier returns Factor for every horizon.
-func (h ConstantHazard) MeanMultiplier(float64) float64 { return h.Factor }
-
 // Validate reports whether Factor is in domain.
 func (h ConstantHazard) Validate() error {
 	if math.IsNaN(h.Factor) || math.IsInf(h.Factor, 0) || h.Factor <= 0 {
@@ -196,28 +181,6 @@ func segment(bounds []float64, t float64) int {
 	return len(bounds)
 }
 
-// Multiplier returns the factor of the segment containing t.
-func (h PiecewiseHazard) Multiplier(t float64) float64 {
-	return h.Factors[segment(h.Bounds, t)]
-}
-
-// MeanMultiplier integrates the step function over [0, horizon].
-func (h PiecewiseHazard) MeanMultiplier(horizon float64) float64 {
-	if horizon <= 0 {
-		return h.Factors[0]
-	}
-	total, prev := 0.0, 0.0
-	for i, b := range h.Bounds {
-		if b >= horizon {
-			break
-		}
-		total += h.Factors[i] * (b - prev)
-		prev = b
-	}
-	total += h.Multiplier(horizon) * (horizon - prev)
-	return total / horizon
-}
-
 // Validate reports whether the segments are well-formed.
 func (h PiecewiseHazard) Validate() error {
 	if len(h.Factors) != len(h.Bounds)+1 {
@@ -251,8 +214,9 @@ func (h PiecewiseHazard) Validate() error {
 // Scale·Γ(1+1/Shape) — which is the closed form the statistical tests
 // check the sampler against. Shape must be >= 1. The sampler could
 // invert Λ for any positive shape, but below 1 the multiplier is
-// unbounded at t = 0, where Multiplier promises a finite φ; model infant
-// mortality with a PiecewiseHazard burn-in segment instead.
+// unbounded at t = 0, and the thinning and midpoint-rule oracles that
+// check the sampler need a bounded φ; model infant mortality with a
+// PiecewiseHazard burn-in segment instead.
 type WeibullHazard struct {
 	// Shape is the Weibull k, >= 1 (1 = constant, memoryless).
 	Shape float64
@@ -269,26 +233,6 @@ func NewWeibullHazard(shape, scale float64) (WeibullHazard, error) {
 	return h, nil
 }
 
-// Multiplier returns Shape·(t/Scale)^(Shape−1).
-func (h WeibullHazard) Multiplier(t float64) float64 {
-	if h.Shape == 1 {
-		return 1
-	}
-	if t <= 0 {
-		return 0
-	}
-	return h.Shape * math.Pow(t/h.Scale, h.Shape-1)
-}
-
-// MeanMultiplier returns (horizon/Scale)^(Shape−1), the exact average of
-// φ over [0, horizon].
-func (h WeibullHazard) MeanMultiplier(horizon float64) float64 {
-	if h.Shape == 1 || horizon <= 0 {
-		return 1
-	}
-	return math.Pow(horizon/h.Scale, h.Shape-1)
-}
-
 // Validate reports whether shape and scale are in domain.
 func (h WeibullHazard) Validate() error {
 	if math.IsNaN(h.Shape) || math.IsInf(h.Shape, 0) || h.Shape < 1 {
@@ -302,7 +246,7 @@ func (h WeibullHazard) Validate() error {
 
 // ScaledHazard multiplies another profile by a positive constant. Its
 // main use is equal-mean-rate normalization: Normalize wraps a profile so
-// its MeanMultiplier over a reference horizon is exactly 1, letting
+// its mean multiplier over a reference horizon is exactly 1, letting
 // profile-shape comparisons (E17) hold the expected fault count fixed.
 type ScaledHazard struct {
 	// Base is the underlying profile.
@@ -311,9 +255,10 @@ type ScaledHazard struct {
 	Factor float64
 }
 
-// Normalize returns h scaled so its mean multiplier over [0, horizon] is
-// 1: the profile reshapes *when* faults arrive without changing how many
-// arrive on average within the horizon.
+// Normalize returns h scaled so its mean multiplier over [0, horizon],
+// Λ(0, horizon)/horizon, is 1: the profile reshapes *when* faults
+// arrive without changing how many arrive on average within the
+// horizon.
 func Normalize(h Hazard, horizon float64) (ScaledHazard, error) {
 	if h == nil {
 		return ScaledHazard{}, fmt.Errorf("%w: cannot normalize a nil hazard", ErrInvalid)
@@ -324,23 +269,14 @@ func Normalize(h Hazard, horizon float64) (ScaledHazard, error) {
 	if math.IsNaN(horizon) || math.IsInf(horizon, 0) || horizon <= 0 {
 		return ScaledHazard{}, fmt.Errorf("%w: normalization horizon %v must be positive and finite", ErrInvalid, horizon)
 	}
+	k := h.kernel()
 	// A mean multiplier so small that its reciprocal overflows is as
 	// unnormalizable as zero.
-	m := h.MeanMultiplier(horizon)
+	m := k.mean(horizon)
 	if math.IsNaN(m) || m <= 0 || math.IsInf(m, 0) || math.IsInf(1/m, 0) {
 		return ScaledHazard{}, fmt.Errorf("%w: hazard mean multiplier %v over %v h is not normalizable", ErrInvalid, m, horizon)
 	}
 	return ScaledHazard{Base: h, Factor: 1 / m}, nil
-}
-
-// Multiplier returns Factor·Base.Multiplier(t).
-func (h ScaledHazard) Multiplier(t float64) float64 {
-	return h.Factor * h.Base.Multiplier(t)
-}
-
-// MeanMultiplier scales the base average.
-func (h ScaledHazard) MeanMultiplier(horizon float64) float64 {
-	return h.Factor * h.Base.MeanMultiplier(horizon)
 }
 
 // Validate checks the factor and the base profile.

@@ -303,7 +303,7 @@ func TestSampleNextAtDisabled(t *testing.T) {
 }
 
 // TestEnvelopeBounds checks the soundness invariant of the thinning
-// oracle walkNextAt walks: Multiplier(t) <= bound over each envelope
+// oracle walkNextAt walks: multiplier(h, t) <= bound over each envelope
 // window.
 func TestEnvelopeBounds(t *testing.T) {
 	profiles := []Hazard{
@@ -330,8 +330,8 @@ func TestEnvelopeBounds(t *testing.T) {
 				if at >= from+dt {
 					break
 				}
-				if m := h.Multiplier(at); m > bound*(1+1e-12) {
-					t.Fatalf("%T: Multiplier(%v) = %v exceeds envelope %v from %v", h, at, m, bound, from)
+				if m := multiplier(h, at); m > bound*(1+1e-12) {
+					t.Fatalf("%T: multiplier(%v) = %v exceeds envelope %v from %v", h, at, m, bound, from)
 				}
 			}
 		}
@@ -339,27 +339,77 @@ func TestEnvelopeBounds(t *testing.T) {
 }
 
 // TestMeanMultiplierClosedForms pins the analytic averages the
-// equal-mean-rate normalization depends on.
+// equal-mean-rate normalization depends on, read from the kernel.
 func TestMeanMultiplierClosedForms(t *testing.T) {
+	mean := func(h Hazard, horizon float64) float64 {
+		k := h.kernel()
+		return k.mean(horizon)
+	}
 	w := WeibullHazard{Shape: 2, Scale: 1000}
-	if got, want := w.MeanMultiplier(4000), 4.0; math.Abs(got-want) > 1e-12 {
+	if got, want := mean(w, 4000), 4.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("weibull mean multiplier %v, want %v", got, want)
 	}
 	pw := PiecewiseHazard{Bounds: []float64{100}, Factors: []float64{5, 1}}
 	// (5·100 + 1·900)/1000 = 1.4
-	if got, want := pw.MeanMultiplier(1000), 1.4; math.Abs(got-want) > 1e-12 {
+	if got, want := mean(pw, 1000), 1.4; math.Abs(got-want) > 1e-12 {
 		t.Errorf("piecewise mean multiplier %v, want %v", got, want)
 	}
 	// Horizon inside the first segment.
-	if got, want := pw.MeanMultiplier(50), 5.0; math.Abs(got-want) > 1e-12 {
+	if got, want := mean(pw, 50), 5.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("piecewise short-horizon mean multiplier %v, want %v", got, want)
 	}
-	n, err := Normalize(pw, 1000)
-	if err != nil {
-		t.Fatalf("Normalize: %v", err)
+	// Horizon exactly on the bound: the first segment, all at factor 5.
+	if got, want := mean(pw, 100), 5.0; math.Abs(got-want) > 1e-12 {
+		t.Errorf("piecewise mean multiplier at the bound %v, want %v", got, want)
 	}
-	if got := n.MeanMultiplier(1000); math.Abs(got-1) > 1e-12 {
-		t.Errorf("normalized mean multiplier %v, want 1", got)
+	// A normalized profile's own mean, ScaledHazard factor included, is 1.
+	for _, h := range []Hazard{pw, w, ConstantHazard{Factor: 2.5}, WeibullHazard{Shape: 1, Scale: 10}} {
+		n, err := Normalize(h, 4000)
+		if err != nil {
+			t.Fatalf("Normalize(%v): %v", h, err)
+		}
+		if got := mean(n, 4000); math.Abs(got-1) > 1e-12 {
+			t.Errorf("normalized %v: mean multiplier %v, want 1", h, got)
+		}
+	}
+}
+
+// TestNormalizeAtSegmentBounds normalizes piecewise and bathtub
+// profiles over a horizon exactly on each segment bound and a relative
+// 1e-12 either side of it. Each normalized profile must see mean
+// multiplier Λ(0, h)/h = 1 within 1e-12, and the normalizing factor
+// must not jump across the bound. Moving the horizon by a relative
+// 1e-12 moves the factor by about 1e-12 times the jump in φ over the
+// mean, so a relative 1e-9 is far looser than correct arithmetic needs
+// and far tighter than charging a segment at its neighbour's factor.
+func TestNormalizeAtSegmentBounds(t *testing.T) {
+	for _, h := range []PiecewiseHazard{
+		{Bounds: []float64{100}, Factors: []float64{5, 1}},
+		{Bounds: []float64{1000, 5000}, Factors: []float64{3, 1, 0.5}},
+		{Bounds: []float64{1e4, 2e4, 3e6}, Factors: []float64{1, 0, 2, 0}},
+		{Bounds: []float64{2000, 12000}, Factors: []float64{3, 1, 6}},  // E17's bathtub
+		{Bounds: []float64{2000, 12000}, Factors: []float64{3, 1, 12}}, // and its steep wear-out
+		{Bounds: []float64{12000}, Factors: []float64{1, 6}},           // a bathtub with no burn-in
+	} {
+		for _, b := range h.Bounds {
+			var factors [3]float64
+			for i, horizon := range []float64{b * (1 - 1e-12), b, b * (1 + 1e-12)} {
+				n, err := Normalize(h, horizon)
+				if err != nil {
+					t.Fatalf("%v at %v h: %v", h, horizon, err)
+				}
+				k := n.kernel()
+				if m := k.cumulative(0, horizon) / horizon; math.Abs(m-1) > 1e-12 {
+					t.Errorf("%v normalized at %v h: mean multiplier %v, want 1", h, horizon, m)
+				}
+				factors[i] = n.Factor
+			}
+			for _, f := range []float64{factors[0], factors[2]} {
+				if math.Abs(f-factors[1]) > 1e-9*factors[1] {
+					t.Errorf("%v: factor %v at the bound %v h, %v beside it", h, factors[1], b, f)
+				}
+			}
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ func (h WeibullHazard) kernel() kernel {
 }
 
 // kernel applies Factor to the base's kernel after the base's own
-// factors, as Multiplier applies it to the base's multiplier.
+// factors: Factor·(f·φ), never (Factor·f)·φ.
 func (h ScaledHazard) kernel() kernel {
 	k := h.Base.kernel()
 	switch k.kind {
@@ -127,6 +127,27 @@ func (k *kernel) cumulative(a, b float64) float64 {
 		return v
 	}
 	return b - a
+}
+
+// mean returns the kernel's mean multiplier over [0, horizon] for
+// horizon > 0: Λ(0, horizon)/horizon, the factor by which the profile
+// scales the expected number of arrivals in the horizon. A constant
+// kernel returns its multiplier as it is, and a Weibull kernel the
+// closed form (horizon/Scale)^(Shape−1) times its factors, because
+// dividing Λ by the horizon would move their last bits, and with them
+// every key of a profile normalized through them.
+func (k *kernel) mean(horizon float64) float64 {
+	switch k.kind {
+	case kernelConstant:
+		return k.bound
+	case kernelWeibull:
+		v := math.Pow(horizon/k.scale, k.shape-1)
+		for _, f := range k.scales {
+			v = f * v
+		}
+		return v
+	}
+	return k.cumulative(0, horizon) / horizon
 }
 
 // inverse returns the time u >= t at which the Weibull kernel's

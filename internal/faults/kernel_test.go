@@ -8,9 +8,33 @@ import (
 	"repro/internal/rng"
 )
 
+// multiplier is the pointwise view of a profile the kernels are checked
+// against: φ(t) >= 0 at t hours since the start of the trial, with
+// ScaledHazard factors applied outermost last. The package itself never
+// evaluates φ at a point; it samples and normalizes through Λ.
+func multiplier(h Hazard, t float64) float64 {
+	switch h := h.(type) {
+	case ConstantHazard:
+		return h.Factor
+	case PiecewiseHazard:
+		return h.Factors[segment(h.Bounds, t)]
+	case WeibullHazard:
+		if h.Shape == 1 {
+			return 1
+		}
+		if t <= 0 {
+			return 0
+		}
+		return h.Shape * math.Pow(t/h.Scale, h.Shape-1)
+	case ScaledHazard:
+		return h.Factor * multiplier(h.Base, t)
+	}
+	panic("multiplier: unknown profile")
+}
+
 // envelope is the thinning envelope walkNextAt walks: a bound >= φ over
-// [t, t+dt) and the window length dt, with every multiplier called
-// through the Hazard interface. Constant and piecewise profiles are
+// [t, t+dt) and the window length dt, read from the profile's fields
+// and multiplier, never from its kernel. Constant and piecewise profiles are
 // their own tight envelopes. A Weibull window is (t + w)/(4·Shape) long
 // and bounded by the multiplier at its end, which is sound because the
 // profile is non-decreasing; w sets where windows start to grow, and
@@ -31,7 +55,7 @@ func envelope(h Hazard, t, w float64) (bound, dt float64) {
 			return 1, math.Inf(1)
 		}
 		dt = (t + w) / (4 * h.Shape)
-		return h.Multiplier(t + dt), dt
+		return multiplier(h, t+dt), dt
 	case ScaledHazard:
 		bound, dt = envelope(h.Base, t, w)
 		return h.Factor * bound, dt
@@ -64,7 +88,7 @@ func walkNextAt(p *Process, h Hazard, now, w float64, src *rng.Source) float64 {
 			t = end
 			continue
 		}
-		m := h.Multiplier(t)
+		m := multiplier(h, t)
 		if m >= bound || src.Float64Open()*bound <= m {
 			return t - now
 		}
@@ -109,7 +133,7 @@ func ksTwoSample(a, b []float64) float64 {
 }
 
 // TestKernelMatchesInterfaceWalk draws from every kernel kind and from
-// the interface walk (walkNextAt) of the same profile. Draws cycle
+// the thinning walk (walkNextAt) of the same profile. Draws cycle
 // through accelerations 1, 2 and 7.5 and biases 1 and 3.
 //
 // Constant and piecewise kernels, Weibull shape 1 among them, must
@@ -277,14 +301,14 @@ func TestWeibullInverseMatchesLogSpace(t *testing.T) {
 }
 
 // TestKernelCumulative checks every kernel's Λ(a, b) against the
-// midpoint rule over the profile's own Multiplier, on intervals inside
+// midpoint rule over the profile's multiplier, on intervals inside
 // one piecewise segment and across several, under ScaledHazard factors.
 func TestKernelCumulative(t *testing.T) {
 	midpoint := func(h Hazard, a, b float64) float64 {
 		const n = 100000
 		step, sum := (b-a)/n, 0.0
 		for i := 0; i < n; i++ {
-			sum += h.Multiplier(a + (float64(i)+0.5)*step)
+			sum += multiplier(h, a+(float64(i)+0.5)*step)
 		}
 		return sum * step
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,8 +18,11 @@ import (
 // the same error every time. A spec it accepts must fingerprint, inside
 // an EstimateRequest, to the same key twice and again after a JSON round
 // trip, and its profile must draw a first fault — a time >= 0, or +Inf
-// for never — from the process the request builds. bounds and factors
-// are comma-separated numbers; an empty string is a nil slice.
+// for never — from the process the request builds. An accepted
+// piecewise or bathtub spec with normalize_hours must keep what
+// normalization promises: its factor times stepMean of the built
+// segments over that horizon is 1 within 1e-9. bounds and factors are
+// comma-separated numbers; an empty string is a nil slice.
 func FuzzHazardSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind string, factor, shape, scale, burnIn, burnInFactor, wearOnset, wearFactor, normalize float64, bounds, factors string) {
 		parse := func(s string) ([]float64, bool) {
@@ -59,6 +63,14 @@ func FuzzHazardSpec(f *testing.F) {
 			t.Fatalf("Build accepted a profile that fails its own validation: %v", err)
 		}
 
+		if n, ok := h.(faults.ScaledHazard); ok {
+			if pw, ok := n.Base.(faults.PiecewiseHazard); ok {
+				if m := n.Factor * stepMean(pw.Bounds, pw.Factors, normalize); math.Abs(m-1) > 1e-9 {
+					t.Fatalf("normalized over %v h, the mean multiplier is %v, want 1", normalize, m)
+				}
+			}
+		}
+
 		req := EstimateRequest{Trials: 100, HorizonYears: 50, Hazard: &spec}
 		fp, err := req.Fingerprint()
 		if err != nil {
@@ -92,6 +104,28 @@ func FuzzHazardSpec(f *testing.F) {
 			t.Fatalf("first draw %v, want >= 0 or +Inf", at)
 		}
 	})
+}
+
+// stepMean is the mean over [0, h] of the step function that is
+// factors[i] on [bounds[i-1], bounds[i]), with bounds[-1] = 0 and the
+// last factor running on forever: each segment's factor times the part
+// of [0, h] it covers, summed and divided by h.
+func stepMean(bounds, factors []float64, h float64) float64 {
+	total, lo := 0.0, 0.0
+	for i, f := range factors {
+		hi := h
+		if i < len(bounds) {
+			hi = min(bounds[i], h)
+		}
+		if hi > lo {
+			total += f * (hi - lo)
+		}
+		if hi == h {
+			break
+		}
+		lo = hi
+	}
+	return total / h
 }
 
 // FuzzScenarioDocument drives Parse and Expand with arbitrary bytes, as

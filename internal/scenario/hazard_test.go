@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -38,24 +39,26 @@ func TestHazardSpecBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bath.Multiplier(100) != direct.Multiplier(100) || bath.Multiplier(20000) != direct.Multiplier(20000) {
-		t.Errorf("bathtub spec disagrees with aging.Bathtub")
+	if !reflect.DeepEqual(bath, direct) {
+		t.Errorf("bathtub spec built %#v, aging.Bathtub %#v", bath, direct)
 	}
 
 	pw, err := (HazardSpec{Kind: "piecewise", BoundsHours: []float64{1000}, Factors: []float64{3, 1}}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pw.Multiplier(500) != 3 || pw.Multiplier(1500) != 1 {
-		t.Errorf("piecewise spec built the wrong profile: %#v", pw)
+	if want := (faults.PiecewiseHazard{Bounds: []float64{1000}, Factors: []float64{3, 1}}); !reflect.DeepEqual(pw, want) {
+		t.Errorf("piecewise spec built %#v, want %#v", pw, want)
 	}
 
 	norm, err := (HazardSpec{Kind: "weibull", Shape: 2, ScaleHours: 8000, NormalizeHours: 20000}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := norm.MeanMultiplier(20000); m < 0.999 || m > 1.001 {
-		t.Errorf("normalized profile has mean multiplier %v over its horizon, want 1", m)
+	// The mean of φ = 2·(t/8000) over [0, 20000] is 20000/8000.
+	want := faults.ScaledHazard{Base: faults.WeibullHazard{Shape: 2, Scale: 8000}, Factor: 1 / math.Pow(20000.0/8000, 2-1)}
+	if norm != want {
+		t.Errorf("normalized weibull spec built %#v, want %#v", norm, want)
 	}
 }
 
@@ -147,8 +150,8 @@ func TestHazardAxisSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("point %d build: %v", i, err)
 		}
-		if cfg.Hazard.Multiplier(20000) != want {
-			t.Errorf("point %d built wear multiplier %v, want %v", i, cfg.Hazard.Multiplier(20000), want)
+		if pw, ok := cfg.Hazard.(faults.PiecewiseHazard); !ok || pw.Factors[2] != want {
+			t.Errorf("point %d built %#v, want wear factor %v", i, cfg.Hazard, want)
 		}
 	}
 	if doc.Base.Hazard.WearFactor != 6 {

@@ -35,7 +35,10 @@ type canonGoldenCase struct {
 // code under test; the pinned digests were captured from the reflective
 // string-builder encoder the append-only encoder replaced, except the
 // three Weibull entries, re-captured when Weibull draws moved from
-// thinning to inversion (TestWeibullKeysFollowTheSampler).
+// thinning to inversion (TestWeibullKeysFollowTheSampler), and
+// hazard/normalized-at-bound, added when normalizing over a horizon on
+// a segment bound stopped charging that segment at the next one's
+// factor (TestNormalizedAtBoundKey).
 func canonGoldenCorpus(t *testing.T) []canonGoldenCase {
 	t.Helper()
 	must := func(err error) {
@@ -58,6 +61,8 @@ func canonGoldenCorpus(t *testing.T) []canonGoldenCase {
 	normWeibull, err := faults.Normalize(weibull, 438300)
 	must(err)
 	bathtub, err := aging.Bathtub(2000, 3, 12000, 6)
+	must(err)
+	bathtubAtBound, err := faults.Normalize(bathtub, 12000)
 	must(err)
 	constant, err := faults.NewConstantHazard(2)
 	must(err)
@@ -168,6 +173,8 @@ func canonGoldenCorpus(t *testing.T) []canonGoldenCase {
 			"2885a992feee0cd34fac8e9714148758cacab55a4991e114cef9f4b6f486f629"},
 		{"hazard/normalized", withHazard(2, normWeibull), horizonOpt,
 			"54889188036ad9027f09cfe9e16de2300e247bec5bfe19614f0f77e23459ea66"},
+		{"hazard/normalized-at-bound", withHazard(2, bathtubAtBound), horizonOpt,
+			"9c7099de7b9d94946ec5c47d059317650cfd22b9f4794e3dde0fb31f19564b61"},
 		{"hazard/per-replica", perReplica, horizonOpt,
 			"5326e49d92bb896f0e43318022b939d90ef62b0715404536c97604d74714b226"},
 		{"shocks", shocks, opt,
@@ -241,6 +248,53 @@ func TestCanonicalGoldenCorpus(t *testing.T) {
 		if c.name == "hazard/weibull-4" && s != canonWeibull4Golden {
 			t.Errorf("4-replica Weibull canonical string drifted:\n got %s\nwant %s", s, canonWeibull4Golden)
 		}
+	}
+}
+
+// TestNormalizedAtBoundKey: E17's bathtub normalized over a horizon
+// exactly on its wear-out bound resolves to the factor 1/(16000/12000),
+// not the 1/5.5 that charged the useful-life segment at the wear-out
+// factor. The canonical form encodes the resolved factor, so the
+// corrected key moves by itself, and the old resolution keeps the key
+// it had: the one the build that made the mistake gave this body, and
+// answered with the same sampler.
+func TestNormalizedAtBoundKey(t *testing.T) {
+	const oldSum = "feed2d131f278eca3ae62b2c4b0eaac26e421cee58fb79776b19fe672d4bdf36"
+	bathtub, err := aging.Bathtub(2000, 3, 12000, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := faults.Normalize(bathtub, 12000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(n.Factor-0.75) > 1e-15 {
+		t.Errorf("normalized at the bound: factor %v, want 0.75", n.Factor)
+	}
+	cfg, err := sim.PaperConfig(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Replicas = 2
+	cfg.Hazard = faults.ScaledHazard{Base: bathtub, Factor: 1 / 5.5}
+	old, err := sim.Fingerprint(cfg, sim.Options{Trials: 500, Seed: 7, Horizon: 50 * 8760})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old != oldSum {
+		t.Errorf("the old resolution keys to %s, want %s", old, oldSum)
+	}
+	found := false
+	for _, c := range canonGoldenCorpus(t) {
+		if c.name == "hazard/normalized-at-bound" {
+			found = true
+			if c.sum == old {
+				t.Errorf("the corrected key is the old resolution's %s", old)
+			}
+		}
+	}
+	if !found {
+		t.Error("no hazard/normalized-at-bound case in the corpus")
 	}
 }
 

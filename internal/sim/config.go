@@ -135,12 +135,13 @@ type ReplicaSpec struct {
 	Repair repair.Policy
 	// Hazard, when non-nil, makes both of this replica's fault channels
 	// time-varying: the instantaneous hazard at trial time t is the
-	// channel's base rate (1/mean) times Hazard.Multiplier(t), sampled
-	// by inversion (see faults.Hazard and docs/MODEL.md). nil inherits
-	// Config.Hazard, which may itself be nil — the time-homogeneous
-	// default, byte-identical to historical behaviour. Incompatible
-	// with Options.Bias (the likelihood-ratio bookkeeping assumes
-	// constant armed rates); EstimateStream rejects the combination.
+	// channel's base rate (1/mean) times the profile's multiplier φ(t),
+	// sampled by inversion (see faults.Hazard and docs/MODEL.md). nil
+	// inherits Config.Hazard, which may itself be nil — the
+	// time-homogeneous default, byte-identical to historical behaviour.
+	// Incompatible with Options.Bias (the likelihood-ratio bookkeeping
+	// assumes constant armed rates); EstimateStream rejects the
+	// combination.
 	Hazard faults.Hazard
 }
 
