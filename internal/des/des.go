@@ -1,38 +1,39 @@
 // Package des is a minimal deterministic discrete-event simulation engine:
-// a simulation clock plus a priority queue of scheduled callbacks.
+// a simulation clock plus a priority queue of timed callbacks.
 //
 // The Monte Carlo reliability simulator in internal/sim is built on top of
 // it. Three properties matter there and shape the design:
 //
-//   - Determinism. Events at equal times fire in scheduling order (FIFO
-//     tie-break by sequence number), so a trial is a pure function of its
-//     random seed.
-//   - Cheap cancellation. Fault/repair/audit processes constantly
-//     invalidate each other's pending events (a repaired replica cancels
-//     its pending second-fault event). Cancellation is O(1).
+//   - Determinism. Events at equal times fire in the order they were
+//     armed (FIFO tie-break by sequence number), so a trial is a pure
+//     function of its random seed.
+//   - Cheap re-arming. Fault/repair/audit processes constantly move each
+//     other's pending events (a faulty transition redraws every healthy
+//     replica's fault arrival). Each process owns a Timer: setting an
+//     armed Timer re-keys its one heap entry in place, and clearing it
+//     removes the entry at once, so the heap never holds a dead entry.
 //   - No allocation at steady state. A worker runs millions of short
-//     simulations on one Engine, so scheduling, firing, cancelling and
-//     Reset reuse memory instead of allocating it.
+//     simulations on one Engine, so arming, firing, clearing and Reset
+//     reuse memory instead of allocating it.
 //
-// Events live in a slot table. Each slot holds the event's handler, a
-// generation counter and a free-list link. A Handle is the value pair
-// (slot, generation); firing or cancelling an event bumps its slot's
-// generation and returns the slot to the free list, so a stale Handle —
-// one whose event fired, was cancelled or was freed by Reset — no longer
-// matches its slot and is harmless to keep and to Cancel. The queue is a
-// 4-ary min-heap of value entries (time, seq, slot, generation); an entry
-// whose generation no longer matches its slot is dropped lazily when it
-// reaches the top.
+// A Timer is a slot of the event table bound to one handler for the
+// engine's lifetime: NewTimer makes it, Set arms or re-arms it, Clear
+// disarms it, and firing disarms it before its handler runs, so the
+// handler may Set it again. Set always takes the next sequence number,
+// so a re-armed Timer is keyed exactly as a cancelled event followed by
+// a freshly scheduled one would be. Schedule arms a one-shot Timer whose
+// slot returns to a free list when it fires. The queue is a 4-ary
+// min-heap of value entries (time, seq, slot); each slot records its
+// entry's heap index, which every sift keeps current.
 //
 // An engine may be told its horizon (SetHorizon): the time past which
-// nothing will ever be run. Such a bounded engine parks an event
-// scheduled strictly after the horizon: the event takes a slot, so its
-// Handle is pending and can be cancelled like any other, and it takes a
-// sequence number, so every queued event keeps the (time, seq) key it
-// would have had, but it never enters the heap. RunUntil(h) fires no
-// event later than h, so for h up to the horizon a parked event could
-// not have fired: parking changes which events the heap holds, never
-// which events fire or in what order.
+// nothing will ever be run. Such a bounded engine parks a Timer set
+// strictly after the horizon: the Timer is armed and takes a sequence
+// number, so every queued event keeps the (time, seq) key it would have
+// had, but it has no heap entry. RunUntil(h) fires no event later than
+// h, so for h up to the horizon a parked event could not have fired:
+// parking changes which events the heap holds, never which events fire
+// or in what order.
 //
 // Time is a float64 in hours, consistent with the rest of the repository.
 package des
@@ -46,33 +47,36 @@ import (
 type Time = float64
 
 // Handler is a callback invoked when its event fires. It runs on the
-// engine's single logical thread: handlers may schedule and cancel freely
-// but must not retain the engine across goroutines.
+// engine's single logical thread: handlers may arm and clear freely but
+// must not retain the engine across goroutines.
 type Handler func(e *Engine)
 
-// Handle identifies a scheduled event so it can be cancelled. The zero
-// Handle means "no event": generations start at 1, so it never matches a
-// slot.
-type Handle struct {
-	slot, gen uint32
+// Timer is a reusable event bound to one handler by NewTimer. Use only
+// Timers that NewTimer returned, on the engine that made them.
+type Timer struct {
+	slot uint32
 }
 
-// slot is one entry of the event table: the pending event's handler,
-// the generation its Handle carries, and the next free slot (index+1, 0
-// ends the list) while it is free.
+// Slot positions that are not heap indices.
+const (
+	idle   = -1 // not armed
+	parked = -2 // armed past the horizon, not in the heap
+)
+
+// slot is one entry of the event table: its handler, the heap index of
+// its entry (or idle, or parked), and whether it holds a one-shot event,
+// whose slot returns to the free list when the event fires.
 type slot struct {
 	fn   Handler
-	gen  uint32
-	next uint32
+	pos  int32
+	once bool
 }
 
-// entry is a heap element: an event's firing key plus the slot and
-// generation that say whether it is still live.
+// entry is a heap element: an event's firing key and its slot.
 type entry struct {
 	at   Time
 	seq  uint64
 	slot uint32
-	gen  uint32
 }
 
 func (a *entry) before(b *entry) bool {
@@ -85,7 +89,7 @@ type Engine struct {
 	now     Time
 	queue   []entry // 4-ary min-heap on (at, seq)
 	slots   []slot
-	free    uint32 // first free slot, index+1; 0 when none is free
+	free    []uint32 // one-shot slots not in use
 	seq     uint64
 	fired   uint64
 	stopped bool
@@ -106,95 +110,101 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events that have fired.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of queued (possibly cancelled but not yet
-// dropped) events. Events parked past the horizon are not queued.
+// Pending returns the number of queued events: armed Timers that are
+// not parked, and one-shot events that have not fired.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// Schedule registers fn to run at absolute time at. It panics if at is
-// before the current time or not a finite number: scheduling into the past
-// is always a simulator bug, and failing loudly at the call site is the
+// NewTimer binds fn to a new, unarmed Timer. Timers survive Reset, so a
+// worker binds its handlers once for all the trials it runs.
+func (e *Engine) NewTimer(fn Handler) Timer {
+	if fn == nil {
+		panic("des: NewTimer with nil handler")
+	}
+	e.slots = append(e.slots, slot{fn: fn, pos: idle})
+	return Timer{slot: uint32(len(e.slots) - 1)}
+}
+
+// Set arms t to fire at absolute time at, in place of any time it was
+// armed for. It takes the next sequence number, so t fires after every
+// event already armed for the same instant. It panics if at is before
+// the current time or not a finite number: arming into the past is
+// always a simulator bug, and failing loudly at the call site is the
 // only useful behaviour.
-func (e *Engine) Schedule(at Time, fn Handler) Handle {
-	if math.IsNaN(at) || math.IsInf(at, 0) {
-		panic(fmt.Sprintf("des: Schedule at non-finite time %v", at))
+func (e *Engine) Set(t Timer, at Time) {
+	if !(at >= e.now && at <= math.MaxFloat64) { // also false for NaN
+		panic(fmt.Sprintf("des: event at %v: before now %v or not finite", at, e.now))
 	}
-	if at < e.now {
-		panic(fmt.Sprintf("des: Schedule at %v before now %v", at, e.now))
+	s := &e.slots[t.slot]
+	switch {
+	case e.horizon > 0 && at > e.horizon:
+		e.Clear(t)
+		s.pos = parked
+	case s.pos >= 0:
+		e.fix(int(s.pos), entry{at: at, seq: e.seq, slot: t.slot})
+	default:
+		e.push(entry{at: at, seq: e.seq, slot: t.slot})
 	}
+	e.seq++
+}
+
+// Clear disarms t, removing its heap entry at once. Clearing an unarmed
+// Timer is a no-op, so owners can Clear defensively.
+func (e *Engine) Clear(t Timer) {
+	s := &e.slots[t.slot]
+	if s.pos >= 0 {
+		e.remove(int(s.pos))
+	}
+	s.pos = idle
+}
+
+// Armed reports whether t is set to fire: queued, or parked past the
+// horizon. A Timer is unarmed once it fires, is cleared, or Reset runs.
+func (e *Engine) Armed(t Timer) bool { return e.slots[t.slot].pos != idle }
+
+// Schedule registers fn to run once at absolute time at, on a one-shot
+// Timer from the free list. It panics like Set, and on a nil handler.
+func (e *Engine) Schedule(at Time, fn Handler) {
 	if fn == nil {
 		panic("des: Schedule with nil handler")
 	}
-	if e.horizon > 0 && at > e.horizon {
-		return e.park()
+	var t Timer
+	if n := len(e.free); n > 0 {
+		t = Timer{slot: e.free[n-1]}
+		e.free = e.free[:n-1]
+		e.slots[t.slot].fn = fn
+	} else {
+		t = e.NewTimer(fn)
+		e.slots[t.slot].once = true
 	}
-	i := e.alloc()
-	s := &e.slots[i]
-	s.fn = fn
-	e.push(entry{at: at, seq: e.seq, slot: i, gen: s.gen})
-	e.seq++
-	return Handle{slot: i, gen: s.gen}
+	e.Set(t, at)
 }
 
-// alloc takes a slot off the free list, growing the table when none is
-// free, and returns its index.
-func (e *Engine) alloc() uint32 {
-	if e.free == 0 {
-		e.slots = append(e.slots, slot{gen: 1})
-		return uint32(len(e.slots) - 1)
-	}
-	i := e.free - 1
-	e.free = e.slots[i].next
-	return i
-}
-
-// ScheduleAfter registers fn to run delay hours from now. Negative delays
-// panic; a zero delay fires after all events already scheduled for the
-// current instant (FIFO).
-func (e *Engine) ScheduleAfter(delay Time, fn Handler) Handle {
+// ScheduleAfter registers fn to run once, delay hours from now. Negative
+// delays panic; a zero delay fires after all events already armed for
+// the current instant (FIFO).
+func (e *Engine) ScheduleAfter(delay Time, fn Handler) {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: ScheduleAfter negative delay %v", delay))
 	}
-	return e.Schedule(e.now+delay, fn)
-}
-
-// Cancel prevents h's event from firing. Cancelling the zero Handle or a
-// Handle whose event already fired, was cancelled or was freed by Reset
-// is a no-op, so owners can Cancel defensively.
-func (e *Engine) Cancel(h Handle) {
-	if !e.Cancelled(h) {
-		e.release(h.slot)
-	}
-}
-
-// Cancelled reports whether h's event is no longer pending: it was
-// cancelled, it fired, or Reset freed it. The zero Handle is never
-// pending. Slots are reused, so this cannot tell those cases apart.
-func (e *Engine) Cancelled(h Handle) bool {
-	return int(h.slot) >= len(e.slots) || e.slots[h.slot].gen != h.gen
-}
-
-// release retires slot i's event: the generation bump makes its Handle
-// and heap entry stale, and the slot goes back on the free list.
-func (e *Engine) release(i uint32) {
-	s := &e.slots[i]
-	s.fn = nil
-	if s.gen++; s.gen == 0 { // skip 0 on wrap-around: it is the zero Handle's
-		s.gen = 1
-	}
-	s.next = e.free
-	e.free = i + 1
+	e.Schedule(e.now+delay, fn)
 }
 
 // Step fires the next pending event, advancing the clock to its time. It
 // returns false when no events remain.
 func (e *Engine) Step() bool {
-	if !e.dropStale() {
+	if len(e.queue) == 0 {
 		return false
 	}
-	ev := e.pop()
-	fn := e.slots[ev.slot].fn
-	e.release(ev.slot)
-	e.now = ev.at
+	top := e.queue[0]
+	e.remove(0)
+	s := &e.slots[top.slot]
+	s.pos = idle
+	fn := s.fn
+	if s.once {
+		s.fn = nil
+		e.free = append(e.free, top.slot)
+	}
+	e.now = top.at
 	e.fired++
 	fn(e)
 	return true
@@ -211,7 +221,7 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil fires all events scheduled at or before horizon (unless Stop is
+// RunUntil fires all events due at or before horizon (unless Stop is
 // called), then advances the clock to horizon. It panics if horizon is in
 // the past, or past the bound of a bounded engine.
 func (e *Engine) RunUntil(horizon Time) {
@@ -222,7 +232,7 @@ func (e *Engine) RunUntil(horizon Time) {
 		panic(fmt.Sprintf("des: RunUntil %v past the engine's horizon %v", horizon, e.horizon))
 	}
 	e.stopped = false
-	for !e.halted() && e.dropStale() && e.queue[0].at <= horizon {
+	for !e.halted() && len(e.queue) > 0 && e.queue[0].at <= horizon {
 		e.Step()
 	}
 	if !e.stopped && e.now < horizon {
@@ -231,21 +241,23 @@ func (e *Engine) RunUntil(horizon Time) {
 }
 
 // Reset returns the engine to its zero state — time 0, empty queue,
-// sequence counter 0 — while keeping the queue and slot table, so a
-// worker can run millions of short simulations on one Engine without
-// allocating. Every slot is released, so still-pending events, parked
-// ones included, are freed like cancelled ones and every Handle issued
-// before the call becomes stale. The horizon set by SetHorizon stays.
+// sequence counter 0 — while keeping the queue, the slot table and every
+// Timer, so a worker can run millions of short simulations on one Engine
+// without allocating. Every Timer is disarmed, parked ones included, and
+// pending one-shot events are dropped. The horizon set by SetHorizon
+// stays.
 func (e *Engine) Reset() {
 	e.queue = e.queue[:0]
-	e.free = 0
-	for i := len(e.slots) - 1; i >= 0; i-- {
-		e.release(uint32(i))
+	e.free = e.free[:0]
+	for i := range e.slots {
+		s := &e.slots[i]
+		s.pos = idle
+		if s.once {
+			s.fn = nil
+			e.free = append(e.free, uint32(i))
+		}
 	}
-	e.now = 0
-	e.seq = 0
-	e.stopped = false
-	e.fired = 0
+	e.now, e.seq, e.fired, e.stopped = 0, 0, 0, false
 }
 
 // Stop halts Run/RunUntil after the current handler returns. The queue is
@@ -277,12 +289,12 @@ func (e *Engine) halted() bool {
 	return e.stopped
 }
 
-// SetHorizon bounds the engine at h: from now on an event scheduled
-// strictly after h is parked instead of queued (see the package
-// comment), and RunUntil past h and Run panic, because they would skip
-// parked events. h == 0 or +Inf removes the bound: nothing is scheduled
-// after +Inf. The bound survives Reset, so a worker sets it once for all
-// the trials it runs. It panics if h is negative or NaN.
+// SetHorizon bounds the engine at h: from now on an event armed strictly
+// after h is parked instead of queued (see the package comment), and
+// RunUntil past h and Run panic, because they would skip parked events.
+// h == 0 or +Inf removes the bound: nothing is armed after +Inf. The
+// bound survives Reset, so a worker sets it once for all the trials it
+// runs. It panics if h is negative or NaN.
 func (e *Engine) SetHorizon(h Time) {
 	if math.IsNaN(h) || h < 0 {
 		panic(fmt.Sprintf("des: SetHorizon %v must be >= 0", h))
@@ -293,48 +305,39 @@ func (e *Engine) SetHorizon(h Time) {
 	e.horizon = h
 }
 
-// dropStale pops cancelled entries off the top of the heap and reports
-// whether a live event remains.
-func (e *Engine) dropStale() bool {
-	for len(e.queue) > 0 {
-		if top := &e.queue[0]; e.slots[top.slot].gen == top.gen {
-			return true
-		}
-		e.pop()
-	}
-	return false
-}
-
-// push adds x to the heap, sifting it up toward the root.
+// push adds x to the heap.
 func (e *Engine) push(x entry) {
 	e.queue = append(e.queue, x)
+	e.fix(len(e.queue)-1, x)
+}
+
+// remove deletes the heap entry at index i, filling its hole with the
+// last entry. The caller resets the removed entry's slot position.
+func (e *Engine) remove(i int) {
+	n := len(e.queue) - 1
+	x := e.queue[n]
+	e.queue = e.queue[:n]
+	if i < n {
+		e.fix(i, x)
+	}
+}
+
+// fix puts x into the hole at heap index i, sifting it toward the root
+// or, if it does not rise, toward the leaves, and records the new
+// position of every entry it places.
+func (e *Engine) fix(i int, x entry) {
 	q := e.queue
-	i := len(q) - 1
+	rose := false
 	for i > 0 {
 		p := (i - 1) / 4
 		if !x.before(&q[p]) {
 			break
 		}
 		q[i] = q[p]
-		i = p
+		e.slots[q[i].slot].pos = int32(i)
+		i, rose = p, true
 	}
-	q[i] = x
-}
-
-// pop removes and returns the heap's minimum, sifting the last entry
-// down from the root into the hole.
-func (e *Engine) pop() entry {
-	q := e.queue
-	top := q[0]
-	n := len(q) - 1
-	x := q[n]
-	q = q[:n]
-	e.queue = q
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
+	for n := len(q); !rose; {
 		c := 4*i + 1
 		if c >= n {
 			break
@@ -349,17 +352,9 @@ func (e *Engine) pop() entry {
 			break
 		}
 		q[i] = q[m]
+		e.slots[q[i].slot].pos = int32(i)
 		i = m
 	}
 	q[i] = x
-	return top
-}
-
-// park schedules an event past the horizon: it takes a slot and a
-// sequence number like a queued one but never enters the heap. Reset
-// frees its slot with every other.
-func (e *Engine) park() Handle {
-	i := e.alloc()
-	e.seq++
-	return Handle{slot: i, gen: e.slots[i].gen}
+	e.slots[x.slot].pos = int32(i)
 }

@@ -104,30 +104,29 @@ func TestHandlerSchedulesMore(t *testing.T) {
 func TestCancel(t *testing.T) {
 	var e Engine
 	fired := false
-	h := e.Schedule(1, func(*Engine) { fired = true })
-	e.Cancel(h)
-	if !e.Cancelled(h) {
-		t.Error("handle should report cancelled")
+	tm := e.NewTimer(func(*Engine) { fired = true })
+	e.Set(tm, 1)
+	e.Clear(tm)
+	if e.Armed(tm) {
+		t.Error("cleared timer still armed")
 	}
 	e.Run()
 	if fired {
-		t.Error("cancelled event fired")
+		t.Error("cleared timer fired")
 	}
-	// Double cancel and cancel-after-run are no-ops.
-	e.Cancel(h)
-	var nilHandle Handle
-	e.Cancel(nilHandle) // must not panic
+	// Clearing again, and after the run, is a no-op.
+	e.Clear(tm)
 }
 
 func TestCancelFromHandler(t *testing.T) {
 	var e Engine
 	var secondFired bool
-	var h2 Handle
-	e.Schedule(1, func(*Engine) { e.Cancel(h2) })
-	h2 = e.Schedule(2, func(*Engine) { secondFired = true })
+	second := e.NewTimer(func(*Engine) { secondFired = true })
+	e.Schedule(1, func(e *Engine) { e.Clear(second) })
+	e.Set(second, 2)
 	e.Run()
 	if secondFired {
-		t.Error("event cancelled by an earlier handler still fired")
+		t.Error("timer cleared by an earlier handler still fired")
 	}
 }
 
@@ -307,13 +306,16 @@ func TestZeroDelayFIFO(t *testing.T) {
 	}
 }
 
-func TestPendingCountsCancelled(t *testing.T) {
+// TestClearRemovesEntry: clearing a timer takes its heap entry out at
+// once, so Pending counts only events that can still fire.
+func TestClearRemovesEntry(t *testing.T) {
 	var e Engine
-	h := e.Schedule(1, func(*Engine) {})
+	tm := e.NewTimer(func(*Engine) { t.Error("cleared timer fired") })
+	e.Set(tm, 1)
 	e.Schedule(2, func(*Engine) {})
-	e.Cancel(h)
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2 (lazy deletion)", e.Pending())
+	e.Clear(tm)
+	if e.Pending() != 1 {
+		t.Errorf("pending = %d, want 1", e.Pending())
 	}
 	e.Run()
 	if e.Pending() != 0 {

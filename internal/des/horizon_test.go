@@ -18,57 +18,67 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestParkedHandlePending: an event scheduled past the horizon gets a
-// pending Handle but no queue entry, and Cancel releases its slot.
-func TestParkedHandlePending(t *testing.T) {
+// TestParkedTimerArmed: a timer set past the horizon is armed but has
+// no heap entry, Clear disarms it, and setting it across the horizon
+// moves it into the heap and out again.
+func TestParkedTimerArmed(t *testing.T) {
 	var e Engine
 	e.SetHorizon(10)
-	h := e.Schedule(11, func(*Engine) { t.Error("parked event fired") })
-	if h == (Handle{}) || e.Cancelled(h) {
-		t.Fatalf("parked handle %+v is not pending", h)
+	fired := 0
+	tm := e.NewTimer(func(*Engine) { fired++ })
+	e.Set(tm, 11)
+	if !e.Armed(tm) {
+		t.Fatal("parked timer is not armed")
 	}
 	if e.Pending() != 0 {
-		t.Errorf("Pending %d with only a parked event, want 0", e.Pending())
+		t.Errorf("Pending %d with only a parked timer, want 0", e.Pending())
 	}
-	e.Cancel(h)
-	if !e.Cancelled(h) {
-		t.Error("Cancel left a parked handle pending")
+	e.Clear(tm)
+	if e.Armed(tm) {
+		t.Error("Clear left a parked timer armed")
 	}
-	fresh := e.Schedule(12, func(*Engine) {})
-	if fresh.slot != h.slot {
-		t.Errorf("cancelled parked slot %d not reused (fresh %d)", h.slot, fresh.slot)
+	e.Set(tm, 12)
+	e.Set(tm, 9)
+	if e.Pending() != 1 {
+		t.Errorf("Pending %d after setting a parked timer within the horizon, want 1", e.Pending())
 	}
-	e.Cancel(h) // stale: must not touch the event now in the slot
-	if e.Cancelled(fresh) {
-		t.Error("stale parked handle cancelled the event reusing its slot")
+	e.Set(tm, 20)
+	if e.Pending() != 0 || !e.Armed(tm) {
+		t.Errorf("Pending %d, armed %v after parking a queued timer; want 0 and true", e.Pending(), e.Armed(tm))
 	}
+	e.Set(tm, 9)
 	e.RunUntil(10)
-	if e.Fired() != 0 || e.Now() != 10 {
-		t.Errorf("fired %d, now %v; want 0 and 10", e.Fired(), e.Now())
+	if fired != 1 || e.Now() != 10 {
+		t.Errorf("fired %d, now %v; want 1 and 10", fired, e.Now())
 	}
 }
 
-// TestResetFreesParked: Reset makes parked Handles stale and returns
-// their slots, so 10^5 trials whose events are all parked (some
-// cancelled, some not) keep the slot table at the size of one trial.
+// TestResetFreesParked: Reset disarms parked timers and returns the
+// slots of parked one-shot events, so 10^5 trials whose events are all
+// parked (some cleared, some not) keep the slot table at the size of
+// one trial.
 func TestResetFreesParked(t *testing.T) {
 	var e Engine
 	e.SetHorizon(100)
 	fn := func(*Engine) { t.Error("parked event fired") }
-	var hs [4]Handle
+	var ts [4]Timer
+	for i := range ts {
+		ts[i] = e.NewTimer(fn)
+	}
 	for cycle := 0; cycle < 100000; cycle++ {
 		e.Reset()
-		for i := range hs {
-			if cycle > 0 && !e.Cancelled(hs[i]) {
-				t.Fatalf("cycle %d: handle %d pending across Reset", cycle, i)
+		for i := range ts {
+			if e.Armed(ts[i]) {
+				t.Fatalf("cycle %d: timer %d armed across Reset", cycle, i)
 			}
-			hs[i] = e.Schedule(101+Time(i), fn)
+			e.Set(ts[i], 101+Time(i))
+			e.Schedule(101+Time(i), fn)
 		}
-		e.Cancel(hs[cycle%4])
+		e.Clear(ts[cycle%4])
 		e.RunUntil(100)
 	}
-	if len(e.slots) > len(hs) {
-		t.Errorf("after 1e5 cycles: %d slots, want <= %d", len(e.slots), len(hs))
+	if len(e.slots) > 2*len(ts) {
+		t.Errorf("after 1e5 cycles: %d slots, want <= %d", len(e.slots), 2*len(ts))
 	}
 	mustPanic(t, "Run after Reset of a bounded engine", func() { e.Run() })
 }
@@ -126,44 +136,54 @@ func TestInfiniteHorizonUnbounded(t *testing.T) {
 }
 
 // TestBoundedMatchesUnbounded is a model check: a hold model whose
-// handlers schedule and cancel at random, some events landing past the
-// horizon, fires the same events in the same order on a bounded engine
-// as on an unbounded one run to the same horizon, across Resets.
+// handlers set, re-set and clear timers and schedule one-shot events at
+// random, some landing past the horizon, fires the same events in the
+// same order on a bounded engine as on an unbounded one run to the same
+// horizon, across Resets.
 func TestBoundedMatchesUnbounded(t *testing.T) {
 	type firing struct {
 		at Time
 		id int
 	}
-	run := func(e *Engine, round int) []firing {
-		src := rng.New(uint64(round) + 1)
-		var got []firing
-		var live []Handle
-		next := 0
-		var h func(id int) Handler
-		h = func(id int) Handler {
-			return func(e *Engine) {
-				got = append(got, firing{e.Now(), id})
-				for k := src.Intn(3); k > 0; k-- {
-					next++
-					live = append(live, e.ScheduleAfter(Time(src.Intn(40)), h(next)))
-				}
-				if len(live) > 0 && src.Bool(0.4) {
-					e.Cancel(live[src.Intn(len(live))])
-				}
-			}
-		}
-		e.Reset()
-		for i := 0; i < 5; i++ {
-			next++
-			live = append(live, e.Schedule(Time(src.Intn(60)), h(next)))
-		}
-		e.RunUntil(50)
-		return got
+	type model struct {
+		e   Engine
+		src *rng.Source
+		got []firing
+		ts  [8]Timer
 	}
-	var bounded, free Engine
-	bounded.SetHorizon(50)
+	newModel := func(horizon Time) *model {
+		m := &model{}
+		m.e.SetHorizon(horizon)
+		shot := func(e *Engine) { m.got = append(m.got, firing{e.Now(), -1}) }
+		for k := range m.ts {
+			m.ts[k] = m.e.NewTimer(func(e *Engine) {
+				m.got = append(m.got, firing{e.Now(), k})
+				for n := m.src.Intn(3); n > 0; n-- {
+					e.Set(m.ts[m.src.Intn(len(m.ts))], e.Now()+Time(m.src.Intn(40)))
+				}
+				if m.src.Bool(0.4) {
+					e.Clear(m.ts[m.src.Intn(len(m.ts))])
+				}
+				if m.src.Bool(0.3) {
+					e.ScheduleAfter(Time(m.src.Intn(40)), shot)
+				}
+			})
+		}
+		return m
+	}
+	run := func(m *model, round int) []firing {
+		m.src = rng.New(uint64(round) + 1)
+		m.got = m.got[:0]
+		m.e.Reset()
+		for i := 0; i < 5; i++ {
+			m.e.Set(m.ts[m.src.Intn(len(m.ts))], Time(m.src.Intn(60)))
+		}
+		m.e.RunUntil(50)
+		return m.got
+	}
+	bounded, free := newModel(50), newModel(0)
 	for round := 0; round < 300; round++ {
-		a, b := run(&bounded, round), run(&free, round)
+		a, b := run(bounded, round), run(free, round)
 		if len(a) != len(b) {
 			t.Fatalf("round %d: bounded fired %d events, unbounded %d", round, len(a), len(b))
 		}

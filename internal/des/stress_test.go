@@ -6,60 +6,60 @@ import (
 	"repro/internal/rng"
 )
 
-// TestScheduleCancelStorm hammers the engine with interleaved schedules
-// and cancellations from inside handlers and verifies the core
-// invariants: the clock never goes backward, every fired event was live,
-// and fired + cancelled-unfired accounts for every schedule.
+// TestScheduleCancelStorm hammers a pool of timers with interleaved
+// sets, re-sets and clears from inside handlers and verifies the core
+// invariants: the clock never goes backward, every set is accounted for
+// exactly once (it fired, was cleared, or was replaced by a later set),
+// and a finished run leaves no timer armed and no entry in the heap.
 func TestScheduleCancelStorm(t *testing.T) {
 	src := rng.New(99)
 	for round := 0; round < 20; round++ {
 		var e Engine
-		var scheduled, fired, cancelled int
-		var live []Handle
+		var sets, fired, cleared, rekeyed int
 		lastTime := -1.0
-
-		var mkHandler func(depth int) Handler
-		mkHandler = func(depth int) Handler {
-			return func(e *Engine) {
+		ts := make([]Timer, 64)
+		arm := func(e *Engine, tm Timer, at Time) {
+			if e.Armed(tm) {
+				rekeyed++
+			}
+			e.Set(tm, at)
+			sets++
+		}
+		for i := range ts {
+			ts[i] = e.NewTimer(func(e *Engine) {
 				fired++
 				if e.Now() < lastTime {
 					t.Fatalf("clock went backward: %v after %v", e.Now(), lastTime)
 				}
 				lastTime = e.Now()
-				// Randomly schedule more work and cancel random pending
-				// handles.
-				if depth < 3 {
-					n := src.Intn(4)
-					for i := 0; i < n; i++ {
-						h := e.ScheduleAfter(src.Float64()*10, mkHandler(depth+1))
-						scheduled++
-						live = append(live, h)
+				if sets < 5000 {
+					for n := src.Intn(4); n > 0; n-- {
+						arm(e, ts[src.Intn(len(ts))], e.Now()+src.Float64()*10)
 					}
 				}
-				if len(live) > 0 && src.Bool(0.3) {
-					idx := src.Intn(len(live))
-					h := live[idx]
-					if !e.Cancelled(h) {
-						e.Cancel(h)
-						cancelled++
-					}
+				if tm := ts[src.Intn(len(ts))]; src.Bool(0.3) && e.Armed(tm) {
+					e.Clear(tm)
+					cleared++
 				}
-			}
+			})
 		}
-		for i := 0; i < 50; i++ {
-			h := e.Schedule(src.Float64()*100, mkHandler(0))
-			scheduled++
-			live = append(live, h)
+		for _, tm := range ts {
+			arm(&e, tm, src.Float64()*100)
 		}
 		e.Run()
 		if e.Pending() != 0 {
 			t.Fatalf("round %d: %d events left pending after Run", round, e.Pending())
 		}
+		for i, tm := range ts {
+			if e.Armed(tm) {
+				t.Fatalf("round %d: timer %d armed after Run", round, i)
+			}
+		}
 		if int(e.Fired()) != fired {
 			t.Fatalf("round %d: engine fired %d, handlers saw %d", round, e.Fired(), fired)
 		}
-		if fired+cancelled != scheduled {
-			t.Fatalf("round %d: fired %d + cancelled %d != scheduled %d", round, fired, cancelled, scheduled)
+		if fired+cleared+rekeyed != sets {
+			t.Fatalf("round %d: fired %d + cleared %d + re-set %d != set %d", round, fired, cleared, rekeyed, sets)
 		}
 	}
 }

@@ -63,14 +63,14 @@ func (s Shock) SampleNext(src *rng.Source) float64 {
 	return -s.Mean * math.Log(src.Float64Open())
 }
 
-// Strike returns the subset of Targets hit by one shock event.
-func (s Shock) Strike(src *rng.Source) []int {
+// StrikeInto returns the subset of Targets hit by one shock event,
+// reusing buf's storage: one Bool draw per target, in target order,
+// unless HitProb is 1 and every target is hit without a draw.
+func (s Shock) StrikeInto(src *rng.Source, buf []int) []int {
 	if s.HitProb >= 1 {
-		out := make([]int, len(s.Targets))
-		copy(out, s.Targets)
-		return out
+		return append(buf[:0], s.Targets...)
 	}
-	var out []int
+	out := buf[:0]
 	for _, t := range s.Targets {
 		if src.Bool(s.HitProb) {
 			out = append(out, t)

@@ -47,14 +47,14 @@ func TestShockValidate(t *testing.T) {
 func TestShockStrikeAllTargets(t *testing.T) {
 	s := validShock()
 	src := rng.New(1)
-	hit := s.Strike(src)
+	hit := s.StrikeInto(src, nil)
 	if len(hit) != 3 {
 		t.Fatalf("HitProb=1 strike hit %v, want all 3 targets", hit)
 	}
 	// Must be a copy, not the internal slice.
 	hit[0] = 99
 	if s.Targets[0] == 99 {
-		t.Error("Strike aliased the Targets slice")
+		t.Error("StrikeInto aliased the Targets slice")
 	}
 }
 
@@ -64,8 +64,10 @@ func TestShockStrikePartial(t *testing.T) {
 	src := rng.New(2)
 	const n = 100000
 	total := 0
+	var buf []int
 	for i := 0; i < n; i++ {
-		total += len(s.Strike(src))
+		buf = s.StrikeInto(src, buf)
+		total += len(buf)
 	}
 	got := float64(total) / n
 	want := 0.3 * 3

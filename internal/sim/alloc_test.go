@@ -53,6 +53,54 @@ func TestCensoredWeibullTrialAllocsZero(t *testing.T) {
 	}
 }
 
+// allocsPerTrial re-seeds and re-runs tr 256 times, censored at horizon
+// (0 runs to loss), and returns the allocations per trial.
+func allocsPerTrial(tr *trial, horizon float64) float64 {
+	base := rng.New(1)
+	var src rng.Source
+	const trials = 256
+	return testing.AllocsPerRun(3, func() {
+		for i := 0; i < trials; i++ {
+			base.DeriveInto(uint64(i)+trialStreamLabel, &src)
+			tr.start(&src)
+			tr.run(horizon)
+		}
+	}) / trials
+}
+
+// TestBiasedTrialAllocsZero is the same gate on the re-arm-heavy path:
+// an auto-biased mirror with 1 h repairs censored at 1000 h, whose every
+// faulty transition re-draws the healthy replica's arrival.
+func TestBiasedTrialAllocsZero(t *testing.T) {
+	const horizon = 1000.0
+	r, err := NewRunner(rareMirror(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := allocTrial(&r.cfg, r.specs, nil)
+	tr.setBiasFactor(resolveBias(&r.cfg, horizon, AutoBias))
+	tr.eng.SetHorizon(horizon)
+	if perTrial := allocsPerTrial(tr, horizon); perTrial != 0 {
+		t.Errorf("biased trial allocates %v objects/trial, want 0", perTrial)
+	}
+}
+
+// TestShockTrialAllocsZero is the same gate on benchMirror with one
+// common-cause shock that strikes each of its two targets with
+// probability 0.5: the struck targets go into a buffer the trial reuses.
+func TestShockTrialAllocsZero(t *testing.T) {
+	cfg := benchMirror()
+	cfg.Shocks = []faults.Shock{{Name: "psu", Mean: 5000, Targets: []int{0, 1}, Kind: faults.Visible, HitProb: 0.5}}
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := allocTrial(&r.cfg, r.specs, nil)
+	if perTrial := allocsPerTrial(tr, 0); perTrial != 0 {
+		t.Errorf("shock trial allocates %v objects/trial, want 0", perTrial)
+	}
+}
+
 // fingerprintWeibull is a sweep-style point: the §5.4 mirror widened
 // to replicas copies, with sweep_store's Weibull wear-out profile
 // normalized over the 50-year horizon it is censored at.

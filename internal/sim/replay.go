@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/trace"
 )
@@ -46,27 +45,23 @@ type replayData struct {
 }
 
 // replaySchedule is the per-trial replay cursor. The worker loop points
-// events at the current trial's slice before each start; step is the
-// prebound DES handler, allocated once per trial allocation.
+// events at the current trial's slice before each start; the trial's
+// replayEv timer steps it.
 type replaySchedule struct {
 	events     []trace.Event
 	pinRepairs bool
 	idx        int
-	step       des.Handler
 }
 
 // scheduleReplay arms the recorded event stream: the first event is
-// scheduled, and each firing schedules its successor, so the engine
-// holds at most one replay event at a time. Called from start after the
+// armed, and each firing re-arms the timer for its successor, so the
+// engine holds at most one replay event at a time. Called from start after the
 // (no-op, in replay mode) generative arming.
 func (t *trial) scheduleReplay() {
 	rp := t.replay
 	rp.idx = 0
-	if rp.step == nil {
-		rp.step = func(*des.Engine) { t.replayStep() }
-	}
 	if len(rp.events) > 0 {
-		t.eng.Schedule(rp.events[0].T, rp.step)
+		t.eng.Set(t.replayEv, rp.events[0].T)
 	}
 }
 
@@ -79,7 +74,7 @@ func (t *trial) replayStep() {
 	ev := rp.events[rp.idx]
 	rp.idx++
 	if rp.idx < len(rp.events) {
-		t.eng.Schedule(rp.events[rp.idx].T, rp.step)
+		t.eng.Set(t.replayEv, rp.events[rp.idx].T)
 	}
 	if t.lost {
 		return

@@ -92,22 +92,16 @@ type replica struct {
 	visRate float64
 	latRate float64
 
-	visibleEv des.Handle // pending visible fault arrival
-	latentEv  des.Handle // pending latent fault arrival
-	detectEv  des.Handle // pending access-channel detection
-	repairEv  des.Handle // pending repair completion
+	// The replica's events, each a timer bound to its (trial, index)
+	// handler once per trial allocation: arming, re-arming and clearing
+	// move one heap entry and allocate nothing.
+	visibleEv des.Timer // visible fault arrival
+	latentEv  des.Timer // latent fault arrival
+	detectEv  des.Timer // access-channel detection
+	repairEv  des.Timer // repair completion
+	auditEv   des.Timer // next audit pass (never armed under lazyAudit)
 
 	src *rng.Source // fault/repair randomness for this replica
-
-	// Prebound event handlers: each arm/re-arm schedules the same
-	// callback, so binding the (trial, index) pair once per replica —
-	// instead of allocating a fresh closure per scheduled event — keeps
-	// the reused per-trial hot path allocation-free.
-	fireVisible  des.Handler
-	fireLatent   des.Handler
-	fireDetect   des.Handler
-	fireAudit    des.Handler
-	fireRepaired des.Handler
 }
 
 // Derivation labels of the trial's side streams, hashed once.
@@ -189,13 +183,16 @@ type trial struct {
 	// recorded stream already contains them. See replay.go.
 	replay *replaySchedule
 
-	// shockFns are the prebound recurring handlers for cfg.Shocks,
-	// mirroring the per-replica fire* closures.
-	shockFns []des.Handler
+	// shockEv are the timers of cfg.Shocks and replayEv the replay
+	// cursor's, bound once like the per-replica ones.
+	shockEv  []des.Timer
+	replayEv des.Timer
+	// struck is the reusable target buffer of onShock.
+	struck []int
 }
 
 // allocTrial allocates a trial's reusable state — engine, replicas,
-// fault processes, derived-source slots, prebound handlers — without
+// fault processes, derived-source slots, event timers — without
 // arming any events. A worker allocates once and then runs many trials
 // through start, which re-seeds and re-arms in place; the sequence of
 // random draws and scheduled events is identical to a freshly built
@@ -241,36 +238,37 @@ func allocTrial(cfg *Config, specs []ReplicaSpec, trace *Trace) *trial {
 		// faulty window (applyAcceleration re-samples every armed draw
 		// at each boost transition, so the pending draw always matches
 		// the current boost state).
-		r.fireVisible = func(*des.Engine) {
+		r.visibleEv = t.eng.NewTimer(func(*des.Engine) {
 			if t.bias > 1 && t.faulty > 0 {
 				t.logW -= t.logBias
 			}
 			t.onFault(i, faults.Visible, false)
-		}
-		r.fireLatent = func(*des.Engine) {
+		})
+		r.latentEv = t.eng.NewTimer(func(*des.Engine) {
 			if t.bias > 1 && t.faulty > 0 {
 				t.logW -= t.logBias
 			}
 			t.onFault(i, faults.Latent, false)
-		}
-		r.fireDetect = func(*des.Engine) { t.onDetected(i) }
-		r.fireAudit = func(*des.Engine) {
+		})
+		r.detectEv = t.eng.NewTimer(func(*des.Engine) { t.onDetected(i) })
+		r.repairEv = t.eng.NewTimer(func(*des.Engine) { t.onRepaired(i) })
+		r.auditEv = t.eng.NewTimer(func(*des.Engine) {
 			t.onAudit(i)
 			t.armAudit(i)
-		}
-		r.fireRepaired = func(*des.Engine) { t.onRepaired(i) }
+		})
 		t.reps[i] = r
 	}
-	t.shockFns = make([]des.Handler, len(cfg.Shocks))
+	t.shockEv = make([]des.Timer, len(cfg.Shocks))
 	for si := range cfg.Shocks {
 		si := si
-		t.shockFns[si] = func(*des.Engine) {
+		t.shockEv[si] = t.eng.NewTimer(func(*des.Engine) {
 			t.onShock(si)
 			if !t.lost {
 				t.armShock(si)
 			}
-		}
+		})
 	}
+	t.replayEv = t.eng.NewTimer(func(*des.Engine) { t.replayStep() })
 	return t
 }
 
@@ -418,17 +416,14 @@ func (t *trial) armVisible(i int) {
 		return
 	}
 	r := t.reps[i]
-	t.eng.Cancel(r.visibleEv)
-	r.visibleEv = des.Handle{}
+	at := math.Inf(1)
 	if r.state != stateRepairing && !r.visible.Disabled() {
-		delay := r.visible.SampleNextAt(t.eng.Now(), r.src)
-		if !math.IsInf(delay, 1) {
-			r.visibleEv = t.eng.ScheduleAfter(delay, r.fireVisible)
-		}
+		at = t.eng.Now() + r.visible.SampleNextAt(t.eng.Now(), r.src)
 	}
+	t.arm(r.visibleEv, at)
 	if t.bias > 1 {
 		nr := 0.0
-		if r.visibleEv != (des.Handle{}) {
+		if t.eng.Armed(r.visibleEv) {
 			nr = 1 / r.visible.EffectiveMean()
 		}
 		t.noteRate(&r.visRate, nr)
@@ -441,17 +436,14 @@ func (t *trial) armLatent(i int) {
 		return
 	}
 	r := t.reps[i]
-	t.eng.Cancel(r.latentEv)
-	r.latentEv = des.Handle{}
+	at := math.Inf(1)
 	if r.state == stateHealthy && !r.latent.Disabled() {
-		delay := r.latent.SampleNextAt(t.eng.Now(), r.src)
-		if !math.IsInf(delay, 1) {
-			r.latentEv = t.eng.ScheduleAfter(delay, r.fireLatent)
-		}
+		at = t.eng.Now() + r.latent.SampleNextAt(t.eng.Now(), r.src)
 	}
+	t.arm(r.latentEv, at)
 	if t.bias > 1 {
 		nr := 0.0
-		if r.latentEv != (des.Handle{}) {
+		if t.eng.Armed(r.latentEv) {
 			nr = 1 / r.latent.EffectiveMean()
 		}
 		t.noteRate(&r.latRate, nr)
@@ -472,7 +464,7 @@ func (t *trial) armAudit(i int) {
 	if !ok {
 		return
 	}
-	t.eng.Schedule(at, t.reps[i].fireAudit)
+	t.eng.Set(t.reps[i].auditEv, at)
 }
 
 // armShock schedules the next firing of shock si.
@@ -483,8 +475,7 @@ func (t *trial) armShock(si int) {
 		return
 	}
 	s := &t.cfg.Shocks[si]
-	delay := s.SampleNext(t.shock())
-	t.eng.ScheduleAfter(delay, t.shockFns[si])
+	t.eng.Set(t.shockEv[si], t.eng.Now()+s.SampleNext(t.shock()))
 }
 
 // armDetection schedules the discovery of replica i's outstanding latent
@@ -494,8 +485,6 @@ func (t *trial) armShock(si int) {
 // time is exact for deterministic-periodic and memoryless strategies.
 func (t *trial) armDetection(i int) {
 	r := t.reps[i]
-	t.eng.Cancel(r.detectEv)
-	r.detectEv = des.Handle{}
 	best := math.Inf(1)
 	if t.lazyAudit {
 		if at, ok := t.scrubFor(i).NextAudit(t.eng.Now(), t.audit()); ok && at < best {
@@ -507,10 +496,17 @@ func (t *trial) armDetection(i int) {
 			best = at
 		}
 	}
-	if math.IsInf(best, 1) {
-		return
+	t.arm(r.detectEv, best)
+}
+
+// arm sets tm to fire at at, re-keying it in place if it is armed, or
+// clears it when at is +Inf: the event never comes.
+func (t *trial) arm(tm des.Timer, at float64) {
+	if math.IsInf(at, 1) {
+		t.eng.Clear(tm)
+	} else {
+		t.eng.Set(tm, at)
 	}
-	r.detectEv = t.eng.Schedule(best, r.fireDetect)
 }
 
 // onFault applies a fault of the given class to replica i. planted marks
@@ -624,12 +620,10 @@ func (t *trial) onDetected(i int) {
 	}
 	t.stats.Detections++
 	t.traceEvent(t.eng.Now(), i, eventDetected, faults.Latent, false)
-	t.eng.Cancel(r.detectEv)
-	r.detectEv = des.Handle{}
+	t.eng.Clear(r.detectEv)
 	r.state = stateRepairing
 	// The visible arrival no longer matters while repairing.
-	t.eng.Cancel(r.visibleEv)
-	r.visibleEv = des.Handle{}
+	t.eng.Clear(r.visibleEv)
 	t.startRepair(i)
 }
 
@@ -640,7 +634,8 @@ func (t *trial) onShock(si int) {
 	}
 	s := &t.cfg.Shocks[si]
 	t.stats.ShockEvents++
-	for _, target := range s.Strike(t.shock()) {
+	t.struck = s.StrikeInto(t.shock(), t.struck)
+	for _, target := range t.struck {
 		if t.lost {
 			return
 		}
@@ -653,12 +648,9 @@ func (t *trial) onShock(si int) {
 func (t *trial) startRepair(i int) {
 	r := t.reps[i]
 	// Fault arrivals pause during repair.
-	t.eng.Cancel(r.visibleEv)
-	r.visibleEv = des.Handle{}
-	t.eng.Cancel(r.latentEv)
-	r.latentEv = des.Handle{}
-	t.eng.Cancel(r.detectEv)
-	r.detectEv = des.Handle{}
+	t.eng.Clear(r.visibleEv)
+	t.eng.Clear(r.latentEv)
+	t.eng.Clear(r.detectEv)
 	if t.bias > 1 {
 		t.noteRate(&r.visRate, 0)
 		t.noteRate(&r.latRate, 0)
@@ -670,7 +662,7 @@ func (t *trial) startRepair(i int) {
 		return
 	}
 	d := t.specs[i].Repair.Duration(r.faultKind == faults.Visible, r.src)
-	r.repairEv = t.eng.ScheduleAfter(d, r.fireRepaired)
+	t.eng.Set(r.repairEv, t.eng.Now()+d)
 	t.traceEvent(t.eng.Now(), i, eventRepairStart, r.faultKind, false)
 }
 
@@ -680,7 +672,6 @@ func (t *trial) onRepaired(i int) {
 		return
 	}
 	r := t.reps[i]
-	r.repairEv = des.Handle{}
 	t.stats.Repairs++
 	t.traceEvent(t.eng.Now(), i, eventRepaired, r.faultKind, false)
 	r.state = stateHealthy
