@@ -32,12 +32,13 @@ var ErrInvalid = errors.New("aging: invalid parameter")
 //
 //	P(L > age+t | L > age) = exp((age/λ)^k - ((age+t)/λ)^k)
 //
+// so ((age+t)/λ)^k = (age/λ)^k + E for one E ~ Exp(1).
+//
 // shape = 1 reduces to the memoryless exponential (residual independent
 // of age); shape > 1 is wear-out (§6.5's bathtub right wall).
 func RemainingLifetime(shape, scale, age float64, src *rng.Source) float64 {
-	u := src.Float64Open()
 	ak := math.Pow(age/scale, shape)
-	total := scale * math.Pow(ak-math.Log(u), 1/shape)
+	total := scale * math.Pow(ak+src.Exp(), 1/shape)
 	if total <= age { // float guard; residual must be positive
 		return math.SmallestNonzeroFloat64
 	}

@@ -116,7 +116,7 @@ func (p *Process) SampleNext(src *rng.Source) float64 {
 	if p.Disabled() {
 		return math.Inf(1)
 	}
-	return -p.mean / (p.accel * p.bias) * math.Log(src.Float64Open())
+	return p.mean / (p.accel * p.bias) * src.Exp()
 }
 
 // Correlation maps the number of replicas with outstanding faults to the

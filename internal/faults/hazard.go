@@ -83,13 +83,13 @@ func (p *Process) SampleNextAt(now float64, src *rng.Source) float64 {
 		if !(k.bound > 0) {
 			return math.Inf(1)
 		}
-		t := now + -math.Log(src.Float64Open())/(base*k.bound)
+		t := now + src.Exp()/(base*k.bound)
 		if math.IsInf(t, 1) {
 			return t
 		}
 		return t - now
 	case kernelWeibull:
-		u := k.inverse(now, -math.Log(src.Float64Open())/base)
+		u := k.inverse(now, src.Exp()/base)
 		if u > maxHazardTime {
 			return math.Inf(1)
 		}
@@ -110,7 +110,7 @@ func (p *Process) SampleNextAt(now float64, src *rng.Source) float64 {
 			t = end
 			continue
 		}
-		if t += -math.Log(src.Float64Open()) / (base * rate); t < end {
+		if t += src.Exp() / (base * rate); t < end {
 			return t - now
 		}
 		t = end

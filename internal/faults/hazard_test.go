@@ -93,15 +93,15 @@ func TestConstantFastPathMatchesThinning(t *testing.T) {
 	}
 }
 
-// TestWeibullDrawsOneUniformPerArrival is the work gate of the Weibull
-// sampler: one SampleNextAt call leaves the source exactly one
-// Float64Open ahead of a clone taken before it, for shapes with and
+// TestWeibullDrawsOneExpPerArrival is the work gate of the Weibull
+// sampler: one SampleNextAt call leaves the source exactly one Exp
+// ahead of a clone taken before it, for shapes with and
 // without a closed-form inverse, bare and under ScaledHazard factors,
 // from any start. A steep profile — shape 100, which a thinning walk
 // could only sample by rejecting candidates by the billion — still
 // matches the closed form Weibull(k, m) mean m·Γ(1+1/k), and a scale far
 // beyond the channel's mean is "never".
-func TestWeibullDrawsOneUniformPerArrival(t *testing.T) {
+func TestWeibullDrawsOneExpPerArrival(t *testing.T) {
 	steep := WeibullHazard{Shape: 100, Scale: 100}
 	for _, h := range []Hazard{
 		WeibullHazard{Shape: 1.5, Scale: 200000},
@@ -119,9 +119,9 @@ func TestWeibullDrawsOneUniformPerArrival(t *testing.T) {
 			now := []float64{0, 1, 150, 438300, 5e6, 1e18}[i%6]
 			clone := *src
 			p.SampleNextAt(now, src)
-			clone.Float64Open()
+			clone.Exp()
 			if *src != clone {
-				t.Fatalf("%+v from %v: the draw did not take exactly one uniform", h, now)
+				t.Fatalf("%+v from %v: the draw did not take exactly one Exp", h, now)
 			}
 		}
 	}

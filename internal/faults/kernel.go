@@ -132,20 +132,12 @@ func (k *kernel) cumulative(a, b float64) float64 {
 // mean returns the kernel's mean multiplier over [0, horizon] for
 // horizon > 0: Λ(0, horizon)/horizon, the factor by which the profile
 // scales the expected number of arrivals in the horizon. A constant
-// kernel returns its multiplier as it is, and a Weibull kernel the
-// closed form (horizon/Scale)^(Shape−1) times its factors, because
-// dividing Λ by the horizon would move their last bits, and with them
-// every key of a profile normalized through them.
+// kernel returns its multiplier as it is, where the division would
+// move its last bits and with them every key of a profile normalized
+// through it.
 func (k *kernel) mean(horizon float64) float64 {
-	switch k.kind {
-	case kernelConstant:
+	if k.kind == kernelConstant {
 		return k.bound
-	case kernelWeibull:
-		v := math.Pow(horizon/k.scale, k.shape-1)
-		for _, f := range k.scales {
-			v = f * v
-		}
-		return v
 	}
 	return k.cumulative(0, horizon) / horizon
 }

@@ -65,7 +65,8 @@ func envelope(h Hazard, t, w float64) (bound, dt float64) {
 
 // walkNextAt is the oracle for SampleNextAt: Lewis–Shedler thinning of
 // h against envelope (window scale w), drawing one exponential
-// candidate per window and accepting it with probability φ/bound. p
+// candidate per window through rng.Source.Exp, as the kernels draw, and
+// accepting it with probability φ/bound. p
 // supplies the mean, acceleration and bias; its own profile is not
 // read.
 func walkNextAt(p *Process, h Hazard, now, w float64, src *rng.Source) float64 {
@@ -83,7 +84,7 @@ func walkNextAt(p *Process, h Hazard, now, w float64, src *rng.Source) float64 {
 			t = end
 			continue
 		}
-		t += -math.Log(src.Float64Open()) / (base * bound)
+		t += src.Exp() / (base * bound)
 		if t >= end {
 			t = end
 			continue

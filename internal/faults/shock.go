@@ -60,7 +60,7 @@ func (s Shock) Validate() error {
 
 // SampleNext draws the time until the next shock event.
 func (s Shock) SampleNext(src *rng.Source) float64 {
-	return -s.Mean * math.Log(src.Float64Open())
+	return s.Mean * src.Exp()
 }
 
 // StrikeInto returns the subset of Targets hit by one shock event,

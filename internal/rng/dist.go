@@ -38,9 +38,9 @@ func NewExponential(mean float64) (Exponential, error) {
 	return Exponential{MeanValue: mean}, nil
 }
 
-// Sample draws by inverse transform: -mean * ln(U).
+// Sample draws mean · Exp().
 func (e Exponential) Sample(src *Source) float64 {
-	return -e.MeanValue * math.Log(src.Float64Open())
+	return e.MeanValue * src.Exp()
 }
 
 // Mean returns the distribution mean.

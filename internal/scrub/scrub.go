@@ -107,7 +107,7 @@ func NewPoisson(perYear float64) (Poisson, error) {
 
 // NextAudit draws the next audit time.
 func (p Poisson) NextAudit(now float64, src *rng.Source) (float64, bool) {
-	return now - p.MeanInterval*math.Log(src.Float64Open()), true
+	return now + p.MeanInterval*src.Exp(), true
 }
 
 // MeanDetectionLag returns the full mean interval (memorylessness).
@@ -147,7 +147,7 @@ func NewOnAccess(ratePerHour, coverage float64) (OnAccess, error) {
 // the fault arrive as a thinned Poisson process of rate Rate·Coverage.
 func (a OnAccess) NextAudit(now float64, src *rng.Source) (float64, bool) {
 	rate := a.RatePerHour * a.Coverage
-	return now - math.Log(src.Float64Open())/rate, true
+	return now + src.Exp()/rate, true
 }
 
 // MeanDetectionLag returns 1/(rate·coverage).

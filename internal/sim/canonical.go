@@ -77,6 +77,7 @@ func appendCanonical(b []byte, cfg *Config, opt Options) ([]byte, error) {
 	if minIntact == 0 {
 		minIntact = 1
 	}
+	b = append(b, drawLayout...)
 	b = append(b, "sim.Config/v1{replicas:"...)
 	b = strconv.AppendInt(b, int64(n), 10)
 	b = append(b, ",minIntact:"...)
@@ -156,6 +157,16 @@ func appendCanonical(b []byte, cfg *Config, opt Options) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
+// drawLayout opens every canonical string. It names the draw layout
+// the trials of this build take: which stream each draw comes from and
+// how an exponential is drawn (docs/MODEL.md §6). A build that lays
+// draws out differently gives the same configuration different bits,
+// so it must change the marker: then no disk store entry or worker of
+// an earlier build answers a key with bytes this build would not
+// reproduce. Layout 2 draws every exponential by ziggurat from its own
+// (replica, role) stream.
+const drawLayout = "draws/v2;"
+
 // appendFloat renders a float deterministically and round-trippably
 // (strconv spells the specials NaN, +Inf and -Inf).
 func appendFloat(b []byte, v float64) []byte {
@@ -165,16 +176,6 @@ func appendFloat(b []byte, v float64) []byte {
 // hazardType is the faults.Hazard interface, for the additive-field
 // omission rule in appendValue.
 var hazardType = reflect.TypeOf((*faults.Hazard)(nil)).Elem()
-
-// drawVersions tags the encoded name of each type whose sampler changed
-// its draws after keys naming it were deployed, so those keys change
-// with it: a disk store or a worker of the earlier build must never
-// answer them with bytes this build would not reproduce. Weibull
-// profiles are sampled by inverting Λ since "/inverse"; before, by
-// thinning.
-var drawVersions = map[reflect.Type]string{
-	reflect.TypeOf(faults.WeibullHazard{}): "/inverse",
-}
 
 // structCodec is what encoding a struct type needs from reflection,
 // computed once per type: the "pkg.Type{" opener and, per field in
@@ -198,7 +199,7 @@ func codecOf(t reflect.Type) *structCodec {
 	if c, ok := structCodecs.Load(t); ok {
 		return c.(*structCodec)
 	}
-	c := &structCodec{open: t.String() + drawVersions[t] + "{", fields: make([]fieldCodec, t.NumField())}
+	c := &structCodec{open: t.String() + "{", fields: make([]fieldCodec, t.NumField())}
 	for i := range c.fields {
 		f := t.Field(i)
 		c.fields[i] = fieldCodec{label: f.Name + ":", omitNil: f.Type == hazardType}

@@ -259,7 +259,7 @@ type canonKinds struct {
 // string-builder encoder wrote it: the nil Hazard field is omitted, maps
 // sort by encoded "k:v" entry (so 10:"x" sorts before 1:"w"), and
 // pointers and interfaces are transparent.
-const canonKindsGolden = `sim.canonKinds{B:true,I8:-3,U:7,U16:65535,F32:0.10000000149011612,NaN:NaN,NegInf:-Inf,S:"q\"uo\tteé",Arr:[1,2,3],Nil:nil,Empty:[],M:map{"a":1,"b":2,"c":+Inf},IM:map{-1:"z",10:"x",1:"w",2:"y"},NilMap:nil,P:faults.WeibullHazard/inverse{Shape:2,Scale:3},NilP:nil,Any:faults.ConstantHazard{Factor:1.5},NilAny:nil,hidden:struct { x float64; y float64 }{x:1e-300,y:1.23456789e+08}}`
+const canonKindsGolden = `sim.canonKinds{B:true,I8:-3,U:7,U16:65535,F32:0.10000000149011612,NaN:NaN,NegInf:-Inf,S:"q\"uo\tteé",Arr:[1,2,3],Nil:nil,Empty:[],M:map{"a":1,"b":2,"c":+Inf},IM:map{-1:"z",10:"x",1:"w",2:"y"},NilMap:nil,P:faults.WeibullHazard{Shape:2,Scale:3},NilP:nil,Any:faults.ConstantHazard{Factor:1.5},NilAny:nil,hidden:struct { x float64; y float64 }{x:1e-300,y:1.23456789e+08}}`
 
 func TestCanonicalValueKinds(t *testing.T) {
 	v := canonKinds{

@@ -17,7 +17,10 @@ import (
 // over loss times replays in trial order during batch merges, the
 // Kaplan–Meier fit depends only on the observation multiset, and every
 // other aggregate is integer-exact — so these must hold to the last bit,
-// at any parallelism and any batch size.
+// at any parallelism and any batch size. Every golden in this file was
+// re-captured once, when draw layout 2 gave each (replica, role) its own
+// stream and drew exponentials by ziggurat (docs/MODEL.md §6): the
+// layout decides every draw, so no bit could stay.
 
 type goldenCase struct {
 	name    string
@@ -69,26 +72,26 @@ func goldenCases() []goldenCase {
 		{
 			name: "mirror-loss", cfg: goldenMirror,
 			opt:   Options{Trials: 300, Seed: 42},
-			mttdl: [3]uint64{0x40e8484b6a35c103, 0x40e56b8538271afc, 0x40eb25119c44670a},
-			loss:  [3]uint64{0, 0, 0},
+			mttdl: [3]uint64{0x40e962e9630b16e8, 0x40e654715e87c43b, 0x40ec7161678e6995},
+			loss:  [3]uint64{0x0, 0x0, 0x0},
 			cens:  0, losses: 300,
-			maxTime: 0x411350163ba3e5ce, rm: 0x0, surv: 0x3ff0000000000000,
+			maxTime: 0x41136f51626d16d9, rm: 0x0, surv: 0x3ff0000000000000,
 		},
 		{
 			name: "mirror-censored", cfg: goldenMirror,
 			opt:   Options{Trials: 500, Seed: 7, Horizon: 20000},
-			mttdl: [3]uint64{0x40cff8bd6faf595a, 0x40ce48c9ef7f292c, 0x40d0d45877efc4c4},
-			loss:  [3]uint64{0x3fd604189374bc6a, 0x3fd36fb49ec73a0f, 0x3fd8bf75eafb9709},
-			cens:  328, losses: 172,
-			maxTime: 0x40d3880000000000, rm: 0x40cff8bd6faf595a, surv: 0x3fea1cac083126e8,
+			mttdl: [3]uint64{0x40cf79e2043acf91, 0x40cdda52af526f48, 0x40d08cb8ac9197ed},
+			loss:  [3]uint64{0x3fd6c8b439581062, 0x3fd42d755924a5fd, 0x3fd987ecfea2dff3},
+			cens:  322, losses: 178,
+			maxTime: 0x40d3880000000000, rm: 0x40cf79e2043acf91, surv: 0x3fe95810624dd2f0,
 		},
 		{
 			name: "latent-scrubbed", cfg: goldenLatent,
 			opt:   Options{Trials: 400, Seed: 2, Horizon: 30000},
-			mttdl: [3]uint64{0x40c48ec46db14cb5, 0x40c30641f652aff8, 0x40c61746e50fe972},
-			loss:  [3]uint64{0x3fee000000000000, 0x3fed19867b6a30de, 0x3feea24a61b7b04e},
-			cens:  25, losses: 375,
-			maxTime: 0x40dd4c0000000000, rm: 0x40c48ec46db14cb5, surv: 0x3fd170a3d70a3d80,
+			mttdl: [3]uint64{0x40c48a9bf28eeb91, 0x40c31d9b5c47a04f, 0x40c5f79c88d636d3},
+			loss:  [3]uint64{0x3fedc28f5c28f5c3, 0x3fecd2760b5c9025, 0x3fee6fa4c533e9b1},
+			cens:  28, losses: 372,
+			maxTime: 0x40dd4c0000000000, rm: 0x40c48a9bf28eeb91, surv: 0x3fd19999999999a9,
 		},
 	}
 }
@@ -194,18 +197,16 @@ func withGolden(base func(*testing.T) Config, edit func(*Config)) func(*testing.
 // detection and a Weibull profile. Captured before the trial core
 // learned to skip acceleration work for static configurations and to
 // derive the audit and shock streams on first use; both changes must
-// leave every bit below unmoved. The Weibull case was re-captured when
-// Weibull arrivals moved from thinning to inversion, which changes
-// their draws.
+// leave every bit below unmoved.
 func trialPathGoldenCases() []goldenCase {
 	return []goldenCase{
 		{
 			name: "alpha-0.5", cfg: withGolden(goldenWithLatent, func(c *Config) { c.Correlation = faults.AlphaCorrelation{Factor: 0.5} }),
 			opt:   Options{Trials: 300, Seed: 5, Horizon: 20000},
-			mttdl: [3]uint64{0x40a9cc5267a428d0, 0x40a713b680a3a179, 0x40ac84ee4ea4b027},
-			loss:  [3]uint64{0x3ff0000000000000, 0x3fef986dc4821f2c, 0x3feffffffffffffe},
-			cens:  0, losses: 300,
-			maxTime: 0x40d3268f4caa86aa, rm: 0x40a9cc5267a428df, surv: 0x3fa62fc962fc9638,
+			mttdl: [3]uint64{0x40aaeb3175a34063, 0x40a7fec6cc10baaa, 0x40add79c1f35c61c},
+			loss:  [3]uint64{0x3fefae147ae147ae, 0x3fef1291357c513e, 0x3fefe417cda70ac0},
+			cens:  3, losses: 297,
+			maxTime: 0x40d3880000000000, rm: 0x40aaeb3175a34063, surv: 0x3fb1111111111117,
 		},
 		{
 			name: "compounding-0.5-3rep", cfg: withGolden(goldenWithLatent, func(c *Config) {
@@ -213,44 +214,44 @@ func trialPathGoldenCases() []goldenCase {
 				c.Correlation = faults.CompoundingAlpha{Factor: 0.5}
 			}),
 			opt:   Options{Trials: 300, Seed: 6, Horizon: 50000},
-			mttdl: [3]uint64{0x40c370ae9ff4bd0e, 0x40c17fb787b7548c, 0x40c561a5b8322590},
-			loss:  [3]uint64{0x3fefc962fc962fc9, 0x3fef3b935d034a40, 0x3feff101e694fd76},
-			cens:  2, losses: 298,
-			maxTime: 0x40e86a0000000000, rm: 0x40c370ae9ff4bd0e, surv: 0x3fb0369d0369d03c,
+			mttdl: [3]uint64{0x40c45f05312ac5a2, 0x40c245eac066d52a, 0x40c6781fa1eeb61a},
+			loss:  [3]uint64{0x3fefae147ae147ae, 0x3fef1291357c513e, 0x3fefe417cda70ac0},
+			cens:  3, losses: 297,
+			maxTime: 0x40e86a0000000000, rm: 0x40c45f05312ac5a2, surv: 0x3fb62fc962fc9639,
 		},
 		{
 			name: "alpha-1", cfg: withGolden(goldenWithLatent, func(c *Config) { c.Correlation = faults.AlphaCorrelation{Factor: 1} }),
 			opt:   Options{Trials: 300, Seed: 7, Horizon: 20000},
-			mttdl: [3]uint64{0x40b764d3754ee48a, 0x40b5519f5d7744cb, 0x40b978078d268449},
-			loss:  [3]uint64{0x3feeeeeeeeeeeeef, 0x3fee1255ca9f2dc2, 0x3fef6add7551bc24},
-			cens:  10, losses: 290,
-			maxTime: 0x40d3880000000000, rm: 0x40b764d3754ee48a, surv: 0x3fc99999999999a8,
+			mttdl: [3]uint64{0x40b8bf18c4887f62, 0x40b68eba818d6f92, 0x40baef7707838f32},
+			loss:  [3]uint64{0x3fee9d0369d0369d, 0x3fedac4c6be82016, 0x3fef2f2212aa06a0},
+			cens:  13, losses: 287,
+			maxTime: 0x40d3880000000000, rm: 0x40b8bf18c4887f62, surv: 0x3fcf92c5f92c5fa1,
 		},
 		{
 			name: "auto-bias", cfg: goldenMirror,
 			opt:   Options{Trials: 400, Seed: 9, Horizon: 2000, Bias: AutoBias},
-			mttdl: [3]uint64{0x409eaf1de9fe022e, 0x409d18541922d6c1, 0x40a022f3dd6c96cd},
-			loss:  [3]uint64{0x3fa2b2af037b79e4, 0x3fa027f07a40c538, 0x3fa53d6d8cb62e90},
-			cens:  258, losses: 142,
-			maxTime: 0x409f400000000000, rm: 0x40995c5652ee11af, surv: 0x3fea147ae147ae16,
+			mttdl: [3]uint64{0x409e9a5d605ceb12, 0x409d36f9149ec7eb, 0x409ffdc1ac1b0e39},
+			loss:  [3]uint64{0x3fa56a7cd0f56237, 0x3fa2d347b439c58e, 0x3fa801b1edb0fee0},
+			cens:  236, losses: 164,
+			maxTime: 0x409f400000000000, rm: 0x409889ab13c12590, surv: 0x3fe88f5c28f5c292,
 		},
 		{
 			name: "auto-bias-alpha-0.5", cfg: withGolden(goldenWithLatent, func(c *Config) { c.Correlation = faults.AlphaCorrelation{Factor: 0.5} }),
 			opt:   Options{Trials: 400, Seed: 10, Horizon: 2000, Bias: AutoBias},
-			mttdl: [3]uint64{0x409889e4c63dc344, 0x40973815b7ad291c, 0x4099dbb3d4ce5d6c},
-			loss:  [3]uint64{0x3fdb851eb851eb85, 0x3fd8693aca7390ef, 0x3fdea102a630461b},
-			cens:  228, losses: 172,
-			maxTime: 0x409f400000000000, rm: 0x409889e4c63dc349, surv: 0x3fe91eb851eb8520,
+			mttdl: [3]uint64{0x4097b4e936ecef02, 0x40967b6c20a4913b, 0x4098ee664d354cc9},
+			loss:  [3]uint64{0x3fdd47ae147ae148, 0x3fda26c84a12fc5a, 0x3fe03449ef71631b},
+			cens:  217, losses: 183,
+			maxTime: 0x409f400000000000, rm: 0x4097b4e936ecef02, surv: 0x3fe7d70a3d70a3db,
 		},
 		{
 			name: "shocks", cfg: withGolden(goldenMirror, func(c *Config) {
 				c.Shocks = []faults.Shock{{Name: "power", Mean: 5000, Targets: []int{0, 1}, Kind: faults.Visible, HitProb: 0.5}}
 			}),
 			opt:   Options{Trials: 300, Seed: 11, Horizon: 20000},
-			mttdl: [3]uint64{0x40c48c4a1020a6d2, 0x40c328116abfcfc7, 0x40c5f082b5817ddd},
-			loss:  [3]uint64{0x3fe92c5f92c5f92c, 0x3fe7942bcd0655dc, 0x3fea8931da40daba},
-			cens:  64, losses: 236,
-			maxTime: 0x40d3880000000000, rm: 0x40c48c4a1020a6d2, surv: 0x3fdf5c28f5c28f71,
+			mttdl: [3]uint64{0x40c3eaa7f81dcdcb, 0x40c28afed6e72758, 0x40c54a511954743e},
+			loss:  [3]uint64{0x3fe9111111111111, 0x3fe7771ce8546e68, 0x3fea70547e7dd676},
+			cens:  65, losses: 235,
+			maxTime: 0x40d3880000000000, rm: 0x40c3eaa7f81dcdcb, surv: 0x3fdd3a06d3a06d4c,
 		},
 		{
 			name: "audit-wear", cfg: withGolden(goldenLatent, func(c *Config) {
@@ -258,10 +259,10 @@ func trialPathGoldenCases() []goldenCase {
 				c.AuditVisibleFaultProb = 0.005
 			}),
 			opt:   Options{Trials: 300, Seed: 12, Horizon: 30000},
-			mttdl: [3]uint64{0x40b72e4c7072694d, 0x40b4c8eef01cc798, 0x40b993a9f0c80b02},
-			loss:  [3]uint64{0x3ff0000000000000, 0x3fef986dc4821f2c, 0x3feffffffffffffe},
-			cens:  0, losses: 300,
-			maxTime: 0x40db8a0000000000, rm: 0x40b72e4c70726954, surv: 0x3fb555555555555e,
+			mttdl: [3]uint64{0x40b6e51c3e49618f, 0x40b462232d3da2d1, 0x40b968154f55204d},
+			loss:  [3]uint64{0x3fefc962fc962fc9, 0x3fef3b935d034a40, 0x3feff101e694fd76},
+			cens:  2, losses: 298,
+			maxTime: 0x40dd4c0000000000, rm: 0x40b6e51c3e49618f, surv: 0x3fb7e4b17e4b17ee,
 		},
 		{
 			name: "access-detect", cfg: withGolden(goldenLatent, func(c *Config) {
@@ -269,26 +270,26 @@ func trialPathGoldenCases() []goldenCase {
 				c.AccessDetect = scrub.OnAccess{RatePerHour: 0.01, Coverage: 0.5}
 			}),
 			opt:   Options{Trials: 300, Seed: 13, Horizon: 30000},
-			mttdl: [3]uint64{0x40b56345c2a6dff4, 0x40b316d831e0cc86, 0x40b7afb3536cf362},
-			loss:  [3]uint64{0x3ff0000000000000, 0x3fef986dc4821f2c, 0x3feffffffffffffe},
-			cens:  0, losses: 300,
-			maxTime: 0x40da240f493b5c04, rm: 0x40b56345c2a6dff8, surv: 0x3fb1111111111117,
+			mttdl: [3]uint64{0x40b303cf76d0ea04, 0x40b131361bc3fc9d, 0x40b4d668d1ddd76b},
+			loss:  [3]uint64{0x3fefc962fc962fc9, 0x3fef3b935d034a40, 0x3feff101e694fd76},
+			cens:  2, losses: 298,
+			maxTime: 0x40dd4c0000000000, rm: 0x40b303cf76d0ea04, surv: 0x3f9eb851eb851ec3,
 		},
 		{
 			name: "weibull", cfg: withGolden(goldenWithLatent, func(c *Config) { c.Hazard = faults.WeibullHazard{Shape: 1.5, Scale: 20000} }),
 			opt:   Options{Trials: 300, Seed: 14, Horizon: 20000},
-			mttdl: [3]uint64{0x40c2196defdeeaca, 0x40c112ba31a9cc20, 0x40c32021ae140974},
+			mttdl: [3]uint64{0x40c2ac3379398817, 0x40c1a2d0673ee508, 0x40c3b5968b342b26},
 			loss:  [3]uint64{0x3fef40da740da741, 0x3fee7bedc60b8b2b, 0x3fefa30a3b4421e9},
 			cens:  7, losses: 293,
-			maxTime: 0x40d3880000000000, rm: 0x40c2196defdeeaca, surv: 0x3fd9d0369d0369dc,
+			maxTime: 0x40d3880000000000, rm: 0x40c2ac3379398817, surv: 0x3fda3d70a3d70a4a,
 		},
 		{
 			name: "everything", cfg: goldenEverything,
 			opt:   Options{Trials: 300, Seed: 15, Horizon: 50000},
-			mttdl: [3]uint64{0x40bbad3bec7720b3, 0x40b8d2b65e2cd271, 0x40be87c17ac16ef5},
-			loss:  [3]uint64{0x3fefe4b17e4b17e5, 0x3fef675405427206, 0x3feffb2d7ecac16c},
-			cens:  1, losses: 299,
-			maxTime: 0x40e86a0000000000, rm: 0x40bbad3bec7720b3, surv: 0x3f9b4e81b4e81b56,
+			mttdl: [3]uint64{0x40bb6925356b9b25, 0x40b858d10872b8b8, 0x40be797962647d92},
+			loss:  [3]uint64{0x3ff0000000000000, 0x3fef986dc4821f2c, 0x3feffffffffffffe},
+			cens:  0, losses: 300,
+			maxTime: 0x40e414916c0c967f, rm: 0x40bb6925356b9b2f, surv: 0x3f9b4e81b4e81b58,
 		},
 	}
 }
@@ -338,59 +339,56 @@ const agedHorizon = 438300
 // and one that has none (2.5), a constant and a bathtub profile, all
 // censored at 50 years at α = 0.5, and one profiled run to loss, where
 // the engine has no horizon to park events behind. Captured before
-// either change; both must leave every bit below unmoved. The Weibull
-// cases of shape above 1 were re-captured when Weibull arrivals moved
-// from thinning to inversion, which changes their draws; shape 1 is
-// the constant kernel and kept its bits.
+// either change; both must leave every bit below unmoved.
 func profileGoldenCases() []goldenCase {
 	return []goldenCase{
 		{
 			name: "weibull-norm-1", cfg: goldenAged(normalizedWeibull(1)),
 			opt:   Options{Trials: 200, Seed: 21, Horizon: agedHorizon},
-			mttdl: [3]uint64{0x4118a1260bcbf994, 0x4115994e7ac27dc9, 0x411ba8fd9cd5755f},
-			loss:  [3]uint64{0x3fc47ae147ae147b, 0x3fbd9cd1b3c00f2e, 0x3fcbcb443a0baef3},
-			cens:  168, losses: 32,
-			maxTime: 0x411ac07000000000, rm: 0x4118a1260bcbf994, surv: 0x3fedc28f5c28f5c2,
+			mttdl: [3]uint64{0x41185dab55929f64, 0x41159c8b6788a242, 0x411b1ecb439c9c86},
+			loss:  [3]uint64{0x3fc6666666666666, 0x3fc076223218c7a1, 0x3fcde80e8a5b5b8f},
+			cens:  165, losses: 35,
+			maxTime: 0x411ac07000000000, rm: 0x41185dab55929f64, surv: 0x3fed1eb851eb851f,
 		},
 		{
 			name: "weibull-norm-1.5", cfg: goldenAged(normalizedWeibull(1.5)),
 			opt:   Options{Trials: 200, Seed: 22, Horizon: agedHorizon},
-			mttdl: [3]uint64{0x4118b76a47b917a2, 0x4116b40c804ab9fc, 0x411abac80f277548},
-			loss:  [3]uint64{0x3fcccccccccccccd, 0x3fc6188886e38b3a, 0x3fd26a5a33ababbc},
-			cens:  155, losses: 45,
-			maxTime: 0x411ac07000000000, rm: 0x4118b76a47b917a2, surv: 0x3fee147ae147ae14,
+			mttdl: [3]uint64{0x4118b50d17a41369, 0x4116ee553b577e2b, 0x411a7bc4f3f0a8a7},
+			loss:  [3]uint64{0x3fcb851eb851eb85, 0x3fc4f4bc856fb451, 0x3fd1babefc381da4},
+			cens:  157, losses: 43,
+			maxTime: 0x411ac07000000000, rm: 0x4118b50d17a41369, surv: 0x3fee147ae147ae14,
 		},
 		{
 			name: "weibull-norm-2", cfg: goldenAged(normalizedWeibull(2)),
 			opt:   Options{Trials: 200, Seed: 23, Horizon: agedHorizon},
-			mttdl: [3]uint64{0x4118dff3fea48738, 0x4117caf827bd9706, 0x4119f4efd58b776a},
-			loss:  [3]uint64{0x3fd47ae147ae147b, 0x3fd097cd9fb8b28b, 0x3fd8cd1c6d14c18b},
-			cens:  136, losses: 64,
-			maxTime: 0x411ac07000000000, rm: 0x4118dff3fea48738, surv: 0x3fef5c28f5c28f5c,
+			mttdl: [3]uint64{0x41193cd677f95ea3, 0x4117df4a6c0972d1, 0x411a9a6283e94a75},
+			loss:  [3]uint64{0x3fd0a3d70a3d70a4, 0x3fca21342e8bb7df, 0x3fd4cb48a476bed9},
+			cens:  148, losses: 52,
+			maxTime: 0x411ac07000000000, rm: 0x41193cd677f95ea3, surv: 0x3fef0a3d70a3d70a,
 		},
 		{
 			name: "weibull-norm-3", cfg: goldenAged(normalizedWeibull(3)),
 			opt:   Options{Trials: 200, Seed: 24, Horizon: agedHorizon},
-			mttdl: [3]uint64{0x411948cbcb53519c, 0x41189c7a628ad13f, 0x4119f51d341bd1f9},
-			loss:  [3]uint64{0x3fd8000000000000, 0x3fd3e509b8b8cbaf, 0x3fdc6827090ec4ef},
-			cens:  125, losses: 75,
-			maxTime: 0x411ac07000000000, rm: 0x411948cbcb53519c, surv: 0x3fefd70a3d70a3d7,
+			mttdl: [3]uint64{0x41195c52349f00db, 0x4118a56f36feef0c, 0x411a1335323f12aa},
+			loss:  [3]uint64{0x3fd947ae147ae148, 0x3fd51c1d77d96698, 0x3fddb415ba491d20},
+			cens:  121, losses: 79,
+			maxTime: 0x411ac07000000000, rm: 0x41195c52349f00db, surv: 0x3ff0000000000000,
 		},
 		{
 			name: "weibull-norm-2.5", cfg: goldenAged(normalizedWeibull(2.5)),
 			opt:   Options{Trials: 200, Seed: 25, Horizon: agedHorizon},
-			mttdl: [3]uint64{0x4119248e3fcecdba, 0x41180d0814adc868, 0x411a3c146aefd30c},
-			loss:  [3]uint64{0x3fd3d70a3d70a3d7, 0x3fcfffa77c86fe46, 0x3fd82395165c7b65},
-			cens:  138, losses: 62,
-			maxTime: 0x411ac07000000000, rm: 0x4119248e3fcecdba, surv: 0x3fefae147ae147ae,
+			mttdl: [3]uint64{0x4119249504c2d9ec, 0x41181b63494e55d4, 0x411a2dc6c0375e04},
+			loss:  [3]uint64{0x3fd47ae147ae147b, 0x3fd097cd9fb8b28b, 0x3fd8cd1c6d14c18b},
+			cens:  136, losses: 64,
+			maxTime: 0x411ac07000000000, rm: 0x4119249504c2d9ec, surv: 0x3fef5c28f5c28f5c,
 		},
 		{
 			name: "constant", cfg: goldenAged(func(*testing.T) faults.Hazard { return faults.ConstantHazard{Factor: 1.5} }),
 			opt:   Options{Trials: 200, Seed: 26, Horizon: agedHorizon},
-			mttdl: [3]uint64{0x4114241adfa5c0da, 0x41128793c680342d, 0x4115c0a1f8cb4d87},
-			loss:  [3]uint64{0x3fdf0a3d70a3d70a, 0x3fdaaac8cd8ec064, 0x3fe1b97aaf1684a4},
-			cens:  103, losses: 97,
-			maxTime: 0x411ac07000000000, rm: 0x4114241adfa5c0da, surv: 0x3fe7ae147ae147ad,
+			mttdl: [3]uint64{0x4114504872d59d5a, 0x4112b743c4a6230a, 0x4115e94d210517aa},
+			loss:  [3]uint64{0x3fdbd70a3d70a3d7, 0x3fd78fe372881151, 0x3fe0232a50282c4e},
+			cens:  113, losses: 87,
+			maxTime: 0x411ac07000000000, rm: 0x4114504872d59d5a, surv: 0x3fe7d70a3d70a3d6,
 		},
 		{
 			name: "bathtub", cfg: goldenAged(func(t *testing.T) faults.Hazard {
@@ -401,10 +399,10 @@ func profileGoldenCases() []goldenCase {
 				return h
 			}),
 			opt:   Options{Trials: 200, Seed: 27, Horizon: agedHorizon},
-			mttdl: [3]uint64{0x41124e47838be285, 0x411175ded13cc329, 0x411326b035db01e1},
+			mttdl: [3]uint64{0x41118f75d71e903f, 0x411094e0caf6405a, 0x41128a0ae346e024},
 			loss:  [3]uint64{0x3fed99999999999a, 0x3fec289a4d7e1f7e, 0x3fee875f9c483778},
 			cens:  15, losses: 185,
-			maxTime: 0x411ac07000000000, rm: 0x41124e47838be285, surv: 0x3fec51eb851eb852,
+			maxTime: 0x411ac07000000000, rm: 0x41118f75d71e903f, surv: 0x3fea8f5c28f5c28f,
 		},
 		{
 			name: "weibull-run-to-loss", cfg: withGolden(goldenWithLatent, func(c *Config) {
@@ -415,10 +413,10 @@ func profileGoldenCases() []goldenCase {
 				c.Hazard = h
 			}),
 			opt:   Options{Trials: 200, Seed: 28},
-			mttdl: [3]uint64{0x40c4e776aa120ce5, 0x40c3c7026cd576cc, 0x40c607eae74ea2fe},
+			mttdl: [3]uint64{0x40c4916493ac52f4, 0x40c370131ceedecd, 0x40c5b2b60a69c71b},
 			loss:  [3]uint64{0x0, 0x0, 0x0},
 			cens:  0, losses: 200,
-			maxTime: 0x40d76c26bb07f624, rm: 0x0, surv: 0x3ff0000000000000,
+			maxTime: 0x40d580fbb9102445, rm: 0x0, surv: 0x3ff0000000000000,
 		},
 	}
 }
@@ -501,8 +499,8 @@ func TestGoldenRunTrial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTrialResult(t, r.RunTrial(3, 7, 0), true, 0x40b5cd8109b1fcd8, faults.Latent, faults.Latent, 0x3ff0000000000000,
-		TrialStats{VisibleFaults: 20, LatentFaults: 19, Detections: 16, Repairs: 35, Audits: 81, ShockEvents: 1, AuditInduced: 8, WOVOpenedByVis: 15, WOVOpenedByLat: 13})
+	checkTrialResult(t, r.RunTrial(3, 7, 0), true, 0x40a3a3cf62cf2b0a, faults.Latent, faults.Latent, 0x3ff0000000000000,
+		TrialStats{VisibleFaults: 14, LatentFaults: 8, Detections: 6, Repairs: 19, Audits: 36, ShockEvents: 1, AuditInduced: 2, WOVOpenedByVis: 10, WOVOpenedByLat: 7})
 }
 
 // TestGoldenTraceTrial pins one TraceTrial of goldenEverything: its
@@ -512,9 +510,9 @@ func TestGoldenTraceTrial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTrialResult(t, tr.Result, true, 0x409c5ced49455f8c, faults.Latent, faults.Visible, 0x3ff0000000000000,
-		TrialStats{VisibleFaults: 8, LatentFaults: 4, Detections: 2, Repairs: 9, Audits: 27, ShockEvents: 1, AuditInduced: 2, WOVOpenedByVis: 6, WOVOpenedByLat: 3})
-	if n, d := len(tr.Events), traceDigest(tr.Events); n != 60 || d != 0x3f16c370e7447c9c {
-		t.Errorf("%d events, digest %#x; want 60, 0x3f16c370e7447c9c", n, d)
+	checkTrialResult(t, tr.Result, true, 0x40d0774f7ec2d7c0, faults.Latent, faults.Visible, 0x3ff0000000000000,
+		TrialStats{VisibleFaults: 45, LatentFaults: 44, Detections: 43, Repairs: 79, Audits: 252, ShockEvents: 5, AuditInduced: 13, WOVOpenedByVis: 26, WOVOpenedByLat: 34})
+	if n, d := len(tr.Events), traceDigest(tr.Events); n != 544 || d != 0x2f292954cc3cdf96 {
+		t.Errorf("%d events, digest %#x; want 544, 0x2f292954cc3cdf96", n, d)
 	}
 }

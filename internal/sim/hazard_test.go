@@ -15,13 +15,15 @@ import (
 // canonPaperGolden is the canonical string of PaperConfig(3, 1) with
 // Options{Trials: 1000, Seed: 1}, captured from the build immediately
 // before ReplicaSpec gained its Hazard field. Unprofiled configs must
-// keep producing exactly this string (and fingerprint) forever: the
-// canonical form is the persistent disk-store key, so any drift silently
-// orphans every cached result. The appendCanonical additive-field rule —
-// nil faults.Hazard fields are omitted — is what this test pins.
+// keep producing exactly this string behind the draw-layout marker: the
+// canonical form is the persistent disk-store key, so any other drift
+// silently orphans every cached result. The appendCanonical
+// additive-field rule — nil faults.Hazard fields are omitted — is what
+// this test pins. The fingerprint moved once, with the marker of draw
+// layout 2 (TestKeysMoveOnce).
 const canonPaperGolden = `sim.Config/v1{replicas:2,minIntact:1,specs:[sim.ReplicaSpec{Label:"",VisibleMean:1.4e+06,LatentMean:280000,Scrub:scrub.Periodic{Interval:2920,Offset:0},AccessDetect:nil,Repair:repair.Policy{Visible:rng.Deterministic{Value:0.3333333333333333},Latent:rng.Deterministic{Value:0.3333333333333333},OperatorDelay:nil,BugLatentProb:0}},sim.ReplicaSpec{Label:"",VisibleMean:1.4e+06,LatentMean:280000,Scrub:scrub.Periodic{Interval:2920,Offset:0},AccessDetect:nil,Repair:repair.Policy{Visible:rng.Deterministic{Value:0.3333333333333333},Latent:rng.Deterministic{Value:0.3333333333333333},OperatorDelay:nil,BugLatentProb:0}}],correlation:faults.Independent{},shocks:[],auditLatent:0,auditVisible:0}sim.Options/v1{trials:1000,horizon:0,seed:1,level:0.95}`
 
-const canonPaperGoldenFP = "4b4591651b78b870bffbe159ad65eeedb990fead96c0c2ce7c81faddb64bc520"
+const canonPaperGoldenFP = "6358d8afa287ac5afc4eeade2c3d9062cde3bf5f2829e3eece22c4d975a2efe1"
 
 func TestCanonicalNilHazardByteIdentical(t *testing.T) {
 	cfg, err := PaperConfig(3, 1)
@@ -33,8 +35,8 @@ func TestCanonicalNilHazardByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s != canonPaperGolden {
-		t.Errorf("nil-hazard canonical string drifted from the pre-hazard encoding:\n got %s\nwant %s", s, canonPaperGolden)
+	if s != "draws/v2;"+canonPaperGolden {
+		t.Errorf("nil-hazard canonical string drifted from the pre-hazard encoding:\n got %s\nwant draws/v2;%s", s, canonPaperGolden)
 	}
 	fp, err := Fingerprint(cfg, opt)
 	if err != nil {

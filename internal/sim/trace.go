@@ -79,8 +79,10 @@ func (t *trial) traceEvent(at float64, replica int, kind EventKind, fault faults
 // TraceTrial runs a single traced trial of the configuration: every
 // fault, detection, repair, audit, and the loss event in chronological
 // order. horizon > 0 censors; 0 runs to data loss. Audit passes are
-// materialized so they appear on the timeline, which draws the audit
-// stream differently from the lazy path an estimation run takes.
+// materialized so they appear on the timeline. A periodic pass draws
+// nothing, so on periodic schedules the trial draws what an estimation
+// run's lazy trial draws; a Poisson schedule is drawn at every pass
+// instead of once per latent fault (docs/MODEL.md §6).
 func TraceTrial(cfg Config, seed uint64, horizon float64) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

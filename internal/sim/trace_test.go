@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/repair"
+	"repro/internal/rng"
 	"repro/internal/scrub"
 )
 
@@ -196,5 +197,57 @@ func TestModelParamsMapping(t *testing.T) {
 	p = cfg.ModelParams()
 	if math.Abs(p.MDL-50) > 1e-9 {
 		t.Errorf("MDL with access channel = %v, want 50 (two competing 100h detectors)", p.MDL)
+	}
+}
+
+// TestTraceTrialMatchesEstimatorTrial: on periodic audits, TraceTrial
+// draws what the estimator's trial draws. A materialized periodic pass
+// draws nothing, and access detection, repairs and repair bugs draw
+// from their own role streams, so putting every pass on the timeline
+// moves no draw: each trial's result equals that of the lazy-audit
+// trial started from the same stream, except for the audit passes only
+// the trace counts. The config adds access detection, a buggy repair,
+// α = 0.5 and a shock, so every role stream a lazy trial draws from is
+// exercised. The replicas' audit schedules are staggered: where two
+// replicas are detected by passes at one instant, the two paths may
+// take those detections in different orders, and under correlation
+// the order decides which replica's arrivals are re-drawn.
+func TestTraceTrialMatchesEstimatorTrial(t *testing.T) {
+	cfg := traceConfig(t)
+	cfg.Replicas = 3
+	cfg.Specs = []ReplicaSpec{
+		{Scrub: scrub.Periodic{Interval: 200}},
+		{Scrub: scrub.Periodic{Interval: 200, Offset: 70}},
+		{Scrub: scrub.Periodic{Interval: 200, Offset: 140}},
+	}
+	cfg.AccessDetect = scrub.OnAccess{RatePerHour: 1.0 / 300, Coverage: 0.5}
+	cfg.Repair.BugLatentProb = 0.05
+	cfg.Correlation = faults.AlphaCorrelation{Factor: 0.5}
+	cfg.Shocks = []faults.Shock{{Name: "power", Mean: 3000, Targets: []int{0, 1}, Kind: faults.Visible, HitProb: 0.5}}
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := allocTrial(&r.cfg, r.specs, nil)
+	if !tr.lazyAudit {
+		t.Fatal("the estimator's trial materializes audits on this config")
+	}
+	audits := 0
+	for seed := uint64(1); seed <= 300; seed++ {
+		traced, err := TraceTrial(cfg, seed, 20000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.start(rng.New(seed))
+		plain := tr.run(20000)
+		audits += traced.Result.Stats.Audits
+		got := traced.Result
+		got.Stats.Audits = 0
+		if got != plain {
+			t.Fatalf("seed %d: TraceTrial gives %+v, the estimator's trial %+v", seed, got, plain)
+		}
+	}
+	if audits == 0 {
+		t.Error("no traced trial ran an audit pass")
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strconv"
 
 	"repro/internal/des"
 	"repro/internal/faults"
@@ -101,14 +102,38 @@ type replica struct {
 	repairEv  des.Timer // repair completion
 	auditEv   des.Timer // next audit pass (never armed under lazyAudit)
 
-	src *rng.Source // fault/repair randomness for this replica
+	// The replica's role streams: visible and latent fault arrivals,
+	// repair durations and repair-bug draws.
+	visSrc, latSrc, repairSrc, bugSrc stream
 }
 
-// Derivation labels of the trial's side streams, hashed once.
+// stream is one of a trial's role streams. It is derived from the
+// trial stream under its label the first time the trial draws from it
+// (trial.draw), not when the trial starts: many trials never repair,
+// audit or shock, and a stream derived late is the one derived at
+// start, because derivation reads only the trial stream's identity and
+// the label.
+type stream struct {
+	src   rng.Source
+	label uint64
+	stale bool
+}
+
+// Derivation labels of the trial's own role streams, hashed once:
+// audit schedules, access detection, audit side effects (wear) and
+// shocks. A replica's labels are replicaLabel's.
 var (
-	auditLabel = rng.StringLabel("audit")
-	shockLabel = rng.StringLabel("shock")
+	scheduleLabel = rng.StringLabel("audit/schedule")
+	accessLabel   = rng.StringLabel("audit/access")
+	wearLabel     = rng.StringLabel("audit/wear")
+	shockLabel    = rng.StringLabel("shock")
 )
+
+// replicaLabel is the derivation label of replica i's role stream
+// ("visible", "latent", "repair" or "bug").
+func replicaLabel(i int, role string) uint64 {
+	return rng.StringLabel("replica/" + strconv.Itoa(i) + "/" + role)
+}
 
 // trial is one running simulation.
 type trial struct {
@@ -119,15 +144,14 @@ type trial struct {
 	eng   *des.Engine
 	reps  []*replica
 
-	// src is the trial's stream. The audit and shock streams derive from
-	// it on first use (see audit and shock): many trials never audit or
-	// shock, and a stream derived late is the one derived at start,
-	// because derivation reads only src's identity and the label.
-	src        rng.Source
-	auditSrc   rng.Source
-	shockSrc   rng.Source
-	auditStale bool
-	shockStale bool
+	// src is the trial's stream. It draws nothing itself: every draw
+	// comes from a role stream derived from it (see stream), and
+	// streams lists them all, the replicas' included, for start to
+	// mark stale.
+	src                    rng.Source
+	schedule, access, wear stream
+	shocks                 stream
+	streams                []*stream
 
 	// accel[n] is cfg.Correlation.Acceleration(n), tabulated for
 	// n = 0..len(specs) at allocation (Acceleration is pure).
@@ -231,7 +255,12 @@ func allocTrial(cfg *Config, specs []ReplicaSpec, trace *Trace) *trial {
 			vis.SetProfile(h)
 			lat.SetProfile(h)
 		}
-		r := &replica{visible: vis, latent: lat, src: &rng.Source{}}
+		r := &replica{visible: vis, latent: lat}
+		r.visSrc.label = replicaLabel(i, "visible")
+		r.latSrc.label = replicaLabel(i, "latent")
+		r.repairSrc.label = replicaLabel(i, "repair")
+		r.bugSrc.label = replicaLabel(i, "bug")
+		t.streams = append(t.streams, &r.visSrc, &r.latSrc, &r.repairSrc, &r.bugSrc)
 		i := i
 		// A biased arrival firing contributes the density-ratio factor
 		// 1/β; an arrival is biased exactly when it fires inside a
@@ -269,6 +298,8 @@ func allocTrial(cfg *Config, specs []ReplicaSpec, trace *Trace) *trial {
 		})
 	}
 	t.replayEv = t.eng.NewTimer(func(*des.Engine) { t.replayStep() })
+	t.schedule.label, t.access.label, t.wear.label, t.shocks.label = scheduleLabel, accessLabel, wearLabel, shockLabel
+	t.streams = append(t.streams, &t.schedule, &t.access, &t.wear, &t.shocks)
 	return t
 }
 
@@ -279,7 +310,9 @@ func allocTrial(cfg *Config, specs []ReplicaSpec, trace *Trace) *trial {
 func (t *trial) start(src *rng.Source) {
 	t.eng.Reset()
 	t.src = *src
-	t.auditStale, t.shockStale = true, true
+	for _, s := range t.streams {
+		s.stale = true
+	}
 	t.faulty = 0
 	t.lost = false
 	t.lossTime = 0
@@ -288,8 +321,7 @@ func (t *trial) start(src *rng.Source) {
 	t.logW = 0
 	t.wSyncAt = 0
 	t.armedRate = 0
-	for i, r := range t.reps {
-		src.DeriveInto(uint64(i)+1, r.src)
+	for _, r := range t.reps {
 		r.state = stateHealthy
 		r.faultKind = 0
 		r.faultAt = 0
@@ -368,22 +400,14 @@ func (t *trial) setBiasFactor(beta float64) {
 	}
 }
 
-// audit returns the trial's audit stream, deriving it on first use.
-func (t *trial) audit() *rng.Source {
-	if t.auditStale {
-		t.src.DeriveInto(auditLabel, &t.auditSrc)
-		t.auditStale = false
+// draw returns s's source, deriving it from the trial stream on first
+// use.
+func (t *trial) draw(s *stream) *rng.Source {
+	if s.stale {
+		t.src.DeriveInto(s.label, &s.src)
+		s.stale = false
 	}
-	return &t.auditSrc
-}
-
-// shock returns the trial's shock stream, deriving it on first use.
-func (t *trial) shock() *rng.Source {
-	if t.shockStale {
-		t.src.DeriveInto(shockLabel, &t.shockSrc)
-		t.shockStale = false
-	}
-	return &t.shockSrc
+	return &s.src
 }
 
 // wSync accrues likelihood-ratio exposure for the interval since the
@@ -418,7 +442,7 @@ func (t *trial) armVisible(i int) {
 	r := t.reps[i]
 	at := math.Inf(1)
 	if r.state != stateRepairing && !r.visible.Disabled() {
-		at = t.eng.Now() + r.visible.SampleNextAt(t.eng.Now(), r.src)
+		at = t.eng.Now() + r.visible.SampleNextAt(t.eng.Now(), t.draw(&r.visSrc))
 	}
 	t.arm(r.visibleEv, at)
 	if t.bias > 1 {
@@ -438,7 +462,7 @@ func (t *trial) armLatent(i int) {
 	r := t.reps[i]
 	at := math.Inf(1)
 	if r.state == stateHealthy && !r.latent.Disabled() {
-		at = t.eng.Now() + r.latent.SampleNextAt(t.eng.Now(), r.src)
+		at = t.eng.Now() + r.latent.SampleNextAt(t.eng.Now(), t.draw(&r.latSrc))
 	}
 	t.arm(r.latentEv, at)
 	if t.bias > 1 {
@@ -460,7 +484,7 @@ func (t *trial) armAudit(i int) {
 	if t.lost {
 		return
 	}
-	at, ok := t.scrubFor(i).NextAudit(t.eng.Now(), t.audit())
+	at, ok := t.scrubFor(i).NextAudit(t.eng.Now(), t.draw(&t.schedule))
 	if !ok {
 		return
 	}
@@ -475,7 +499,7 @@ func (t *trial) armShock(si int) {
 		return
 	}
 	s := &t.cfg.Shocks[si]
-	t.eng.Set(t.shockEv[si], t.eng.Now()+s.SampleNext(t.shock()))
+	t.eng.Set(t.shockEv[si], t.eng.Now()+s.SampleNext(t.draw(&t.shocks)))
 }
 
 // armDetection schedules the discovery of replica i's outstanding latent
@@ -487,12 +511,12 @@ func (t *trial) armDetection(i int) {
 	r := t.reps[i]
 	best := math.Inf(1)
 	if t.lazyAudit {
-		if at, ok := t.scrubFor(i).NextAudit(t.eng.Now(), t.audit()); ok && at < best {
+		if at, ok := t.scrubFor(i).NextAudit(t.eng.Now(), t.draw(&t.schedule)); ok && at < best {
 			best = at
 		}
 	}
 	if ad := t.specs[i].AccessDetect; ad != nil {
-		if at, ok := ad.NextAudit(t.eng.Now(), t.audit()); ok && at < best {
+		if at, ok := ad.NextAudit(t.eng.Now(), t.draw(&t.access)); ok && at < best {
 			best = at
 		}
 	}
@@ -598,12 +622,12 @@ func (t *trial) onAudit(i int) {
 	if r.state == stateRepairing || t.replay != nil {
 		return
 	}
-	if t.cfg.AuditVisibleFaultProb > 0 && t.audit().Bool(t.cfg.AuditVisibleFaultProb) {
+	if t.cfg.AuditVisibleFaultProb > 0 && t.draw(&t.wear).Bool(t.cfg.AuditVisibleFaultProb) {
 		t.stats.AuditInduced++
 		t.onFault(i, faults.Visible, true)
 		return
 	}
-	if t.cfg.AuditLatentFaultProb > 0 && r.state == stateHealthy && t.audit().Bool(t.cfg.AuditLatentFaultProb) {
+	if t.cfg.AuditLatentFaultProb > 0 && r.state == stateHealthy && t.draw(&t.wear).Bool(t.cfg.AuditLatentFaultProb) {
 		t.stats.AuditInduced++
 		t.onFault(i, faults.Latent, true)
 	}
@@ -634,7 +658,7 @@ func (t *trial) onShock(si int) {
 	}
 	s := &t.cfg.Shocks[si]
 	t.stats.ShockEvents++
-	t.struck = s.StrikeInto(t.shock(), t.struck)
+	t.struck = s.StrikeInto(t.draw(&t.shocks), t.struck)
 	for _, target := range t.struck {
 		if t.lost {
 			return
@@ -661,7 +685,7 @@ func (t *trial) startRepair(i int) {
 		t.traceEvent(t.eng.Now(), i, eventRepairStart, r.faultKind, false)
 		return
 	}
-	d := t.specs[i].Repair.Duration(r.faultKind == faults.Visible, r.src)
+	d := t.specs[i].Repair.Duration(r.faultKind == faults.Visible, t.draw(&r.repairSrc))
 	t.eng.Set(r.repairEv, t.eng.Now()+d)
 	t.traceEvent(t.eng.Now(), i, eventRepairStart, r.faultKind, false)
 }
@@ -681,7 +705,7 @@ func (t *trial) onRepaired(i int) {
 	// §6.6: buggy automation can leave a fresh latent fault behind. In
 	// replay mode the recorded stream already carries planted faults, so
 	// they are never re-sampled.
-	if t.replay == nil && t.specs[i].Repair.RepairPlantsFault(r.src) {
+	if p := &t.specs[i].Repair; t.replay == nil && p.BugLatentProb > 0 && p.RepairPlantsFault(t.draw(&r.bugSrc)) {
 		t.stats.RepairBugs++
 		t.onFault(i, faults.Latent, true)
 	}
@@ -705,16 +729,17 @@ func (t *trial) setFaulty(i int, kind faults.Type) {
 		t.eng.Stop()
 		return
 	}
-	t.applyAcceleration()
+	t.applyAcceleration(i)
 }
 
 // setHealthy transitions replica i back into the healthy population.
-func (t *trial) setHealthy(int) {
+// The caller arms its fault arrivals.
+func (t *trial) setHealthy(i int) {
 	if t.bias > 1 {
 		t.wSync()
 	}
 	t.faulty--
-	t.applyAcceleration()
+	t.applyAcceleration(i)
 }
 
 // applyAcceleration re-arms the fault processes of non-faulty replicas
@@ -729,7 +754,13 @@ func (t *trial) setHealthy(int) {
 // never hold: start sets every acceleration to 1, the table only ever
 // asks for 1, and with biasing off SetBias is never called, so the loop
 // is skipped outright.
-func (t *trial) applyAcceleration() {
+//
+// moved is the replica whose transition this is. Its processes take
+// the new multiplier and bias but are not re-armed here: its caller
+// arms them once, at the same instant (onRepaired both arrivals, the
+// latent branch of onFault the visible one; a replica entering repair
+// has none), so a draw made here would be thrown away unseen.
+func (t *trial) applyAcceleration(moved int) {
 	if t.static {
 		return
 	}
@@ -748,8 +779,10 @@ func (t *trial) applyAcceleration() {
 			r.latent.SetAcceleration(target)
 			r.visible.SetBias(boost)
 			r.latent.SetBias(boost)
-			t.armVisible(i)
-			t.armLatent(i)
+			if i != moved {
+				t.armVisible(i)
+				t.armLatent(i)
+			}
 		}
 	}
 }

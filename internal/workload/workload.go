@@ -95,7 +95,7 @@ func NewAccessProcess(a Archive, src *rng.Source) (*AccessProcess, error) {
 // Next returns the time of the next access and the index of the object it
 // touches (uniform over the population).
 func (p *AccessProcess) Next() (at float64, object int64) {
-	p.now += -math.Log(p.src.Float64Open()) / p.archive.AccessesPerHour
+	p.now += p.src.Exp() / p.archive.AccessesPerHour
 	obj := int64(p.src.Float64() * float64(p.archive.Objects))
 	if obj >= p.archive.Objects { // guard the open-interval edge
 		obj = p.archive.Objects - 1
